@@ -1,14 +1,14 @@
-"""Selective-backprop training laboratory.
+"""Selective-backprop laboratory.
 
 A desk-scale stack for studying per-step layer-subset backpropagation:
-a tape autodiff engine with a first-class detach, a LoRA-adapted nano
-transformer with optionally 4-bit quantized base weights, selection
-strategies and ratio schedules, AdamW with momentum-driven implicit
-updates, a zeroth-order baseline, and a benchmark suite that measures
-speedups and loss gaps between them.
+a tape autodiff engine with a first-class detach and paused recording,
+a LoRA-adapted nano transformer whose blocks run attached, detached or
+dropped on each forward pass, symmetric 4-bit group quantization of the
+frozen base weights, and a finite-difference gradient check against an
+independent float64 re-implementation (``lcsb.gradcheck``).
 """
 
-from .autodiff import Tape, Tensor, backward, detach, finite_difference_grad, primitive_forward
+from .autodiff import Tape, Tensor, backward, detach, finite_difference_grad, paused, primitive_forward
 from .errors import (
     ConfigError,
     ContractError,

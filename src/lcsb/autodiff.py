@@ -4,28 +4,31 @@ The engine records one node per primitive onto an explicit :class:`Tape`
 (entered as a context manager) and replays them in reverse to accumulate
 gradients.  It provides exactly the primitive set a small decoder-only
 transformer needs, plus :func:`detach`, which copies a tensor's values
-while severing gradient flow to its producers.
+while severing gradient flow to its producers, and :func:`paused`, which
+stops recording for a block of code.
 
-Everything is float32 and single-threaded per tape; independent tapes in
-separate threads do not interact because the active-tape stack is
-thread-local.
+The tape owns its graph.  A tensor carries a tape handle only when it is
+an output that its own tape recorded.  Any other ``requires_grad`` tensor
+an op touches (a parameter, or an intermediate of another tape) is a leaf
+of the recording tape, which keeps it in its own map and never writes to
+it.  So tapes that share tensors, interleaved on one thread or running in
+separate threads, do not interact; the active-tape stack is thread-local.
+
+Everything is float32 and single-threaded per tape.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, LcsbError, UnsupportedPrimitiveError
 
 Array = np.ndarray
-_builtin_slice = slice
 
-_tape_ids = itertools.count()
 _local = threading.local()
 
 
@@ -42,12 +45,28 @@ def _active_tape() -> "Tape | None":
     return stack[-1] if stack else None
 
 
+@contextmanager
+def paused():
+    """Stop recording on this thread inside the block; values are still computed.
+
+    Works with or without an active tape.  Results computed inside are
+    constants to any tape.
+    """
+    stack = _tape_stack()
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
 class Tensor:
     """An n-dimensional float32 value, optionally tracked on a tape.
 
     ``data`` is always a contiguous float32 ndarray.  ``requires_grad``
-    marks trainable leaves; intermediate results inherit it from their
-    inputs.  The tape handle (``_node``) is internal bookkeeping.
+    marks trainable leaves; a recorded output has it set too.  ``_tape``
+    and ``_node`` name the tape that recorded this tensor and its node
+    there; they stay ``None`` on every tensor no tape produced.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -56,8 +75,8 @@ class Tensor:
             data = np.ascontiguousarray(data)
         self.data = data
         self.requires_grad = requires_grad
+        self._tape: Tape | None = None
         self._node: int | None = None
-        self._tape_id: int = -1
 
     @property
     def shape(self) -> tuple:
@@ -76,15 +95,15 @@ class Tape:
     """Append-only record of primitive applications.
 
     Nodes are stored in topological order by construction: an operation
-    can only consume tensors that already exist.  Leaf tensors (model
-    parameters) are registered lazily the first time an op touches them
-    within this tape's lifetime.
+    can only consume tensors that already exist.  A leaf (a ``requires_grad``
+    tensor this tape did not produce) gets a node ``((), None)`` the first
+    time an op on this tape touches it.  The tape holds a reference to each
+    leaf, so its ``id`` cannot be reused while the tape lives.
     """
 
     def __init__(self):
-        self._id = next(_tape_ids)
         self.nodes: list[tuple[tuple, Callable | None]] = []
-        self._leaves: dict[int, Tensor] = {}
+        self._leaves: dict[int, tuple[int, Tensor]] = {}  # id(leaf) -> (node, leaf)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -93,40 +112,36 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _tape_stack().pop()
 
-    @contextmanager
-    def paused(self):
-        """Temporarily stop recording; values are still computed."""
-        _tape_stack().append(None)
-        try:
-            yield
-        finally:
-            _tape_stack().pop()
-
     def handle(self, t: Tensor) -> int | None:
-        """Tape node id for ``t``, registering it as a leaf if needed."""
+        """Node of ``t`` on this tape, registering it as a leaf if needed."""
         if not t.requires_grad:
             return None
-        if t._tape_id != self._id:
-            node_id = self._record((), None)
-            t._tape_id = self._id
-            t._node = node_id
-            self._leaves[node_id] = t
-        return t._node
+        if t._tape is self:
+            return t._node
+        leaf = self._leaves.get(id(t))
+        if leaf is None:
+            leaf = self._leaves[id(t)] = (self._record((), None), t)
+        return leaf[0]
 
     def _record(self, inputs: tuple, backward_fn: Callable | None) -> int:
         self.nodes.append((inputs, backward_fn))
         return len(self.nodes) - 1
 
 
-def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn_maker) -> Tensor:
-    """Wrap a forward result, recording a node if any input is tracked."""
+def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+    """Wrap a forward result, recording a node if any input is tracked.
+
+    ``backward_fn(g, needs)`` maps the output gradient to one gradient per
+    input; ``needs[i]`` is False when input ``i`` has no node on the tape,
+    and its gradient may then be ``None``.
+    """
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         handles = tuple(tape.handle(t) for t in inputs)
         out.requires_grad = True
-        out._tape_id = tape._id
-        out._node = tape._record(handles, backward_fn_maker())
+        out._tape = tape
+        out._node = tape._record(handles, backward_fn)
     return out
 
 
@@ -141,33 +156,30 @@ def backward(loss: Tensor, tape: Tape) -> dict:
         raise DimensionError(f"loss must be a scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data):
         raise DivergenceError(f"loss is non-finite: {float(loss.data)}", (float(loss.data),))
-    if loss._tape_id != tape._id or loss._node is None:
+    if loss._tape is not tape:
         if loss.requires_grad:
             raise LcsbError("loss tensor was not recorded on this tape")
         # constant loss (e.g. fully detached): nothing is reachable
-        return {t: np.zeros_like(t.data) for t in tape._leaves.values()}
+        return {t: np.zeros_like(t.data) for _, t in tape._leaves.values()}
 
     grads: dict[int, Array] = {loss._node: np.ones((), dtype=np.float32)}
-    result: dict[Tensor, Array] = {}
     for node_id in range(len(tape.nodes) - 1, -1, -1):
+        inputs, backward_fn = tape.nodes[node_id]
+        if backward_fn is None:
+            continue  # a leaf keeps its gradient in grads
         g = grads.pop(node_id, None)
         if g is None:
             continue
-        inputs, backward_fn = tape.nodes[node_id]
-        if backward_fn is None:
-            result[tape._leaves[node_id]] = g
-            continue
-        for in_id, gin in zip(inputs, backward_fn(g)):
-            if in_id is None or gin is None:
+        needs = tuple(in_id is not None for in_id in inputs)
+        for in_id, gin in zip(inputs, backward_fn(g, needs)):
+            if in_id is None:
                 continue
             if in_id in grads:
                 grads[in_id] = grads[in_id] + gin
             else:
                 grads[in_id] = gin
-    for tensor in tape._leaves.values():
-        if tensor not in result:
-            result[tensor] = np.zeros_like(tensor.data)
-    return result
+    return {t: grads[node] if node in grads else np.zeros_like(t.data)
+            for node, t in tape._leaves.values()}
 
 
 def detach(t: Tensor) -> Tensor:
@@ -184,36 +196,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
 
-    def make():
-        def bw(g):
-            return (g @ b_data.T, a_data.T @ g)
-        return bw
+    def bw(g, needs):
+        return (g @ b_data.T if needs[0] else None, a_data.T @ g if needs[1] else None)
 
-    return _finish(a_data @ b_data, (a, b), make)
+    return _finish(a_data @ b_data, (a, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
 
-    def make():
-        def bw(g):
-            return (g, g)
-        return bw
+    def bw(g, needs):
+        return (g, g)
 
-    return _finish(a.data + b.data, (a, b), make)
+    return _finish(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"sub shapes differ: {a.shape} vs {b.shape}")
 
-    def make():
-        def bw(g):
-            return (g, -g)
-        return bw
+    def bw(g, needs):
+        return (g, -g)
 
-    return _finish(a.data - b.data, (a, b), make)
+    return _finish(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -221,23 +227,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
 
-    def make():
-        def bw(g):
-            return (g * b_data, g * a_data)
-        return bw
+    def bw(g, needs):
+        return (g * b_data if needs[0] else None, g * a_data if needs[1] else None)
 
-    return _finish(a_data * b_data, (a, b), make)
+    return _finish(a_data * b_data, (a, b), bw)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     c = np.float32(factor)
 
-    def make():
-        def bw(g):
-            return (g * c,)
-        return bw
+    def bw(g, needs):
+        return (g * c,)
 
-    return _finish(a.data * c, (a,), make)
+    return _finish(a.data * c, (a,), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -250,14 +252,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         )
     table_shape = table.shape
 
-    def make():
-        def bw(g):
-            grad = np.zeros(table_shape, dtype=np.float32)
-            np.add.at(grad, ids, g)
-            return (grad,)
-        return bw
+    def bw(g, needs):
+        grad = np.zeros(table_shape, dtype=np.float32)
+        np.add.at(grad, ids, g)
+        return (grad,)
 
-    return _finish(table.data[ids], (table,), make)
+    return _finish(table.data[ids], (table,), bw)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -270,16 +270,16 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     normed = x_data * inv
     gain_data = gain.data
 
-    def make():
-        def bw(g):
-            gp = g * gain_data
-            s = np.sum(gp * x_data, axis=-1, keepdims=True)
-            grad_x = inv * gp - (inv ** 3) * x_data * (s / dim)
-            grad_gain = np.sum(g * normed, axis=tuple(range(g.ndim - 1)))
-            return (grad_x.astype(np.float32), grad_gain.astype(np.float32))
-        return bw
+    def bw(g, needs):
+        gp = g * gain_data
+        s = np.sum(gp * x_data, axis=-1, keepdims=True)
+        grad_x = inv * gp - (inv ** 3) * x_data * (s / dim)
+        if not needs[1]:
+            return (grad_x.astype(np.float32), None)
+        grad_gain = np.sum(g * normed, axis=tuple(range(g.ndim - 1)))
+        return (grad_x.astype(np.float32), grad_gain.astype(np.float32))
 
-    return _finish(normed * gain_data, (x, gain), make)
+    return _finish(normed * gain_data, (x, gain), bw)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -287,13 +287,11 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     probs = e / np.sum(e, axis=-1, keepdims=True)
 
-    def make():
-        def bw(g):
-            s = np.sum(g * probs, axis=-1, keepdims=True)
-            return (probs * (g - s),)
-        return bw
+    def bw(g, needs):
+        s = np.sum(g * probs, axis=-1, keepdims=True)
+        return (probs * (g - s),)
 
-    return _finish(probs, (x,), make)
+    return _finish(probs, (x,), bw)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -301,24 +299,20 @@ def silu(x: Tensor) -> Tensor:
     sig = sig.astype(np.float32)
     x_data = x.data
 
-    def make():
-        def bw(g):
-            return (g * sig * (1.0 + x_data * (1.0 - sig)),)
-        return bw
+    def bw(g, needs):
+        return (g * sig * (1.0 + x_data * (1.0 - sig)),)
 
-    return _finish(x_data * sig, (x,), make)
+    return _finish(x_data * sig, (x,), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {x.shape}")
 
-    def make():
-        def bw(g):
-            return (np.ascontiguousarray(g.T),)
-        return bw
+    def bw(g, needs):
+        return (np.ascontiguousarray(g.T),)
 
-    return _finish(x.data.T, (x,), make)
+    return _finish(x.data.T, (x,), bw)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -328,12 +322,10 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     except ValueError:
         raise DimensionError(f"cannot reshape {orig} to {tuple(shape)}") from None
 
-    def make():
-        def bw(g):
-            return (g.reshape(orig),)
-        return bw
+    def bw(g, needs):
+        return (g.reshape(orig),)
 
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), bw)
 
 
 def slice_(x: Tensor, index) -> Tensor:
@@ -341,14 +333,12 @@ def slice_(x: Tensor, index) -> Tensor:
     orig = x.shape
     out = x.data[index]
 
-    def make():
-        def bw(g):
-            grad = np.zeros(orig, dtype=np.float32)
-            grad[index] = g
-            return (grad,)
-        return bw
+    def bw(g, needs):
+        grad = np.zeros(orig, dtype=np.float32)
+        grad[index] = g
+        return (grad,)
 
-    return _finish(np.ascontiguousarray(out), (x,), make)
+    return _finish(np.ascontiguousarray(out), (x,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -357,17 +347,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def make():
-        def bw(g):
-            sl = [_builtin_slice(None)] * g.ndim
-            outs = []
-            for k in range(len(sizes)):
-                sl[axis] = _builtin_slice(offsets[k], offsets[k + 1])
-                outs.append(np.ascontiguousarray(g[tuple(sl)]))
-            return tuple(outs)
-        return bw
+    def bw(g, needs):
+        sl = [slice(None)] * g.ndim
+        outs = []
+        for k in range(len(sizes)):
+            sl[axis] = slice(offsets[k], offsets[k + 1])
+            outs.append(np.ascontiguousarray(g[tuple(sl)]))
+        return tuple(outs)
 
-    return _finish(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), make)
+    return _finish(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
@@ -386,38 +374,32 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     log_probs = (z - m) - np.log(sum_e)
     loss = np.float32(-np.mean(log_probs[np.arange(n), targets]))
 
-    def make():
-        def bw(g):
-            grad = e / sum_e
-            grad[np.arange(n), targets] -= 1.0
-            grad *= g / np.float32(n)
-            return (grad.astype(np.float32),)
-        return bw
+    def bw(g, needs):
+        grad = e / sum_e
+        grad[np.arange(n), targets] -= 1.0
+        grad *= g / np.float32(n)
+        return (grad.astype(np.float32),)
 
-    return _finish(loss, (logits,), make)
+    return _finish(loss, (logits,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
     in_shape = x.shape
 
-    def make():
-        def bw(g):
-            return (np.full(in_shape, g, dtype=np.float32),)
-        return bw
+    def bw(g, needs):
+        return (np.full(in_shape, g, dtype=np.float32),)
 
-    return _finish(np.float32(np.sum(x.data)), (x,), make)
+    return _finish(np.float32(np.sum(x.data)), (x,), bw)
 
 
 def mean_all(x: Tensor) -> Tensor:
     in_shape = x.shape
     size = np.float32(x.data.size)
 
-    def make():
-        def bw(g):
-            return (np.full(in_shape, g / size, dtype=np.float32),)
-        return bw
+    def bw(g, needs):
+        return (np.full(in_shape, g / size, dtype=np.float32),)
 
-    return _finish(np.float32(np.mean(x.data)), (x,), make)
+    return _finish(np.float32(np.mean(x.data)), (x,), bw)
 
 
 _PRIMITIVES = {

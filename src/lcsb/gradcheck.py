@@ -2,8 +2,7 @@
 
 Every check pits the float32 tape backward against central finite
 differences of an independent float64 re-implementation written directly
-in numpy, so the two routes share no code.  ``run_suite`` powers the
-``gradcheck`` CLI subcommand.
+in numpy, so the two routes share no code.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Every residual block exposes three forward modes:
 
 * ``attached`` - normal recording, gradients flow into the block,
 * ``detached`` - identical output values, but the block's contribution is
-  recorded as a constant so gradients only flow through the residual
-  identity path,
+  computed with recording paused, so it is a constant to the tape and
+  gradients only flow through the residual identity path,
 * ``dropped``  - the block is skipped entirely (the layer-dropping
   baseline; forward values change).
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, PlanError
+from .errors import ConfigError, DimensionError, PlanError
 from .quant import QuantizedLinear, dequantize, quantize_weights
 
 ALL_LORA_TARGETS = ("q", "k", "v", "o", "gate", "up", "down")
@@ -41,6 +41,15 @@ class BlockMode(str, Enum):
     ATTACHED = "attached"
     DETACHED = "detached"
     DROPPED = "dropped"
+
+
+def _block_mode(mode) -> BlockMode:
+    try:
+        return BlockMode(mode)
+    except ValueError:
+        raise PlanError(
+            f"unknown block mode {mode!r}; expected one of {[m.value for m in BlockMode]}"
+        ) from None
 
 
 @dataclass
@@ -258,18 +267,13 @@ class Model:
 
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
         """One residual block in the requested gradient mode."""
-        mode = BlockMode(mode)
+        mode = _block_mode(mode)
         if mode is BlockMode.DROPPED:
             return h
         block = self.blocks[layer_index]
         if mode is BlockMode.DETACHED:
-            tape = ad._active_tape()
-            if tape is not None:
-                with tape.paused():
-                    d = ad.sub(self._block_out(h, block), h)
-            else:
+            with ad.paused():
                 d = ad.sub(self._block_out(h, block), h)
-            d = ad.detach(d)
         else:
             d = ad.sub(self._block_out(h, block), h)
         return ad.add(h, d)
@@ -277,15 +281,23 @@ class Model:
     def forward(self, tokens, plan=None) -> Tensor:
         """Logits of shape (len(tokens), vocab_size).
 
-        ``plan`` is a SelectionPlan (or anything with a ``modes`` list);
+        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` token ids.  ``plan``
+        is anything with a ``modes`` sequence, one block mode per layer;
         ``None`` runs every block attached.
         """
-        modes = list(plan.modes) if plan is not None else [BlockMode.ATTACHED] * self.config.n_layers
-        if len(modes) != self.config.n_layers:
-            raise PlanError(
-                f"plan covers {len(modes)} layers, model has {self.config.n_layers}"
-            )
+        cfg = self.config
+        if plan is None:
+            modes = [BlockMode.ATTACHED] * cfg.n_layers
+        else:
+            modes = [_block_mode(m) for m in plan.modes]
+        if len(modes) != cfg.n_layers:
+            raise PlanError(f"plan covers {len(modes)} layers, model has {cfg.n_layers}")
         tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.ndim != 1 or not 1 <= tokens.shape[0] <= cfg.seq_len:
+            raise DimensionError(
+                f"tokens must be a 1-d sequence of 1 to seq_len={cfg.seq_len} ids, "
+                f"got shape {tokens.shape}"
+            )
         t = tokens.shape[0]
         h = ad.add(
             ad.embedding_lookup(self.embed, tokens),
@@ -342,11 +354,3 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     model.norm_out = Tensor(np.ones(config.d_model, dtype=np.float32))
     model._finalize()
     return model
-
-
-def model_forward(model: Model, tokens, plan=None) -> Tensor:
-    return model.forward(tokens, plan)
-
-
-def block_forward(model: Model, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
-    return model.block_forward(h, layer_index, mode)

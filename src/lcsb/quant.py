@@ -26,7 +26,6 @@ class QuantizedLinear:
     qweights: np.ndarray
     scales: np.ndarray
     group_size: int
-    bias: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:

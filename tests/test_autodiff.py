@@ -1,4 +1,7 @@
-"""Engine-level tests: primitive values, detach semantics, backward sweep."""
+"""Engine-level tests: primitive values, detach semantics, backward sweep, tape ownership."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 import lcsb.autodiff as ad
 from lcsb.autodiff import Tape, Tensor, backward, detach, finite_difference_grad
 from lcsb.errors import DimensionError, DivergenceError, UnsupportedPrimitiveError
+from lcsb.gradcheck import micro_config
+from lcsb.model import init_model
 
 
 def test_softmax_uniform_logits():
@@ -191,3 +196,68 @@ def test_two_layer_mlp_matches_finite_differences():
         fd = finite_difference_grad(oracle, w, 1e-3)
         scale = np.max(np.abs(fd.data)) + 1e-12
         assert np.max(np.abs(grads[w] - fd.data)) / scale < 1e-3
+
+
+class TestTapeOwnership:
+    def test_interleaved_tapes_sum_every_use(self):
+        w = Tensor(1.0, requires_grad=True)
+        tape_a, tape_b = Tape(), Tape()
+        with tape_a:
+            first = ad.scale(w, 2.0)
+        with tape_b:
+            ad.scale(w, 1.0)
+        with tape_a:
+            loss = ad.add(first, ad.scale(w, 3.0))
+        assert backward(loss, tape_a)[w] == np.float32(5.0)
+
+    def test_other_tapes_intermediate_is_a_leaf_there(self):
+        w = Tensor(1.5, requires_grad=True)
+        tape_a, tape_b = Tape(), Tape()
+        with tape_a:
+            x = ad.scale(w, 2.0)
+        with tape_b:
+            loss_b = ad.sum_all(ad.scale(x, 7.0))
+        with tape_a:
+            loss_a = ad.sum_all(ad.mul(x, x))
+        # d/dw (2w)^2 = 8w
+        assert backward(loss_a, tape_a)[w] == np.float32(12.0)
+        grads_b = backward(loss_b, tape_b)
+        assert list(grads_b) == [x] and grads_b[x] == np.float32(7.0)
+
+    def test_threads_sharing_a_model_match_sequential_grads(self):
+        model = init_model(micro_config(), 0)
+        rng = np.random.default_rng(1)
+        for p in model.trainable_params().values():
+            p.data[...] = (rng.standard_normal(p.shape) * 0.1).astype(np.float32)
+        cfg = model.config
+        batches = [(rng.integers(0, cfg.vocab_size, cfg.seq_len),
+                    rng.integers(0, cfg.vocab_size, cfg.seq_len)) for _ in range(4)]
+
+        def grads_of(tokens, targets):
+            with Tape() as tape:
+                loss = ad.cross_entropy_logits(model.forward(tokens), targets)
+            return {id(p): g for p, g in backward(loss, tape).items()}
+
+        expected = [grads_of(*batch) for batch in batches]
+        results = [[] for _ in batches]
+
+        def work(i):
+            for _ in range(10):
+                results[i].append(grads_of(*batches[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected, results):
+            assert len(got) == 10
+            for grads in got:
+                assert grads.keys() == want.keys()
+                assert all(np.array_equal(grads[k], want[k]) for k in want)
