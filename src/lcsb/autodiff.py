@@ -2,10 +2,13 @@
 
 The engine records one node per primitive onto an explicit :class:`Tape`
 (entered as a context manager) and replays them in reverse to accumulate
-gradients.  It provides exactly the primitive set a small decoder-only
-transformer needs, plus :func:`detach`, which copies a tensor's values
-while severing gradient flow to its producers, and :func:`paused`, which
-stops recording for a block of code.
+gradients.  It provides the primitive set a small decoder-only
+transformer needs.  Two of them are fused so that a layer records few
+nodes: :func:`lora_linear` (a frozen projection plus its LoRA delta) and
+:func:`causal_attention` (all heads of scaled, masked softmax attention),
+each with a hand-written backward.  There is also :func:`detach`, which
+copies a tensor's values while severing gradient flow to its producers,
+and :func:`paused`, which stops recording for a block of code.
 
 The tape owns its graph.  A tensor carries a tape handle only when it is
 an output that its own tape recorded.  Any other ``requires_grad`` tensor
@@ -267,7 +270,6 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     dim = x_data.shape[-1]
     inv = 1.0 / np.sqrt(np.mean(np.square(x_data), axis=-1, keepdims=True) + np.float32(eps))
     inv = inv.astype(np.float32)
-    normed = x_data * inv
     gain_data = gain.data
 
     def bw(g, needs):
@@ -276,10 +278,11 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
         grad_x = inv * gp - (inv ** 3) * x_data * (s / dim)
         if not needs[1]:
             return (grad_x.astype(np.float32), None)
-        grad_gain = np.sum(g * normed, axis=tuple(range(g.ndim - 1)))
+        # the normalized input is recomputed, not kept: gains are usually frozen
+        grad_gain = np.sum(g * (x_data * inv), axis=tuple(range(g.ndim - 1)))
         return (grad_x.astype(np.float32), grad_gain.astype(np.float32))
 
-    return _finish(normed * gain_data, (x, gain), bw)
+    return _finish((x_data * inv) * gain_data, (x, gain), bw)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -305,14 +308,94 @@ def silu(x: Tensor) -> Tensor:
     return _finish(x_data * sig, (x,), bw)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {x.shape}")
+def lora_linear(x: Tensor, w_t: Tensor, a: Tensor, b: Tensor, s: float) -> Tensor:
+    """``x @ w_t + s * (x @ a.T) @ b.T``: a base projection plus a LoRA delta, as one node.
+
+    ``x`` is (n, d_in), ``w_t`` is (d_in, d_out), ``a`` is (rank, d_in) and
+    ``b`` is (d_out, rank).  The backward works through the (n, rank)
+    intermediate and never forms the dense ``w_t + s * (b @ a).T``; it
+    returns dx, dW, dA and dB, each only when that input has a node.
+    """
+    x_data, w_data, a_data, b_data = x.data, w_t.data, a.data, b.data
+    if (x_data.ndim != 2 or w_data.ndim != 2 or a_data.ndim != 2
+            or w_data.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
+            or b_data.shape != (w_data.shape[1], a_data.shape[0])):
+        raise DimensionError(
+            f"lora_linear shapes incompatible: x {x.shape}, w_t {w_t.shape}, "
+            f"a {a.shape}, b {b.shape}"
+        )
+    c = np.float32(s)
+    xa = x_data @ a_data.T
 
     def bw(g, needs):
-        return (np.ascontiguousarray(g.T),)
+        gc = g * c
+        gxa = gc @ b_data if needs[0] or needs[2] else None
+        return (
+            g @ w_data.T + gxa @ a_data if needs[0] else None,
+            x_data.T @ g if needs[1] else None,
+            gxa.T @ x_data if needs[2] else None,
+            gc.T @ xa if needs[3] else None,
+        )
 
-    return _finish(x.data.T, (x,), bw)
+    return _finish(x_data @ w_data + (xa @ b_data.T) * c, (x, w_t, a, b), bw)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Array) -> Tensor:
+    """Multi-head scaled dot-product attention of (T, d) inputs, as one node.
+
+    Head ``i`` is the column block ``i * d_h : (i + 1) * d_h`` with
+    ``d_h = d / n_heads``; the heads run as batched matmuls on
+    (n_heads, T, d_h) views.  ``mask`` is an additive (T, T) array, zero
+    where a position may attend and a large negative value above the
+    diagonal, added to the scaled scores before the softmax.  The output
+    and dq, dk, dv of the backward are in the (T, d) layout of the inputs.
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(
+            f"causal_attention expects equal (T, d) inputs, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    t, d = q.shape
+    if n_heads <= 0 or d % n_heads != 0:
+        raise DimensionError(f"causal_attention: {n_heads} heads do not divide d={d}")
+    mask = np.asarray(mask, dtype=np.float32)
+    if mask.shape != (t, t):
+        raise DimensionError(f"causal_attention mask shape {mask.shape} is not ({t}, {t})")
+    d_h = d // n_heads
+    c = np.float32(1.0 / np.sqrt(d_h))
+
+    def split(m):
+        return m.reshape(t, n_heads, d_h).transpose(1, 0, 2)
+
+    def merge(m):
+        return m.transpose(1, 0, 2).reshape(t, d)
+
+    # The (n_heads, T, T) buffers are updated in place.  At T=128 each is
+    # 256 KiB; allocating a fresh one per operation cost about 175 page faults
+    # per call and twice the time (2-vCPU x86-64, one BLAS thread).
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.transpose(0, 2, 1)
+    probs *= c
+    probs += mask
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+
+    def bw(g, needs):
+        gh = split(g)
+        gv = merge(probs.transpose(0, 2, 1) @ gh) if needs[2] else None
+        if not (needs[0] or needs[1]):
+            return (None, None, gv)
+        gs = gh @ vh.transpose(0, 2, 1)  # gradient of probs, then of the scores
+        gs -= np.sum(gs * probs, axis=-1, keepdims=True)
+        gs *= probs
+        gs *= c
+        return (
+            merge(gs @ kh) if needs[0] else None,
+            merge(gs.transpose(0, 2, 1) @ qh) if needs[1] else None,
+            gv,
+        )
+
+    return _finish(merge(probs @ vh), (q, k, v), bw)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -326,36 +409,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         return (g.reshape(orig),)
 
     return _finish(out, (x,), bw)
-
-
-def slice_(x: Tensor, index) -> Tensor:
-    """Basic slicing; ``index`` is anything numpy basic indexing accepts."""
-    orig = x.shape
-    out = x.data[index]
-
-    def bw(g, needs):
-        grad = np.zeros(orig, dtype=np.float32)
-        grad[index] = g
-        return (grad,)
-
-    return _finish(np.ascontiguousarray(out), (x,), bw)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    if not tensors:
-        raise DimensionError("concat of zero tensors")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g, needs):
-        sl = [slice(None)] * g.ndim
-        outs = []
-        for k in range(len(sizes)):
-            sl[axis] = slice(offsets[k], offsets[k + 1])
-            outs.append(np.ascontiguousarray(g[tuple(sl)]))
-        return tuple(outs)
-
-    return _finish(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
@@ -411,10 +464,10 @@ _PRIMITIVES = {
     "rms_norm": lambda inputs, attrs: rms_norm(inputs[0], inputs[1], attrs.get("eps", 1e-5)),
     "softmax": lambda inputs, attrs: softmax(inputs[0]),
     "silu": lambda inputs, attrs: silu(inputs[0]),
-    "transpose": lambda inputs, attrs: transpose(inputs[0]),
+    "lora_linear": lambda inputs, attrs: lora_linear(*inputs, attrs["s"]),
+    "causal_attention": lambda inputs, attrs: causal_attention(
+        *inputs, attrs["n_heads"], attrs["mask"]),
     "reshape": lambda inputs, attrs: reshape(inputs[0], attrs["shape"]),
-    "slice": lambda inputs, attrs: slice_(inputs[0], attrs["index"]),
-    "concat": lambda inputs, attrs: concat(inputs, attrs.get("axis", -1)),
     "cross_entropy_logits": lambda inputs, attrs: cross_entropy_logits(inputs[0], attrs["targets"]),
     "sum": lambda inputs, attrs: sum_all(inputs[0]),
     "mean": lambda inputs, attrs: mean_all(inputs[0]),

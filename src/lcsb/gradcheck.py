@@ -41,6 +41,23 @@ def _ref_silu(x):
     return x / (1.0 + np.exp(-x))
 
 
+def _ref_lora_linear(x, w_t, a, b, s):
+    return x @ w_t + s * ((x @ a.T) @ b.T)
+
+
+def _ref_causal_attention(q, k, v, n_heads):
+    """Per-head loop; a position attends to itself and to earlier positions only."""
+    t, d = q.shape
+    head_dim = d // n_heads
+    allowed = np.tril(np.ones((t, t), dtype=bool))
+    heads = []
+    for hh in range(n_heads):
+        cols = slice(hh * head_dim, (hh + 1) * head_dim)
+        scores = np.where(allowed, q[:, cols] @ k[:, cols].T / math.sqrt(head_dim), -np.inf)
+        heads.append(_ref_softmax(scores) @ v[:, cols])
+    return np.concatenate(heads, axis=-1)
+
+
 def _ref_cross_entropy(z, targets):
     m = np.max(z, axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=-1))
@@ -49,8 +66,9 @@ def _ref_cross_entropy(z, targets):
 
 def _primitive_cases(rng: np.random.Generator):
     """Yield (kind, inputs, attrs, reference) tuples on random small shapes."""
-    def t(shape, lo=-1.0, hi=1.0):
-        return Tensor(rng.uniform(lo, hi, size=shape).astype(np.float32), requires_grad=True)
+    def t(shape, lo=-1.0, hi=1.0, requires_grad=True):
+        data = rng.uniform(lo, hi, size=shape).astype(np.float32)
+        return Tensor(data, requires_grad=requires_grad)
 
     m, k, n = rng.integers(2, 8, size=3)
     a, b = t((m, k)), t((k, n))
@@ -72,15 +90,23 @@ def _primitive_cases(rng: np.random.Generator):
 
     yield "softmax", [t((5, 7))], {}, lambda d: _ref_softmax(d[0])
     yield "silu", [t(shape, lo=-3.0, hi=3.0)], {}, lambda d: _ref_silu(d[0])
-    yield "transpose", [t((3, 5))], {}, lambda d: d[0].T
 
     yield "reshape", [t((4, 6))], {"shape": (3, 8)}, lambda d: d[0].reshape(3, 8)
 
-    index = (slice(1, 4), slice(0, 3))
-    yield "slice", [t((5, 6))], {"index": index}, lambda d: d[0][index]
+    n, d_in, d_out, rank = rng.integers(1, 7, size=4)
+    s = float(rng.uniform(0.5, 2.0))
+    for x_tracked in (True, False):  # a constant x is the first layer's input
+        x = t((n, d_in), requires_grad=x_tracked)
+        yield "lora_linear", [x, t((d_in, d_out)), t((rank, d_in)), t((d_out, rank))], {"s": s}, (
+            lambda d: _ref_lora_linear(*d, s)
+        )
 
-    parts = [t((4, 3)), t((4, 2)), t((4, 4))]
-    yield "concat", parts, {"axis": -1}, lambda d: np.concatenate(d, axis=-1)
+    seq, n_heads, head_dim = rng.integers(1, 6), rng.integers(1, 4), rng.integers(1, 4)
+    qkv = [t((seq, n_heads * head_dim), lo=-2.0, hi=2.0) for _ in range(3)]
+    mask = np.triu(np.full((seq, seq), -1e9, dtype=np.float32), k=1)
+    yield "causal_attention", qkv, {"n_heads": n_heads, "mask": mask}, (
+        lambda d: _ref_causal_attention(*d, n_heads)
+    )
 
     targets = rng.integers(0, 8, size=5)
     yield "cross_entropy_logits", [t((5, 8), lo=-2.0, hi=2.0)], {"targets": targets}, (
@@ -92,7 +118,10 @@ def _primitive_cases(rng: np.random.Generator):
 
 
 def check_primitive(kind, inputs, attrs, reference, rng: np.random.Generator) -> float:
-    """Max relative error of analytic grads vs finite differences for one case."""
+    """Max relative error of analytic grads vs finite differences for one case.
+
+    Every input with ``requires_grad`` is checked; the others are constants.
+    """
     with Tape() as tape:
         out = ad.primitive_forward(kind, inputs, attrs)
         if out.data.ndim == 0:
@@ -111,6 +140,8 @@ def check_primitive(kind, inputs, attrs, reference, rng: np.random.Generator) ->
 
     worst = 0.0
     for t in inputs:
+        if not t.requires_grad:
+            continue
         fd = finite_difference_grad(f, t, FD_EPS)
         worst = max(worst, _rel_err(grads[t], fd.data.astype(np.float64)))
     return worst

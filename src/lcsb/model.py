@@ -5,6 +5,13 @@ with a residual add.  Only the LoRA matrices are trainable; base weights,
 embeddings, norms, and the weight-tied output head are frozen (and the base
 projections can be 4-bit quantized at init).
 
+The forward is built from fused primitives so that an attached layer
+records few tape nodes: each projection with a LoRA adapter is one
+``lora_linear`` node (base matmul plus the scaled low-rank delta), and all
+heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
+``causal_attention`` node.  An attached layer records at most 16 op nodes,
+plus one leaf per LoRA matrix.
+
 Every residual block exposes three forward modes:
 
 * ``attached`` - normal recording, gradients flow into the block,
@@ -21,7 +28,6 @@ path; the two differ only in what the tape records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,24 +100,24 @@ class ModelConfig:
 
 @dataclass
 class LoraAdapter:
-    """Low-rank delta B @ A scaled by alpha/rank; B starts at zero."""
+    """Trainable low-rank delta ``(alpha / rank) * B @ A``; B starts at zero.
+
+    A and B are stored as (rank, d_in) and (d_out, rank) and used in place
+    by :func:`lcsb.autodiff.lora_linear`; no step copies or transposes them.
+    """
 
     a: Tensor  # (rank, d_in)
     b: Tensor  # (d_out, rank)
     alpha: float
     rank: int
 
-    def apply(self, x: Tensor) -> Tensor:
-        xa = ad.matmul(x, ad.transpose(self.a))
-        xab = ad.matmul(xa, ad.transpose(self.b))
-        return ad.scale(xab, self.alpha / self.rank)
-
 
 class Linear:
     """Frozen base projection plus an optional trainable LoRA adapter.
 
-    The base weight is held pre-transposed, shape (d_in, d_out), so the
-    forward pass is a single matmul with no per-step transpose.
+    The base weight is held pre-transposed, shape (d_in, d_out).  A site
+    with an adapter is one fused ``lora_linear`` node, whose backward never
+    forms the dense ``W + BA``; a site without one is a single ``matmul``.
     """
 
     def __init__(self, w_t: Tensor, lora: LoraAdapter | None, quant: QuantizedLinear | None = None):
@@ -120,10 +126,10 @@ class Linear:
         self.quant = quant
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w_t)
-        if self.lora is not None:
-            y = ad.add(y, self.lora.apply(x))
-        return y
+        lora = self.lora
+        if lora is None:
+            return ad.matmul(x, self.w_t)
+        return ad.lora_linear(x, self.w_t, lora.a, lora.b, lora.alpha / lora.rank)
 
 
 class _Block:
@@ -155,7 +161,7 @@ class Model:
         self.norm_out: Tensor | None = None
         self.blocks: list[_Block] = []
         self._emb_t: Tensor | None = None
-        self._mask_cache: dict[int, Tensor] = {}
+        self._mask_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -163,11 +169,10 @@ class Model:
         self._emb_t = Tensor(self.embed.data.T)
         self._mask_cache.clear()
 
-    def _causal_mask(self, t: int) -> Tensor:
+    def _causal_mask(self, t: int) -> np.ndarray:
         mask = self._mask_cache.get(t)
         if mask is None:
-            m = np.triu(np.full((t, t), MASK_VALUE, dtype=np.float32), k=1)
-            mask = Tensor(m)
+            mask = np.triu(np.full((t, t), MASK_VALUE, dtype=np.float32), k=1)
             self._mask_cache[t] = mask
         return mask
 
@@ -238,22 +243,12 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _attention(self, x: Tensor, block: _Block, mask: Tensor) -> Tensor:
-        cfg = self.config
-        head_dim = cfg.d_model // cfg.n_heads
+    def _attention(self, x: Tensor, block: _Block, mask: np.ndarray) -> Tensor:
         q = block.linears["q"](x)
         k = block.linears["k"](x)
         v = block.linears["v"](x)
-        heads = []
-        for h in range(cfg.n_heads):
-            cols = (slice(None), slice(h * head_dim, (h + 1) * head_dim))
-            qh = ad.slice_(q, cols)
-            kh = ad.slice_(k, cols)
-            vh = ad.slice_(v, cols)
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(head_dim))
-            probs = ad.softmax(ad.add(scores, mask))
-            heads.append(ad.matmul(probs, vh))
-        return block.linears["o"](ad.concat(heads, axis=-1))
+        heads = ad.causal_attention(q, k, v, self.config.n_heads, mask)
+        return block.linears["o"](heads)
 
     def _mlp(self, x: Tensor, block: _Block) -> Tensor:
         gate = block.linears["gate"](x)
@@ -299,10 +294,8 @@ class Model:
                 f"got shape {tokens.shape}"
             )
         t = tokens.shape[0]
-        h = ad.add(
-            ad.embedding_lookup(self.embed, tokens),
-            ad.slice_(self.pos, (slice(0, t), slice(None))),
-        )
+        # the position table is frozen, so its rows enter as a constant view
+        h = ad.add(ad.embedding_lookup(self.embed, tokens), Tensor(self.pos.data[:t]))
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
         return ad.matmul(ad.rms_norm(h, self.norm_out), self._emb_t)

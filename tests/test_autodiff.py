@@ -114,7 +114,7 @@ class TestBackward:
 
     def test_non_finite_loss_raises_divergence(self):
         theta = Tensor(np.float32(1e38), requires_grad=True)
-        with Tape() as tape:
+        with Tape() as tape, np.errstate(over="ignore"):
             loss = ad.mul(ad.scale(theta, 1e5), ad.scale(theta, 1e5))  # overflows to inf
             loss = ad.sum_all(loss)
         with pytest.raises(DivergenceError):

@@ -1,5 +1,6 @@
-"""Model contracts: plan bit-identity, detached gradients, dropped blocks, input checks."""
+"""Model contracts: plan bit-identity, detached gradients, dropped blocks, tape size, input checks."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcsb.autodiff as ad
+from lcsb import gradcheck
 from lcsb.errors import DimensionError, PlanError
 from lcsb.gradcheck import micro_config
 from lcsb.model import BlockMode, init_model
@@ -63,6 +65,46 @@ def test_dropped_block_returns_its_input(layer, mode):
     h = ad.Tensor(np.ones((3, CFG.d_model)), requires_grad=True)
     with ad.Tape():
         assert MODEL.block_forward(h, layer, mode) is h
+
+
+def _tape_nodes(modes) -> int:
+    tokens = np.arange(CFG.seq_len + 1) % CFG.vocab_size
+    with ad.Tape() as tape:
+        ad.cross_entropy_logits(MODEL.forward(tokens[:-1], _plan(modes)), tokens[1:])
+    return len(tape.nodes)
+
+
+def test_tape_node_counts():
+    # an attached layer above another: 16 op nodes and a leaf per LoRA matrix (2 x 7 sites)
+    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 30
+    # the lowest layer's input is a constant, so its first norm records nothing;
+    # the output norm, the head and the loss add 3
+    assert _tape_nodes([ATTACHED, ATTACHED]) == 29 + 30 + 3
+    assert _tape_nodes([DETACHED, DETACHED]) == 0
+
+
+def test_plain_projections_next_to_lora_ones_pass_gradcheck():
+    # k, o and the MLP sites are plain matmuls; k of the first layer is a constant
+    config = replace(CFG, lora_targets=("q", "v"))
+    assert gradcheck.check_model_gradients(0, config) < 1e-3
+
+
+def test_causal_attention_single_position_matches_reference():
+    rng = np.random.default_rng(0)
+    q, k, v = (ad.Tensor(rng.standard_normal((1, CFG.d_model)), requires_grad=True)
+               for _ in range(3))
+    weights = rng.standard_normal((1, CFG.d_model)).astype(np.float32)
+    with ad.Tape() as tape:
+        out = ad.causal_attention(q, k, v, CFG.n_heads, np.zeros((1, 1), dtype=np.float32))
+        loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+    reference = gradcheck._ref_causal_attention(
+        *(t.data.astype(np.float64) for t in (q, k, v)), CFG.n_heads)
+    np.testing.assert_allclose(out.data, reference, rtol=1e-6)
+    # one position attends only to itself: the output is v, and q and k get no gradient
+    grads = ad.backward(loss, tape)
+    assert np.array_equal(out.data, v.data)
+    assert np.array_equal(grads[v], weights)
+    assert not grads[q].any() and not grads[k].any()
 
 
 def test_wrong_length_plan_raises():
