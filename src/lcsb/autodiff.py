@@ -5,10 +5,10 @@ The engine records one node per primitive onto an explicit :class:`Tape`
 gradients.  It provides the primitive set a small decoder-only
 transformer needs.  Two of them are fused so that a layer records few
 nodes: :func:`lora_linear` (a frozen projection plus its LoRA delta) and
-:func:`causal_attention` (all heads of scaled, masked softmax attention),
-each with a hand-written backward.  There is also :func:`detach`, which
-copies a tensor's values while severing gradient flow to its producers,
-and :func:`paused`, which stops recording for a block of code.
+:func:`causal_attention` (all heads of scaled, causally masked softmax
+attention), each with a hand-written backward.  :func:`paused` stops
+recording for a block of code; it is the one way to cut a gradient, since
+what is computed inside is a constant to every tape.
 
 The tape owns its graph.  A tensor carries a tape handle only when it is
 an output that its own tape recorded.  Any other ``requires_grad`` tensor
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, LcsbError, UnsupportedPrimitiveError
+from .errors import DimensionError, DivergenceError
 
 Array = np.ndarray
 
@@ -153,19 +153,19 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 
     Every leaf registered on the tape gets an entry: the accumulated
     gradient if it is reachable from the loss, an exact zero array
-    otherwise.  Two sweeps over the same tape are bit-identical.
+    otherwise.  A loss this tape did not record but that requires a
+    gradient (a parameter, or another tape's output) is a leaf of this
+    tape with gradient 1; a constant loss reaches nothing.  Two sweeps over
+    the same tape are bit-identical.
     """
     if loss.data.ndim != 0:
         raise DimensionError(f"loss must be a scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data):
-        raise DivergenceError(f"loss is non-finite: {float(loss.data)}", (float(loss.data),))
-    if loss._tape is not tape:
-        if loss.requires_grad:
-            raise LcsbError("loss tensor was not recorded on this tape")
-        # constant loss (e.g. fully detached): nothing is reachable
-        return {t: np.zeros_like(t.data) for _, t in tape._leaves.values()}
-
-    grads: dict[int, Array] = {loss._node: np.ones((), dtype=np.float32)}
+        raise DivergenceError(f"loss is non-finite: {float(loss.data)}")
+    grads: dict[int, Array] = {}
+    start = tape.handle(loss)  # None for a constant loss
+    if start is not None:
+        grads[start] = np.ones((), dtype=np.float32)
     for node_id in range(len(tape.nodes) - 1, -1, -1):
         inputs, backward_fn = tape.nodes[node_id]
         if backward_fn is None:
@@ -183,11 +183,6 @@ def backward(loss: Tensor, tape: Tape) -> dict:
                 grads[in_id] = gin
     return {t: grads[node] if node in grads else np.zeros_like(t.data)
             for node, t in tape._leaves.values()}
-
-
-def detach(t: Tensor) -> Tensor:
-    """Value copy of ``t`` with gradient flow to its producers severed."""
-    return Tensor(t.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (g, g)
 
     return _finish(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub shapes differ: {a.shape} vs {b.shape}")
-
-    def bw(g, needs):
-        return (g, -g)
-
-    return _finish(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -285,18 +270,6 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return _finish((x_data * inv) * gain_data, (x, gain), bw)
 
 
-def softmax(x: Tensor) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / np.sum(e, axis=-1, keepdims=True)
-
-    def bw(g, needs):
-        s = np.sum(g * probs, axis=-1, keepdims=True)
-        return (probs * (g - s),)
-
-    return _finish(probs, (x,), bw)
-
-
 def silu(x: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-x.data))
     sig = sig.astype(np.float32)
@@ -340,15 +313,15 @@ def lora_linear(x: Tensor, w_t: Tensor, a: Tensor, b: Tensor, s: float) -> Tenso
     return _finish(x_data @ w_data + (xa @ b_data.T) * c, (x, w_t, a, b), bw)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Array) -> Tensor:
-    """Multi-head scaled dot-product attention of (T, d) inputs, as one node.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal scaled dot-product attention of (T, d) inputs, as one node.
 
     Head ``i`` is the column block ``i * d_h : (i + 1) * d_h`` with
     ``d_h = d / n_heads``; the heads run as batched matmuls on
-    (n_heads, T, d_h) views.  ``mask`` is an additive (T, T) array, zero
-    where a position may attend and a large negative value above the
-    diagonal, added to the scaled scores before the softmax.  The output
-    and dq, dk, dv of the backward are in the (T, d) layout of the inputs.
+    (n_heads, T, d_h) views.  Position ``i`` attends to positions ``<= i``:
+    -1e9 is added to the scaled scores above the diagonal before the
+    softmax.  The output and dq, dk, dv of the backward are in the (T, d)
+    layout of the inputs.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
@@ -357,9 +330,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Array)
     t, d = q.shape
     if n_heads <= 0 or d % n_heads != 0:
         raise DimensionError(f"causal_attention: {n_heads} heads do not divide d={d}")
-    mask = np.asarray(mask, dtype=np.float32)
-    if mask.shape != (t, t):
-        raise DimensionError(f"causal_attention mask shape {mask.shape} is not ({t}, {t})")
     d_h = d // n_heads
     c = np.float32(1.0 / np.sqrt(d_h))
 
@@ -375,7 +345,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Array)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     probs = qh @ kh.transpose(0, 2, 1)
     probs *= c
-    probs += mask
+    probs += np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)
     probs -= np.max(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=-1, keepdims=True)
@@ -396,19 +366,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Array)
         )
 
     return _finish(merge(probs @ vh), (q, k, v), bw)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    orig = x.shape
-    try:
-        out = x.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"cannot reshape {orig} to {tuple(shape)}") from None
-
-    def bw(g, needs):
-        return (g.reshape(orig),)
-
-    return _finish(out, (x,), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
@@ -443,43 +400,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(in_shape, g, dtype=np.float32),)
 
     return _finish(np.float32(np.sum(x.data)), (x,), bw)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    in_shape = x.shape
-    size = np.float32(x.data.size)
-
-    def bw(g, needs):
-        return (np.full(in_shape, g / size, dtype=np.float32),)
-
-    return _finish(np.float32(np.mean(x.data)), (x,), bw)
-
-
-_PRIMITIVES = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "add": lambda inputs, attrs: add(*inputs),
-    "mul": lambda inputs, attrs: mul(*inputs),
-    "scale": lambda inputs, attrs: scale(inputs[0], attrs["factor"]),
-    "embedding_lookup": lambda inputs, attrs: embedding_lookup(inputs[0], attrs["ids"]),
-    "rms_norm": lambda inputs, attrs: rms_norm(inputs[0], inputs[1], attrs.get("eps", 1e-5)),
-    "softmax": lambda inputs, attrs: softmax(inputs[0]),
-    "silu": lambda inputs, attrs: silu(inputs[0]),
-    "lora_linear": lambda inputs, attrs: lora_linear(*inputs, attrs["s"]),
-    "causal_attention": lambda inputs, attrs: causal_attention(
-        *inputs, attrs["n_heads"], attrs["mask"]),
-    "reshape": lambda inputs, attrs: reshape(inputs[0], attrs["shape"]),
-    "cross_entropy_logits": lambda inputs, attrs: cross_entropy_logits(inputs[0], attrs["targets"]),
-    "sum": lambda inputs, attrs: sum_all(inputs[0]),
-    "mean": lambda inputs, attrs: mean_all(inputs[0]),
-}
-
-
-def primitive_forward(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
-    """Dispatch a primitive by name; see the module functions for semantics."""
-    fn = _PRIMITIVES.get(kind)
-    if fn is None:
-        raise UnsupportedPrimitiveError(f"unknown primitive kind {kind!r}")
-    return fn(list(inputs), attrs or {})
 
 
 def finite_difference_grad(f: Callable[[Tensor], float], theta: Tensor, eps: float) -> Tensor:

@@ -2,7 +2,7 @@
 
 Each class corresponds to one failure surface so callers can catch
 precisely: shape problems in the engine, bad configs, broken plans,
-diverged runs, corrupt checkpoints, and so on.
+diverged runs and corrupt checkpoints.
 """
 
 
@@ -14,10 +14,6 @@ class DimensionError(LcsbError):
     """Tensor shapes are incompatible with the requested operation."""
 
 
-class UnsupportedPrimitiveError(LcsbError):
-    """Unknown primitive kind passed to the dispatcher."""
-
-
 class ConfigError(LcsbError):
     """A configuration violates one of its invariants."""
 
@@ -26,33 +22,9 @@ class PlanError(LcsbError):
     """A selection plan does not cover the model's layers."""
 
 
-class ScheduleError(LcsbError):
-    """A ratio schedule was queried with invalid arguments."""
-
-
-class MissingRngError(LcsbError):
-    """A stochastic selection strategy was called without a generator."""
-
-
-class ContractError(LcsbError):
-    """An optimizer call is missing a required gradient entry."""
-
-
 class DivergenceError(LcsbError):
     """Training produced a non-finite or above-threshold loss."""
 
-    def __init__(self, message: str, losses: tuple = ()):
-        super().__init__(message)
-        self.losses = losses
-
-
-class IngestionError(LcsbError):
-    """The corpus file cannot be turned into a usable token stream."""
-
 
 class CorruptionError(LcsbError):
-    """A checkpoint manifest and its blob disagree."""
-
-
-class ReportingError(LcsbError):
-    """The benchmark reporter is missing inputs it needs."""
+    """Checkpoint arrays do not fit the model they are loaded into."""

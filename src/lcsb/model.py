@@ -9,25 +9,26 @@ The forward is built from fused primitives so that an attached layer
 records few tape nodes: each projection with a LoRA adapter is one
 ``lora_linear`` node (base matmul plus the scaled low-rank delta), and all
 heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
-``causal_attention`` node.  An attached layer records at most 16 op nodes,
+``causal_attention`` node.  An attached layer records at most 14 op nodes,
 plus one leaf per LoRA matrix.
 
 Every residual block exposes three forward modes:
 
 * ``attached`` - normal recording, gradients flow into the block,
-* ``detached`` - identical output values, but the block's contribution is
-  computed with recording paused, so it is a constant to the tape and
-  gradients only flow through the residual identity path,
+* ``detached`` - the two branches (norm then attention, norm then MLP) run
+  with recording paused, so they are constants to the tape; only the two
+  residual adds are recorded, and the gradient passes the block unchanged
+  along the identity path,
 * ``dropped``  - the block is skipped entirely (the layer-dropping
   baseline; forward values change).
 
-To keep logits bit-identical across attached/detached plans, the attached
-path computes the same ``h + (block(h) - h)`` arithmetic as the detached
-path; the two differ only in what the tape records.
+Attached and detached blocks do the same arithmetic and differ only in
+what the tape records, so logits are bit-identical across such plans.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,12 +36,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, PlanError
+from .errors import ConfigError, CorruptionError, DimensionError, PlanError
 from .quant import QuantizedLinear, dequantize, quantize_weights
 
 ALL_LORA_TARGETS = ("q", "k", "v", "o", "gate", "up", "down")
-
-MASK_VALUE = np.float32(-1e9)
 
 
 class BlockMode(str, Enum):
@@ -161,20 +160,11 @@ class Model:
         self.norm_out: Tensor | None = None
         self.blocks: list[_Block] = []
         self._emb_t: Tensor | None = None
-        self._mask_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
 
     def _finalize(self) -> None:
         self._emb_t = Tensor(self.embed.data.T)
-        self._mask_cache.clear()
-
-    def _causal_mask(self, t: int) -> np.ndarray:
-        mask = self._mask_cache.get(t)
-        if mask is None:
-            mask = np.triu(np.full((t, t), MASK_VALUE, dtype=np.float32), k=1)
-            self._mask_cache[t] = mask
-        return mask
 
     # -- parameter access --------------------------------------------------
 
@@ -216,7 +206,28 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
-        """Overwrite all parameters from a checkpoint's array map."""
+        """Overwrite all parameters from a checkpoint's array map.
+
+        The map must have exactly the keys of :meth:`state_arrays`, with the
+        same shapes, and 4-bit codes that are integers in [-8, 7].  Otherwise
+        :class:`CorruptionError` names the first bad key, and nothing has
+        been overwritten.
+        """
+        expected = self.state_arrays()
+        unknown = sorted(set(arrays) - set(expected))
+        if unknown:
+            raise CorruptionError(f"checkpoint has unexpected key {unknown[0]!r}")
+        for name, current in expected.items():
+            if name not in arrays:
+                raise CorruptionError(f"checkpoint is missing key {name!r}")
+            array = np.asarray(arrays[name])
+            if array.shape != current.shape:
+                raise CorruptionError(
+                    f"{name!r} has shape {array.shape}, the model expects {current.shape}"
+                )
+            if name.endswith(".q4") and (not np.issubdtype(array.dtype, np.integer)
+                                         or array.min() < -8 or array.max() > 7):
+                raise CorruptionError(f"{name!r} holds codes that are not integers in [-8, 7]")
         cfg = self.config
         self.embed = Tensor(arrays["embed.weight"])
         self.pos = Tensor(arrays["embed.pos"])
@@ -243,22 +254,16 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _attention(self, x: Tensor, block: _Block, mask: np.ndarray) -> Tensor:
+    def _attention(self, x: Tensor, block: _Block) -> Tensor:
         q = block.linears["q"](x)
         k = block.linears["k"](x)
         v = block.linears["v"](x)
-        heads = ad.causal_attention(q, k, v, self.config.n_heads, mask)
-        return block.linears["o"](heads)
+        return block.linears["o"](ad.causal_attention(q, k, v, self.config.n_heads))
 
     def _mlp(self, x: Tensor, block: _Block) -> Tensor:
         gate = block.linears["gate"](x)
         up = block.linears["up"](x)
         return block.linears["down"](ad.mul(ad.silu(gate), up))
-
-    def _block_out(self, h: Tensor, block: _Block) -> Tensor:
-        mask = self._causal_mask(h.shape[0])
-        a = ad.add(h, self._attention(ad.rms_norm(h, block.norm_attn), block, mask))
-        return ad.add(a, self._mlp(ad.rms_norm(a, block.norm_mlp), block))
 
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
         """One residual block in the requested gradient mode."""
@@ -266,12 +271,13 @@ class Model:
         if mode is BlockMode.DROPPED:
             return h
         block = self.blocks[layer_index]
-        if mode is BlockMode.DETACHED:
-            with ad.paused():
-                d = ad.sub(self._block_out(h, block), h)
-        else:
-            d = ad.sub(self._block_out(h, block), h)
-        return ad.add(h, d)
+        branch = ad.paused if mode is BlockMode.DETACHED else nullcontext
+        with branch():
+            attn = self._attention(ad.rms_norm(h, block.norm_attn), block)
+        a = ad.add(h, attn)
+        with branch():
+            mlp = self._mlp(ad.rms_norm(a, block.norm_mlp), block)
+        return ad.add(a, mlp)
 
     def forward(self, tokens, plan=None) -> Tensor:
         """Logits of shape (len(tokens), vocab_size).

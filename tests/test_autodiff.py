@@ -1,4 +1,4 @@
-"""Engine-level tests: primitive values, detach semantics, backward sweep, tape ownership."""
+"""Engine-level tests: primitive values, paused recording, backward sweep, tape ownership."""
 
 import sys
 import threading
@@ -7,16 +7,10 @@ import numpy as np
 import pytest
 
 import lcsb.autodiff as ad
-from lcsb.autodiff import Tape, Tensor, backward, detach, finite_difference_grad
-from lcsb.errors import DimensionError, DivergenceError, UnsupportedPrimitiveError
+from lcsb.autodiff import Tape, Tensor, backward, finite_difference_grad, paused
+from lcsb.errors import DimensionError, DivergenceError
 from lcsb.gradcheck import micro_config
 from lcsb.model import init_model
-
-
-def test_softmax_uniform_logits():
-    out = ad.softmax(Tensor(np.zeros(4)))
-    np.testing.assert_allclose(out.data, [0.25, 0.25, 0.25, 0.25])
-    assert np.isclose(out.data.sum(), 1.0)
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab():
@@ -36,30 +30,22 @@ def test_matmul_shape_mismatch_reports_shapes():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
-def test_unknown_primitive_kind():
-    with pytest.raises(UnsupportedPrimitiveError, match="conv2d"):
-        ad.primitive_forward("conv2d", [Tensor(np.ones(2))], {})
-
-
-def test_primitive_forward_dispatch_matches_direct_call():
-    a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-    b = Tensor(np.ones((3, 2)))
-    via_dispatch = ad.primitive_forward("matmul", [a, b])
-    assert np.array_equal(via_dispatch.data, ad.matmul(a, b).data)
-
-
 class TestDetach:
+    """A value computed under ``paused()`` is a constant: the one way to cut a gradient."""
+
     def test_values_bit_exact(self):
         t = Tensor(np.random.default_rng(0).standard_normal((5, 3)), requires_grad=True)
-        d = detach(t)
+        with Tape(), paused():
+            d = ad.scale(t, 1.0)
         assert d.data.tobytes() == t.data.tobytes()
         assert not d.requires_grad
 
     def test_gradient_sink(self):
-        # loss = sum(detach(t)): t's producers receive nothing
+        # loss = sum(t) computed paused: t receives nothing
         t = Tensor(np.ones(4), requires_grad=True)
         with Tape() as tape:
-            loss = ad.sum_all(detach(t))
+            with paused():
+                loss = ad.sum_all(t)
         grads = backward(loss, tape)
         np.testing.assert_array_equal(grads.get(t, np.zeros(4)), np.zeros(4))
 
@@ -67,17 +53,20 @@ class TestDetach:
         t = Tensor(np.ones(4), requires_grad=True)
         with Tape() as tape:
             tracked = ad.scale(t, 1.0)          # t participates in the graph
-            loss = ad.add(ad.sum_all(ad.mul(detach(tracked), tracked)), ad.sum_all(detach(tracked)))
+            with paused():
+                const = ad.scale(tracked, 1.0)
+            loss = ad.add(ad.sum_all(ad.mul(const, tracked)), ad.sum_all(const))
         grads = backward(loss, tape)
-        # d/dt [sum(detach(t) * t) + sum(detach(t))] = detach(t) = ones
+        # d/dt [sum(c * t) + sum(c)] with c = t held constant = c = ones
         np.testing.assert_array_equal(grads[t], np.ones(4, dtype=np.float32))
 
     def test_residual_identity_jacobian(self):
-        # y = x + detach(f(x)): gradient of sum(y) w.r.t. x is all ones
+        # y = x + f(x) with f paused: gradient of sum(y) w.r.t. x is all ones
         x = Tensor(np.random.default_rng(1).standard_normal(6), requires_grad=True)
         with Tape() as tape:
-            fx = ad.silu(ad.scale(x, 3.0))
-            y = ad.add(x, detach(fx))
+            with paused():
+                fx = ad.silu(ad.scale(x, 3.0))
+            y = ad.add(x, fx)
             loss = ad.sum_all(y)
         grads = backward(loss, tape)
         np.testing.assert_array_equal(grads[x], np.ones(6, dtype=np.float32))
@@ -104,6 +93,13 @@ class TestBackward:
             loss = ad.scale(theta, 5.0)
         # the loss node must seed with exactly 1.0: grad(theta) = 5.0 exactly
         assert backward(loss, tape)[theta] == np.float32(5.0)
+
+    def test_parameter_as_loss_gets_gradient_one(self):
+        w = Tensor(2.0, requires_grad=True)
+        with Tape() as tape:
+            pass
+        grads = backward(w, tape)
+        assert list(grads) == [w] and grads[w] == np.float32(1.0)
 
     def test_non_scalar_loss_raises(self):
         theta = Tensor(np.ones(3), requires_grad=True)
@@ -142,7 +138,7 @@ class TestBackward:
         a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         with Tape() as tape:
-            loss = ad.mean_all(ad.silu(ad.matmul(a, b)))
+            loss = ad.sum_all(ad.silu(ad.matmul(a, b)))
         g1 = backward(loss, tape)
         g2 = backward(loss, tape)
         assert g1[a].tobytes() == g2[a].tobytes()
@@ -184,13 +180,13 @@ def test_two_layer_mlp_matches_finite_differences():
 
     with Tape() as tape:
         hidden = ad.silu(ad.matmul(Tensor(x), w1))
-        loss = ad.mean_all(ad.matmul(hidden, w2))
+        loss = ad.sum_all(ad.matmul(hidden, w2))
     grads = backward(loss, tape)
 
     def oracle(_):
         h = x.astype(np.float64) @ w1.data.astype(np.float64)
         h = h / (1.0 + np.exp(-h))
-        return float(np.mean(h @ w2.data.astype(np.float64)))
+        return float(np.sum(h @ w2.data.astype(np.float64)))
 
     for w in (w1, w2):
         fd = finite_difference_grad(oracle, w, 1e-3)

@@ -1,5 +1,6 @@
-"""Model contracts: plan bit-identity, detached gradients, dropped blocks, tape size, input checks."""
+"""Model contracts: plans, detached gradients, dropped blocks, tape size, input and checkpoint checks."""
 
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import lcsb.autodiff as ad
 from lcsb import gradcheck
-from lcsb.errors import DimensionError, PlanError
+from lcsb.errors import CorruptionError, DimensionError, PlanError
 from lcsb.gradcheck import micro_config
 from lcsb.model import BlockMode, init_model
 
@@ -18,10 +19,10 @@ CFG = micro_config()
 ATTACHED, DETACHED, DROPPED = BlockMode.ATTACHED, BlockMode.DETACHED, BlockMode.DROPPED
 
 
-def _model():
+def _model(config=CFG, seed=0):
     """Micro model with random LoRA B, so every LoRA matrix gets a nonzero gradient."""
-    model = init_model(CFG, 0)
-    rng = np.random.default_rng(1)
+    model = init_model(config, seed)
+    rng = np.random.default_rng(seed + 1)
     for p in model.trainable_params().values():
         p.data[...] = (rng.standard_normal(p.shape) * 0.1).astype(np.float32)
     return model
@@ -74,12 +75,24 @@ def _tape_nodes(modes) -> int:
     return len(tape.nodes)
 
 
+def test_detached_block_passes_the_output_gradient_to_its_input():
+    rng = np.random.default_rng(2)
+    h = ad.Tensor(rng.standard_normal((5, CFG.d_model)), requires_grad=True)
+    weights = rng.standard_normal((5, CFG.d_model)).astype(np.float32)
+    with ad.Tape() as tape:
+        out = MODEL.block_forward(h, 1, DETACHED)
+        loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+    grads = ad.backward(loss, tape)
+    assert list(grads) == [h]
+    assert np.array_equal(grads[h], weights)
+
+
 def test_tape_node_counts():
-    # an attached layer above another: 16 op nodes and a leaf per LoRA matrix (2 x 7 sites)
-    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 30
+    # an attached layer above another: 14 op nodes and a leaf per LoRA matrix (2 x 7 sites)
+    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 28
     # the lowest layer's input is a constant, so its first norm records nothing;
     # the output norm, the head and the loss add 3
-    assert _tape_nodes([ATTACHED, ATTACHED]) == 29 + 30 + 3
+    assert _tape_nodes([ATTACHED, ATTACHED]) == 27 + 28 + 3
     assert _tape_nodes([DETACHED, DETACHED]) == 0
 
 
@@ -95,7 +108,7 @@ def test_causal_attention_single_position_matches_reference():
                for _ in range(3))
     weights = rng.standard_normal((1, CFG.d_model)).astype(np.float32)
     with ad.Tape() as tape:
-        out = ad.causal_attention(q, k, v, CFG.n_heads, np.zeros((1, 1), dtype=np.float32))
+        out = ad.causal_attention(q, k, v, CFG.n_heads)
         loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
     reference = gradcheck._ref_causal_attention(
         *(t.data.astype(np.float64) for t in (q, k, v)), CFG.n_heads)
@@ -130,3 +143,48 @@ def test_zero_tokens_raises():
 def test_two_dimensional_tokens_raise():
     with pytest.raises(DimensionError, match="1-d"):
         MODEL.forward(np.zeros((2, 3), dtype=np.int64))
+
+
+QCFG = replace(CFG, quantize_base=True, quant_group_size=8)
+
+
+def _quantized_model(seed):
+    return _model(QCFG, seed)
+
+
+def test_quantized_state_round_trip_gives_identical_logits():
+    source = _quantized_model(0)
+    arrays = {name: a.copy() for name, a in source.state_arrays().items()}
+    fresh = _quantized_model(1)
+    fresh.load_state_arrays(arrays)
+    tokens = np.arange(QCFG.seq_len) % QCFG.vocab_size
+    assert np.array_equal(fresh.forward(tokens).data, source.forward(tokens).data)
+
+
+def _without(arrays, name):
+    return {k: a for k, a in arrays.items() if k != name}
+
+
+CORRUPTIONS = {
+    "missing": (lambda a: _without(a, "norm_out.gain"), "norm_out.gain"),
+    "unexpected": (lambda a: {**a, "layers.9.q.w": a["layers.0.q.q4"]}, "layers.9.q.w"),
+    "shape": (lambda a: {**a, "layers.1.up.lora_b": a["layers.1.up.lora_b"].T},
+              "layers.1.up.lora_b"),
+    "code_above_7": (lambda a: {**a, "layers.0.q.q4": a["layers.0.q.q4"] + 8}, "layers.0.q.q4"),
+    "code_below_-8": (lambda a: {**a, "layers.1.down.q4": a["layers.1.down.q4"] - 9},
+                      "layers.1.down.q4"),
+    "float_codes": (lambda a: {**a, "layers.0.k.q4": a["layers.0.k.q4"] + np.float32(0.5)},
+                    "layers.0.k.q4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_state_raises_before_overwriting(case):
+    corrupt, key = CORRUPTIONS[case]
+    arrays = corrupt(_quantized_model(0).state_arrays())
+    target = _quantized_model(1)
+    before = target.state_arrays()
+    with pytest.raises(CorruptionError, match=re.escape(key)):
+        target.load_state_arrays(arrays)
+    after = target.state_arrays()
+    assert after.keys() == before.keys() and all(after[k] is before[k] for k in before)
