@@ -7,7 +7,11 @@ detached or dropped on each forward pass (a detached block runs its
 branches paused and records only its residual adds), symmetric 4-bit
 group quantization of the frozen base weights, and a finite-difference
 gradient check against an independent float64 re-implementation
-(``lcsb.gradcheck``).
+(``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs the full suite).
+
+A 4-bit base is held only as codes and scales and decompressed on each
+use: in the forward, and again in an attached layer's backward where the
+input gradient needs it.
 """
 
 from .autodiff import Tape, Tensor, backward, finite_difference_grad, paused

@@ -6,7 +6,9 @@ gradients.  It provides the primitive set a small decoder-only
 transformer needs.  Two of them are fused so that a layer records few
 nodes: :func:`lora_linear` (a frozen projection plus its LoRA delta) and
 :func:`causal_attention` (all heads of scaled, causally masked softmax
-attention), each with a hand-written backward.  :func:`paused` stops
+attention), each with a hand-written backward.  :func:`frozen_linear` and
+:func:`lora_linear` fetch their frozen base on each use, in the forward
+and again in the backward, so a compressed base stays compressed.  :func:`paused` stops
 recording for a block of code; it is the one way to cut a gradient, since
 what is computed inside is a constant to every tape.
 
@@ -156,7 +158,8 @@ def backward(loss: Tensor, tape: Tape) -> dict:
     otherwise.  A loss this tape did not record but that requires a
     gradient (a parameter, or another tape's output) is a leaf of this
     tape with gradient 1; a constant loss reaches nothing.  Two sweeps over
-    the same tape are bit-identical.
+    the same tape are bit-identical.  A non-finite loss or leaf gradient
+    raises :class:`DivergenceError`.
     """
     if loss.data.ndim != 0:
         raise DimensionError(f"loss must be a scalar, got shape {loss.shape}")
@@ -181,8 +184,17 @@ def backward(loss: Tensor, tape: Tape) -> dict:
                 grads[in_id] = grads[in_id] + gin
             else:
                 grads[in_id] = gin
-    return {t: grads[node] if node in grads else np.zeros_like(t.data)
-            for node, t in tape._leaves.values()}
+    out = {}
+    for node, t in tape._leaves.values():
+        g = grads.get(node)
+        if g is None:
+            g = np.zeros_like(t.data)
+        elif not np.isfinite(g).all():
+            raise DivergenceError(
+                f"gradient of the leaf of shape {t.shape} (tape node {node}) is non-finite"
+            )
+        out[t] = g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +279,17 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
         grad_gain = np.sum(g * (x_data * inv), axis=tuple(range(g.ndim - 1)))
         return (grad_x.astype(np.float32), grad_gain.astype(np.float32))
 
-    return _finish((x_data * inv) * gain_data, (x, gain), bw)
+    out = x_data * inv
+    out *= gain_data
+    return _finish(out, (x, gain), bw)
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    sig = sig.astype(np.float32)
     x_data = x.data
+    sig = np.negative(x_data)  # 1 / (1 + exp(-x)), computed in one buffer
+    np.exp(sig, out=sig)
+    sig += np.float32(1.0)
+    np.divide(np.float32(1.0), sig, out=sig)
 
     def bw(g, needs):
         return (g * sig * (1.0 + x_data * (1.0 - sig)),)
@@ -281,36 +297,61 @@ def silu(x: Tensor) -> Tensor:
     return _finish(x_data * sig, (x,), bw)
 
 
-def lora_linear(x: Tensor, w_t: Tensor, a: Tensor, b: Tensor, s: float) -> Tensor:
-    """``x @ w_t + s * (x @ a.T) @ b.T``: a base projection plus a LoRA delta, as one node.
+def frozen_linear(x: Tensor, *, base: Callable[[], Array]) -> Tensor:
+    """``x @ w`` with a frozen base ``w = base()`` of shape (d_in, d_out), as one node.
 
-    ``x`` is (n, d_in), ``w_t`` is (d_in, d_out), ``a`` is (rank, d_in) and
-    ``b`` is (d_out, rank).  The backward works through the (n, rank)
-    intermediate and never forms the dense ``w_t + s * (b @ a).T``; it
-    returns dx, dW, dA and dB, each only when that input has a node.
+    Like :func:`lora_linear` without an adapter: the node keeps no reference
+    to the base and calls ``base`` again in the backward, for dx.
     """
-    x_data, w_data, a_data, b_data = x.data, w_t.data, a.data, b.data
-    if (x_data.ndim != 2 or w_data.ndim != 2 or a_data.ndim != 2
-            or w_data.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
-            or b_data.shape != (w_data.shape[1], a_data.shape[0])):
-        raise DimensionError(
-            f"lora_linear shapes incompatible: x {x.shape}, w_t {w_t.shape}, "
-            f"a {a.shape}, b {b.shape}"
-        )
-    c = np.float32(s)
-    xa = x_data @ a_data.T
+    x_data, w = x.data, base()
+    if x_data.ndim != 2 or w.ndim != 2 or w.shape[0] != x_data.shape[1]:
+        raise DimensionError(f"frozen_linear shapes incompatible: x {x.shape}, base {w.shape}")
 
     def bw(g, needs):
-        gc = g * c
-        gxa = gc @ b_data if needs[0] or needs[2] else None
-        return (
-            g @ w_data.T + gxa @ a_data if needs[0] else None,
-            x_data.T @ g if needs[1] else None,
-            gxa.T @ x_data if needs[2] else None,
-            gc.T @ xa if needs[3] else None,
-        )
+        return (g @ base().T,)
 
-    return _finish(x_data @ w_data + (xa @ b_data.T) * c, (x, w_t, a, b), bw)
+    return _finish(x_data @ w, (x,), bw)
+
+
+def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[], Array]) -> Tensor:
+    """``x @ w + s * (x @ a.T) @ b.T``, a frozen base projection plus a LoRA delta, as one node.
+
+    ``base()`` returns the (d_in, d_out) float32 base ``w``; ``x`` is
+    (n, d_in), ``a`` is (rank, d_in) and ``b`` is (d_out, rank).  The base is
+    frozen, so it gets no gradient and the node keeps no reference to it:
+    ``base`` is called once in the forward and once more in the backward,
+    and only when dx is needed.  A compressed base is therefore decompressed
+    on each use and never held in float by the tape.  The backward works
+    through the (n, rank) intermediate and never forms the dense
+    ``w + s * (b @ a).T``; it returns dx, dA and dB, each only when that
+    input has a node.
+    """
+    x_data, w, a_data, b_data = x.data, base(), a.data, b.data
+    if (x_data.ndim != 2 or w.ndim != 2 or a_data.ndim != 2
+            or w.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
+            or b_data.shape != (w.shape[1], a_data.shape[0])):
+        raise DimensionError(
+            f"lora_linear shapes incompatible: x {x.shape}, base {w.shape}, "
+            f"a {a.shape}, b {b.shape}"
+        )
+    # s scales the (n, rank) intermediate, not an (n, d_out) array
+    xas = x_data @ a_data.T
+    xas *= np.float32(s)
+
+    def bw(g, needs):
+        gxa = None
+        if needs[0] or needs[1]:
+            gxa = g @ b_data
+            gxa *= np.float32(s)
+        gx = None
+        if needs[0]:
+            gx = g @ base().T
+            gx += gxa @ a_data
+        return (gx, gxa.T @ x_data if needs[1] else None, g.T @ xas if needs[2] else None)
+
+    out = x_data @ w
+    out += xas @ b_data.T
+    return _finish(out, (x, a, b), bw)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -319,9 +360,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     Head ``i`` is the column block ``i * d_h : (i + 1) * d_h`` with
     ``d_h = d / n_heads``; the heads run as batched matmuls on
     (n_heads, T, d_h) views.  Position ``i`` attends to positions ``<= i``:
-    -1e9 is added to the scaled scores above the diagonal before the
-    softmax.  The output and dq, dk, dv of the backward are in the (T, d)
-    layout of the inputs.
+    -1e9 is added to the scores of later positions before the softmax.  The
+    output and dq, dk, dv of the backward are in the (T, d) layout of the
+    inputs.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
@@ -339,33 +380,36 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def merge(m):
         return m.transpose(1, 0, 2).reshape(t, d)
 
-    # The (n_heads, T, T) buffers are updated in place.  At T=128 each is
-    # 256 KiB; allocating a fresh one per operation cost about 175 page faults
-    # per call and twice the time (2-vCPU x86-64, one BLAS thread).
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.transpose(0, 2, 1)
-    probs *= c
-    probs += np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)
-    probs -= np.max(probs, axis=-1, keepdims=True)
+    # 1/sqrt(d_h) scales the (T, d) queries rather than the (n_heads, T, T)
+    # scores.  The scores are laid out (head, key, query), so the softmax
+    # reduces across rows, which numpy does faster than along them.  These
+    # buffers are updated in place: at T=128 each is 256 KiB, and allocating a
+    # fresh one per operation cost about 175 page faults per call and twice
+    # the time (2-vCPU x86-64, one BLAS thread).
+    qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
+    mask = np.tri(t, k=-1, dtype=np.float32)  # 1 where the key comes after the query
+    mask *= np.float32(-1e9)
+    probs = kh @ qh.transpose(0, 2, 1)
+    probs += mask
+    probs -= np.max(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=-1, keepdims=True)
+    probs /= np.sum(probs, axis=1, keepdims=True)
 
     def bw(g, needs):
         gh = split(g)
-        gv = merge(probs.transpose(0, 2, 1) @ gh) if needs[2] else None
+        gv = merge(probs @ gh) if needs[2] else None
         if not (needs[0] or needs[1]):
             return (None, None, gv)
-        gs = gh @ vh.transpose(0, 2, 1)  # gradient of probs, then of the scores
-        gs -= np.sum(gs * probs, axis=-1, keepdims=True)
+        gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs, then of the scores
+        gs -= np.sum(gs * probs, axis=1, keepdims=True)
         gs *= probs
-        gs *= c
-        return (
-            merge(gs @ kh) if needs[0] else None,
-            merge(gs.transpose(0, 2, 1) @ qh) if needs[1] else None,
-            gv,
-        )
+        gq = None
+        if needs[0]:
+            gq = merge(gs.transpose(0, 2, 1) @ kh)
+            gq *= c
+        return (gq, merge(gs @ qh) if needs[1] else None, gv)
 
-    return _finish(merge(probs @ vh), (q, k, v), bw)
+    return _finish(merge(probs.transpose(0, 2, 1) @ vh), (q, k, v), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:

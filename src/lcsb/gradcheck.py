@@ -7,7 +7,10 @@ in numpy, so the two routes share no code.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,8 +44,15 @@ def _ref_silu(x):
     return x / (1.0 + np.exp(-x))
 
 
-def _ref_lora_linear(x, w_t, a, b, s):
-    return x @ w_t + s * ((x @ a.T) @ b.T)
+def _ref_lora_linear(x, w, a, b, s):
+    return x @ w + s * ((x @ a.T) @ b.T)
+
+
+def _ref_dequantize(q):
+    """The (d_in, d_out) matrix of 4-bit codes times their group scales, in float64."""
+    d_in, d_out = q.qweights.shape
+    grouped = q.qweights.astype(np.float64).reshape(d_in // q.group_size, q.group_size, d_out)
+    return (grouped * q.scales.astype(np.float64)[:, None, :]).reshape(d_in, d_out)
 
 
 def _ref_causal_attention(q, k, v, n_heads):
@@ -96,10 +106,14 @@ def _primitive_cases(rng: np.random.Generator):
 
     n, d_in, d_out, rank = rng.integers(1, 7, size=4)
     s = float(rng.uniform(0.5, 2.0))
+    w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32)
+    yield ad.frozen_linear, [t((n, d_in))], {"base": lambda: w}, (
+        lambda d: d[0] @ w.astype(np.float64)
+    )
     for x_tracked in (True, False):  # a constant x is the first layer's input
         x = t((n, d_in), requires_grad=x_tracked)
-        yield ad.lora_linear, [x, t((d_in, d_out)), t((rank, d_in)), t((d_out, rank))], {"s": s}, (
-            lambda d: _ref_lora_linear(*d, s)
+        yield ad.lora_linear, [x, t((rank, d_in)), t((d_out, rank))], {"s": s, "base": lambda: w}, (
+            lambda d: _ref_lora_linear(d[0], w.astype(np.float64), d[1], d[2], s)
         )
 
     seq, n_heads, head_dim = rng.integers(1, 6), rng.integers(1, 4), rng.integers(1, 4)
@@ -165,13 +179,16 @@ def check_all_primitives(n_seeds: int = 20, base_seed: int = 0) -> dict:
 
 
 def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) -> float:
-    """Float64 forward + cross entropy reading the model's live buffers."""
+    """Float64 forward + cross entropy reading the model's live buffers.
+
+    A 4-bit base is decompressed here from its codes and scales, in float64.
+    """
     cfg = model.config
     head_dim = cfg.d_model // cfg.n_heads
     t = len(tokens)
 
     def linear(x, lin):
-        y = x @ lin.w_t.data.astype(np.float64)
+        y = x @ (lin.w_t.astype(np.float64) if lin.quant is None else _ref_dequantize(lin.quant))
         if lin.lora is not None:
             la = lin.lora
             y = y + (la.alpha / la.rank) * (
@@ -238,12 +255,27 @@ def check_model_gradients(seed: int, config: ModelConfig | None = None) -> float
     return worst
 
 
+def micro_q4_config() -> ModelConfig:
+    return replace(micro_config(), quantize_base=True, quant_group_size=8)
+
+
 def run_suite(primitive_seeds: int = 20, model_seeds: int = 10, tol: float = 1e-3) -> dict:
-    """Full finite-difference suite; returns per-check errors and pass flags."""
+    """Full finite-difference suite; returns per-check errors and pass flags.
+
+    The model checks run on the float and the 4-bit micro configs.
+    """
     report = {"tol": tol, "primitives": check_all_primitives(primitive_seeds), "model": {}}
     for s in range(model_seeds):
         report["model"][f"seed_{s}"] = check_model_gradients(s)
+        report["model"][f"q4_seed_{s}"] = check_model_gradients(s, micro_q4_config())
     errs = list(report["primitives"].values()) + list(report["model"].values())
     report["max_err"] = max(errs)
     report["passed"] = report["max_err"] < tol
     return report
+
+
+if __name__ == "__main__":
+    # python -m lcsb.gradcheck: one JSON line, exit status 1 when a check fails
+    suite = run_suite()
+    print(json.dumps(suite))
+    sys.exit(0 if suite["passed"] else 1)

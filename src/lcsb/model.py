@@ -2,8 +2,13 @@
 
 Per layer: pre-RMSNorm causal multi-head attention and a SwiGLU MLP, each
 with a residual add.  Only the LoRA matrices are trainable; base weights,
-embeddings, norms, and the weight-tied output head are frozen (and the base
-projections can be 4-bit quantized at init).
+embeddings, norms, and the weight-tied output head are frozen.
+
+The base projections can be 4-bit quantized at init.  A quantized base is
+then held only as codes and scales, and decompressed on each use: once in
+the forward, and once more in an attached layer's backward, where dx needs
+it.  A detached layer decompresses only in the forward.  This is the
+memory and time trade of fine-tuning on compressed weights.
 
 The forward is built from fused primitives so that an attached layer
 records few tape nodes: each projection with a LoRA adapter is one
@@ -114,21 +119,31 @@ class LoraAdapter:
 class Linear:
     """Frozen base projection plus an optional trainable LoRA adapter.
 
-    The base weight is held pre-transposed, shape (d_in, d_out).  A site
-    with an adapter is one fused ``lora_linear`` node, whose backward never
-    forms the dense ``W + BA``; a site without one is a single ``matmul``.
+    The base is held in the (d_in, d_out) layout that ``x @ w`` reads: as
+    the float32 array ``w_t``, or, for a 4-bit base, only as ``quant``
+    (codes and scales), the other being ``None``.  :meth:`base` returns the
+    float matrix, decompressing a 4-bit one on every call.  A site is one
+    node, ``lora_linear`` with an adapter (it never forms the dense
+    ``W + BA``) and ``frozen_linear`` without one; either calls :meth:`base`
+    in the forward and again in the backward only when dx is needed.
     """
 
-    def __init__(self, w_t: Tensor, lora: LoraAdapter | None, quant: QuantizedLinear | None = None):
+    def __init__(self, w_t: np.ndarray | None, lora: LoraAdapter | None,
+                 quant: QuantizedLinear | None = None):
         self.w_t = w_t
         self.lora = lora
         self.quant = quant
 
+    def base(self) -> np.ndarray:
+        if self.quant is None:
+            return self.w_t
+        return dequantize(self.quant)
+
     def __call__(self, x: Tensor) -> Tensor:
         lora = self.lora
         if lora is None:
-            return ad.matmul(x, self.w_t)
-        return ad.lora_linear(x, self.w_t, lora.a, lora.b, lora.alpha / lora.rank)
+            return ad.frozen_linear(x, base=self.base)
+        return ad.lora_linear(x, lora.a, lora.b, lora.alpha / lora.rank, base=self.base)
 
 
 class _Block:
@@ -198,7 +213,7 @@ class Model:
                     out[f"{prefix}.{site}.q4"] = lin.quant.qweights
                     out[f"{prefix}.{site}.q4_scales"] = lin.quant.scales
                 else:
-                    out[f"{prefix}.{site}.w"] = lin.w_t.data
+                    out[f"{prefix}.{site}.w"] = lin.w_t
                 if lin.lora is not None:
                     out[f"{prefix}.{site}.lora_a"] = lin.lora.a.data
                     out[f"{prefix}.{site}.lora_b"] = lin.lora.b.data
@@ -206,12 +221,14 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
-        """Overwrite all parameters from a checkpoint's array map.
+        """Copy all parameters from a checkpoint's array map into the model's own buffers.
 
         The map must have exactly the keys of :meth:`state_arrays`, with the
-        same shapes, and 4-bit codes that are integers in [-8, 7].  Otherwise
-        :class:`CorruptionError` names the first bad key, and nothing has
-        been overwritten.
+        same shapes, finite float arrays, and 4-bit codes that are integers
+        in [-8, 7].  Otherwise :class:`CorruptionError` names the first bad
+        key, and nothing has been overwritten.  The model keeps no reference
+        to the caller's arrays, and its parameter tensors stay the same
+        objects.
         """
         expected = self.state_arrays()
         unknown = sorted(set(arrays) - set(expected))
@@ -225,31 +242,21 @@ class Model:
                 raise CorruptionError(
                     f"{name!r} has shape {array.shape}, the model expects {current.shape}"
                 )
-            if name.endswith(".q4") and (not np.issubdtype(array.dtype, np.integer)
-                                         or array.min() < -8 or array.max() > 7):
-                raise CorruptionError(f"{name!r} holds codes that are not integers in [-8, 7]")
-        cfg = self.config
-        self.embed = Tensor(arrays["embed.weight"])
-        self.pos = Tensor(arrays["embed.pos"])
-        self.norm_out = Tensor(arrays["norm_out.gain"])
+            if name.endswith(".q4"):
+                if (not np.issubdtype(array.dtype, np.integer)
+                        or array.min() < -8 or array.max() > 7):
+                    raise CorruptionError(f"{name!r} holds codes that are not integers in [-8, 7]")
+            elif not np.issubdtype(array.dtype, np.floating) or not np.isfinite(array).all():
+                raise CorruptionError(f"{name!r} is not an array of finite floats")
+        for name, current in expected.items():
+            if not name.endswith(".q4"):
+                current[...] = arrays[name]
         for i, block in enumerate(self.blocks):
-            prefix = f"layers.{i}"
-            block.norm_attn = Tensor(arrays[f"{prefix}.norm_attn.gain"])
-            block.norm_mlp = Tensor(arrays[f"{prefix}.norm_mlp.gain"])
             for site, lin in block.linears.items():
                 if lin.quant is not None:
-                    q = QuantizedLinear(
-                        qweights=np.ascontiguousarray(arrays[f"{prefix}.{site}.q4"], dtype=np.int8),
-                        scales=np.ascontiguousarray(arrays[f"{prefix}.{site}.q4_scales"], dtype=np.float32),
-                        group_size=cfg.quant_group_size,
-                    )
-                    lin.quant = q
-                    lin.w_t = Tensor(dequantize(q).T)
-                else:
-                    lin.w_t = Tensor(arrays[f"{prefix}.{site}.w"])
-                if lin.lora is not None:
-                    lin.lora.a = Tensor(arrays[f"{prefix}.{site}.lora_a"], requires_grad=True)
-                    lin.lora.b = Tensor(arrays[f"{prefix}.{site}.lora_b"], requires_grad=True)
+                    codes = np.array(arrays[f"layers.{i}.{site}.q4"], dtype=np.int8, order="C")
+                    codes.flags.writeable = False
+                    lin.quant = QuantizedLinear(codes, lin.quant.scales, lin.quant.group_size)
         self._finalize()
 
     # -- forward -----------------------------------------------------------
@@ -312,7 +319,7 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     Base weights are N(0, 0.02), LoRA A is N(0, 1/rank), LoRA B is zero,
     norm gains are ones.  When ``quantize_base`` is set, the base
-    projections are quantized once here and stay frozen.
+    projections are quantized once here and kept only as codes and scales.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -327,11 +334,10 @@ def init_model(config: ModelConfig, seed: int) -> Model:
         linears = {}
         for site in ALL_LORA_TARGETS:
             d_out, d_in = _SITE_DIMS[site](config)
-            w = gauss((d_out, d_in), 0.02)
+            w_t = np.ascontiguousarray(gauss((d_out, d_in), 0.02).T)
             quant = None
             if config.quantize_base:
-                quant = quantize_weights(w, config.quant_group_size)
-                w = dequantize(quant)
+                quant, w_t = quantize_weights(w_t, config.quant_group_size), None
             # A is drawn for every site so the stream (and hence the base
             # weights) is identical across lora_targets choices
             a_init = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
@@ -344,7 +350,7 @@ def init_model(config: ModelConfig, seed: int) -> Model:
                     alpha=config.lora_alpha,
                     rank=config.lora_rank,
                 )
-            linears[site] = Linear(Tensor(w.T), lora, quant)
+            linears[site] = Linear(w_t, lora, quant)
         model.blocks.append(_Block(
             linears=linears,
             norm_attn=Tensor(np.ones(config.d_model, dtype=np.float32)),

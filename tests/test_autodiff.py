@@ -116,6 +116,16 @@ class TestBackward:
         with pytest.raises(DivergenceError):
             backward(loss, tape)
 
+    def test_non_finite_gradient_raises_divergence(self):
+        # the loss is 0, but b's two gradient terms, 2e38 each, overflow float32 when summed
+        a = Tensor(np.full(3, 2e38))
+        b = Tensor(np.zeros(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.sum_all(ad.add(ad.mul(a, b), ad.mul(a, b)))
+        assert np.isfinite(loss.data)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite"):
+            backward(loss, tape)
+
     def test_accumulation_parameter_used_twice(self):
         theta = Tensor(np.array([1.5, -0.5]), requires_grad=True)
         with Tape() as tape:

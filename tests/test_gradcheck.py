@@ -26,7 +26,13 @@ def test_micro_model_lora_gradients(seed):
     assert gradcheck.check_model_gradients(seed) < TOL
 
 
+def test_quantized_micro_model_lora_gradients():
+    # the oracle decompresses the 4-bit codes itself, in float64
+    assert gradcheck.check_model_gradients(0, gradcheck.micro_q4_config()) < TOL
+
+
 def test_run_suite_reports_pass():
     report = gradcheck.run_suite(primitive_seeds=2, model_seeds=1)
+    assert report["model"].keys() == {"seed_0", "q4_seed_0"}
     assert report["passed"]
     assert report["max_err"] < TOL

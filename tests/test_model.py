@@ -1,6 +1,7 @@
-"""Model contracts: plans, detached gradients, dropped blocks, tape size, input and checkpoint checks."""
+"""Model contracts: plans, detached gradients, dropped blocks, tape size, 4-bit bases, input and checkpoint checks."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcsb.autodiff as ad
+import lcsb.model as lm
 from lcsb import gradcheck
 from lcsb.errors import CorruptionError, DimensionError, PlanError
-from lcsb.gradcheck import micro_config
+from lcsb.gradcheck import micro_config, micro_q4_config
 from lcsb.model import BlockMode, init_model
+from lcsb.quant import dequantize
 
 CFG = micro_config()
 ATTACHED, DETACHED, DROPPED = BlockMode.ATTACHED, BlockMode.DETACHED, BlockMode.DROPPED
@@ -97,9 +100,9 @@ def test_tape_node_counts():
 
 
 def test_plain_projections_next_to_lora_ones_pass_gradcheck():
-    # k, o and the MLP sites are plain matmuls; k of the first layer is a constant
-    config = replace(CFG, lora_targets=("q", "v"))
-    assert gradcheck.check_model_gradients(0, config) < 1e-3
+    # k, o and the MLP sites have no adapter; k of the first layer is a constant
+    for config in (CFG, micro_q4_config()):
+        assert gradcheck.check_model_gradients(0, replace(config, lora_targets=("q", "v"))) < 1e-3
 
 
 def test_causal_attention_single_position_matches_reference():
@@ -145,11 +148,101 @@ def test_two_dimensional_tokens_raise():
         MODEL.forward(np.zeros((2, 3), dtype=np.int64))
 
 
-QCFG = replace(CFG, quantize_base=True, quant_group_size=8)
+QCFG = micro_q4_config()
 
 
 def _quantized_model(seed):
     return _model(QCFG, seed)
+
+
+def _float_twin(qmodel):
+    """A float-base model holding ``qmodel``'s decompressed bases and its other parameters."""
+    arrays = {name: a for name, a in qmodel.state_arrays().items()
+              if not name.endswith((".q4", ".q4_scales"))}
+    for i, block in enumerate(qmodel.blocks):
+        for site, lin in block.linears.items():
+            arrays[f"layers.{i}.{site}.w"] = dequantize(lin.quant)
+    twin = init_model(replace(qmodel.config, quantize_base=False), 1)
+    twin.load_state_arrays(arrays)
+    return twin
+
+
+def _logits_and_named_grads(model, modes, tokens):
+    with ad.Tape() as tape:
+        logits = model.forward(tokens[:-1], _plan(modes))
+        loss = ad.cross_entropy_logits(logits, tokens[1:])
+    grads = ad.backward(loss, tape)
+    return logits.data, {name: grads[p] for name, p in model.trainable_params().items() if p in grads}
+
+
+def test_decompress_on_use_changes_no_number():
+    qmodel = _quantized_model(0)
+    twin = _float_twin(qmodel)
+    tokens = np.arange(QCFG.seq_len + 1) * 5 % QCFG.vocab_size
+    for modes in ([ATTACHED, ATTACHED], [ATTACHED, DETACHED], [DETACHED, ATTACHED]):
+        q_logits, q_grads = _logits_and_named_grads(qmodel, modes, tokens)
+        f_logits, f_grads = _logits_and_named_grads(twin, modes, tokens)
+        assert np.array_equal(q_logits, f_logits)
+        assert q_grads.keys() == f_grads.keys() and q_grads
+        assert all(np.array_equal(q_grads[name], f_grads[name]) for name in q_grads)
+
+
+@pytest.mark.parametrize("lora_targets", [QCFG.lora_targets, ("q", "v")])
+def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch, lora_targets):
+    model = _model(replace(QCFG, lora_targets=lora_targets))
+    calls = []
+
+    def counting_dequantize(q):
+        calls.append(q)
+        return dequantize(q)
+
+    monkeypatch.setattr(lm, "dequantize", counting_dequantize)
+    tokens = np.arange(QCFG.seq_len + 1) % QCFG.vocab_size
+    # q, k and v of the lowest attached layer read a constant (the frozen
+    # embedding, or the output of detached blocks), so their dx is not needed
+    for modes, in_backward in (([ATTACHED, ATTACHED], 4 + 7), ([DETACHED, ATTACHED], 4),
+                               ([DETACHED, DETACHED], 0)):
+        calls.clear()
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(model.forward(tokens[:-1], _plan(modes)), tokens[1:])
+        assert len(calls) == 2 * 7  # every base once in the forward
+        calls.clear()
+        ad.backward(loss, tape)
+        assert len(calls) == in_backward
+
+
+def _init_bytes(config):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = init_model(config, 0)
+        return model, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantized_bases_take_less_than_half_the_bytes():
+    config = replace(CFG, d_model=64, d_ff=128)
+    float_model, float_bytes = _init_bytes(config)
+    _, q_bytes = _init_bytes(replace(config, quantize_base=True, quant_group_size=8))
+    base_bytes = sum(lin.w_t.nbytes for block in float_model.blocks
+                     for lin in block.linears.values())
+    # both models hold the same parameters apart from their bases
+    assert q_bytes - (float_bytes - base_bytes) < base_bytes / 2
+
+
+def test_models_loaded_from_one_state_share_no_buffers():
+    source = _quantized_model(0)
+    state = source.state_arrays()
+    first, second = _quantized_model(1), _quantized_model(2)
+    params = first.trainable_params()
+    first.load_state_arrays(state)
+    second.load_state_arrays(state)
+    assert all(first.trainable_params()[name] is p for name, p in params.items())
+    before = second.state_arrays()["layers.0.q.lora_a"].copy()
+    params["layers.0.q.lora_a"].data += np.float32(1.0)
+    assert np.array_equal(second.state_arrays()["layers.0.q.lora_a"], before)
+    assert np.array_equal(source.state_arrays()["layers.0.q.lora_a"], before)
 
 
 def test_quantized_state_round_trip_gives_identical_logits():
@@ -175,13 +268,20 @@ CORRUPTIONS = {
                       "layers.1.down.q4"),
     "float_codes": (lambda a: {**a, "layers.0.k.q4": a["layers.0.k.q4"] + np.float32(0.5)},
                     "layers.0.k.q4"),
+    "nan": (lambda a: {**a, "layers.0.q.lora_a": a["layers.0.q.lora_a"] * np.float32(np.nan)},
+            "layers.0.q.lora_a"),
+    "inf_scale": (lambda a: {**a, "layers.1.o.q4_scales": a["layers.1.o.q4_scales"] / np.float32(0)},
+                  "layers.1.o.q4_scales"),
+    "integer_floats": (lambda a: {**a, "norm_out.gain": a["norm_out.gain"].astype(np.int64)},
+                       "norm_out.gain"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_corrupt_state_raises_before_overwriting(case):
     corrupt, key = CORRUPTIONS[case]
-    arrays = corrupt(_quantized_model(0).state_arrays())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        arrays = corrupt(_quantized_model(0).state_arrays())
     target = _quantized_model(1)
     before = target.state_arrays()
     with pytest.raises(CorruptionError, match=re.escape(key)):
