@@ -9,12 +9,14 @@ group quantization of the frozen base weights, and a finite-difference
 gradient check against an independent float64 re-implementation
 (``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs the full suite).
 
-A 4-bit base is held only as codes and scales and decompressed on each
-use: in the forward, and again in an attached layer's backward where the
-input gradient needs it.
+A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
+(byte i holds code i and code i + ceil(n / 2), the flat-halves layout),
+plus one scale per group.  It is decompressed on each use: in the forward,
+and again in an attached layer's backward where the input gradient needs
+it.  An attached layer records 13 op nodes, plus one leaf per LoRA matrix.
 """
 
-from .autodiff import Tape, Tensor, backward, finite_difference_grad, paused
+from .autodiff import Tape, Tensor, backward, paused
 from .errors import (
     ConfigError,
     CorruptionError,

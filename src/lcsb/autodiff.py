@@ -3,14 +3,16 @@
 The engine records one node per primitive onto an explicit :class:`Tape`
 (entered as a context manager) and replays them in reverse to accumulate
 gradients.  It provides the primitive set a small decoder-only
-transformer needs.  Two of them are fused so that a layer records few
-nodes: :func:`lora_linear` (a frozen projection plus its LoRA delta) and
-:func:`causal_attention` (all heads of scaled, causally masked softmax
-attention), each with a hand-written backward.  :func:`frozen_linear` and
-:func:`lora_linear` fetch their frozen base on each use, in the forward
-and again in the backward, so a compressed base stays compressed.  :func:`paused` stops
-recording for a block of code; it is the one way to cut a gradient, since
-what is computed inside is a constant to every tape.
+transformer needs.  Three of them are fused so that a layer records few
+nodes and its tape keeps little: :func:`lora_linear` (a frozen projection
+plus its LoRA delta), :func:`causal_attention` (all heads of scaled,
+causally masked softmax attention) and :func:`swiglu` (``silu(gate) * up``,
+keeping only its two inputs), each with a hand-written backward.
+:func:`frozen_linear` and :func:`lora_linear` fetch their frozen base on
+each use, in the forward and again in the backward, so a compressed base
+stays compressed.  :func:`paused` stops recording for a block of code; it
+is the one way to cut a gradient, since what is computed inside is a
+constant to every tape.
 
 The tape owns its graph.  A tensor carries a tape handle only when it is
 an output that its own tape recorded.  Any other ``requires_grad`` tensor
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -265,8 +268,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
         raise DimensionError(f"rms_norm gain shape {gain.shape} does not match {x.shape}")
     x_data = x.data
     dim = x_data.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(np.square(x_data), axis=-1, keepdims=True) + np.float32(eps))
-    inv = inv.astype(np.float32)
+    # the sum of squares in one pass, with no (T, d) temporary
+    sum_sq = np.einsum("...i,...i->...", x_data, x_data)[..., None]
+    inv = 1.0 / np.sqrt(sum_sq / np.float32(dim) + np.float32(eps))
     gain_data = gain.data
 
     def bw(g, needs):
@@ -284,17 +288,50 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return _finish(out, (x, gain), bw)
 
 
-def silu(x: Tensor) -> Tensor:
-    x_data = x.data
-    sig = np.negative(x_data)  # 1 / (1 + exp(-x)), computed in one buffer
-    np.exp(sig, out=sig)
+def _sigmoid(x: Array) -> Array:
+    """``1 / (1 + exp(-x))`` in one fresh float32 buffer.
+
+    For x below about -88.7, ``exp(-x)`` overflows to inf and the result is
+    the exact limit 0; that overflow is expected and not reported.
+    """
+    sig = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
     sig += np.float32(1.0)
     np.divide(np.float32(1.0), sig, out=sig)
+    return sig
+
+
+def swiglu(gate: Tensor, up: Tensor) -> Tensor:
+    """``silu(gate) * up`` with ``silu(x) = x * sigmoid(x)``, as one node.
+
+    The node keeps only its two inputs: the backward recomputes the
+    sigmoid rather than holding it or ``silu(gate)``.
+    """
+    if gate.shape != up.shape:
+        raise DimensionError(f"swiglu shapes differ: {gate.shape} vs {up.shape}")
+    gate_data, up_data = gate.data, up.data
 
     def bw(g, needs):
-        return (g * sig * (1.0 + x_data * (1.0 - sig)),)
+        sig = _sigmoid(gate_data)
+        g_up = None
+        if needs[1]:
+            g_up = gate_data * sig  # silu(gate)
+            g_up *= g
+        g_gate = None
+        if needs[0]:
+            g_gate = g * up_data
+            g_gate *= sig
+            np.subtract(np.float32(1.0), sig, out=sig)  # silu'(x) = sig * (1 + x * (1 - sig))
+            sig *= gate_data
+            sig += np.float32(1.0)
+            g_gate *= sig
+        return (g_gate, g_up)
 
-    return _finish(x_data * sig, (x,), bw)
+    out = _sigmoid(gate_data)
+    out *= gate_data
+    out *= up_data
+    return _finish(out, (gate, up), bw)
 
 
 def frozen_linear(x: Tensor, *, base: Callable[[], Array]) -> Tensor:
@@ -354,6 +391,19 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
     return _finish(out, (x, a, b), bw)
 
 
+@lru_cache(maxsize=32)
+def _causal_mask(t: int) -> Array:
+    """The additive (key, query) causal mask for ``t`` positions, built once per ``t``.
+
+    -1e9 where the key comes after the query, 0 elsewhere.  Every call at
+    that length shares the array, so it is read-only.
+    """
+    mask = np.tri(t, k=-1, dtype=np.float32)
+    mask *= np.float32(-1e9)
+    mask.flags.writeable = False
+    return mask
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal scaled dot-product attention of (T, d) inputs, as one node.
 
@@ -387,10 +437,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     # fresh one per operation cost about 175 page faults per call and twice
     # the time (2-vCPU x86-64, one BLAS thread).
     qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
-    mask = np.tri(t, k=-1, dtype=np.float32)  # 1 where the key comes after the query
-    mask *= np.float32(-1e9)
     probs = kh @ qh.transpose(0, 2, 1)
-    probs += mask
+    probs += _causal_mask(t)
     probs -= np.max(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=1, keepdims=True)
@@ -444,27 +492,3 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(in_shape, g, dtype=np.float32),)
 
     return _finish(np.float32(np.sum(x.data)), (x,), bw)
-
-
-def finite_difference_grad(f: Callable[[Tensor], float], theta: Tensor, eps: float) -> Tensor:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    ``f`` must be deterministic given ``theta``.  The perturbation is applied
-    to the float32 buffer in place and the achieved step (which may differ
-    from ``2*eps`` by rounding) is used as the denominator.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    buf = theta.data.reshape(-1)
-    grad = np.zeros(buf.shape, dtype=np.float64)
-    for i in range(buf.size):
-        orig = buf[i]
-        plus = np.float32(orig + eps)
-        minus = np.float32(orig - eps)
-        buf[i] = plus
-        f_plus = float(f(theta))
-        buf[i] = minus
-        f_minus = float(f(theta))
-        buf[i] = orig
-        grad[i] = (f_plus - f_minus) / (float(plus) - float(minus))
-    return Tensor(grad.reshape(theta.shape))

@@ -11,14 +11,39 @@ import json
 import math
 import sys
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward, finite_difference_grad
+from .autodiff import Tape, Tensor, backward
 from .model import Model, ModelConfig, init_model
 
 FD_EPS = 1e-3
+
+
+def finite_difference_grad(f: Callable[[Tensor], float], theta: Tensor, eps: float) -> Tensor:
+    """Central-difference gradient of a scalar function, one coordinate at a time.
+
+    ``f`` must be deterministic given ``theta``.  The perturbation is applied
+    to the float32 buffer in place and the achieved step (which may differ
+    from ``2*eps`` by rounding) is used as the denominator.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    buf = theta.data.reshape(-1)
+    grad = np.zeros(buf.shape, dtype=np.float64)
+    for i in range(buf.size):
+        orig = buf[i]
+        plus = np.float32(orig + eps)
+        minus = np.float32(orig - eps)
+        buf[i] = plus
+        f_plus = float(f(theta))
+        buf[i] = minus
+        f_minus = float(f(theta))
+        buf[i] = orig
+        grad[i] = (f_plus - f_minus) / (float(plus) - float(minus))
+    return Tensor(grad.reshape(theta.shape))
 
 
 def _rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
@@ -49,10 +74,18 @@ def _ref_lora_linear(x, w, a, b, s):
 
 
 def _ref_dequantize(q):
-    """The (d_in, d_out) matrix of 4-bit codes times their group scales, in float64."""
-    d_in, d_out = q.qweights.shape
-    grouped = q.qweights.astype(np.float64).reshape(d_in // q.group_size, q.group_size, d_out)
-    return (grouped * q.scales.astype(np.float64)[:, None, :]).reshape(d_in, d_out)
+    """The (d_in, d_out) matrix of 4-bit codes times their group scales, in float64.
+
+    Decodes the packed bytes by arithmetic: byte i holds code i as its low
+    nibble (``% 16``) and code i + ceil(n / 2) as its high nibble (``// 16``);
+    a nibble of 8 or more stands for that value minus 16.
+    """
+    groups, d_out = q.scales.shape
+    d_in = groups * q.group_size
+    data = q.packed.astype(np.float64)
+    nibbles = np.concatenate([data % 16, data // 16])[:d_in * d_out]
+    codes = np.where(nibbles >= 8, nibbles - 16, nibbles).reshape(groups, q.group_size, d_out)
+    return (codes * q.scales.astype(np.float64)[:, None, :]).reshape(d_in, d_out)
 
 
 def _ref_causal_attention(q, k, v, n_heads):
@@ -102,7 +135,9 @@ def _primitive_cases(rng: np.random.Generator):
     gain = t((6,), lo=0.5, hi=1.5)
     yield ad.rms_norm, [x, gain], {"eps": 1e-5}, lambda d: _ref_rms_norm(d[0], d[1])
 
-    yield ad.silu, [t(shape, lo=-3.0, hi=3.0)], {}, lambda d: _ref_silu(d[0])
+    yield ad.swiglu, [t(shape, lo=-3.0, hi=3.0), t(shape)], {}, (
+        lambda d: _ref_silu(d[0]) * d[1]
+    )
 
     n, d_in, d_out, rank = rng.integers(1, 7, size=4)
     s = float(rng.uniform(0.5, 2.0))

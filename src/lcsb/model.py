@@ -5,17 +5,21 @@ with a residual add.  Only the LoRA matrices are trainable; base weights,
 embeddings, norms, and the weight-tied output head are frozen.
 
 The base projections can be 4-bit quantized at init.  A quantized base is
-then held only as codes and scales, and decompressed on each use: once in
-the forward, and once more in an attached layer's backward, where dx needs
-it.  A detached layer decompresses only in the forward.  This is the
-memory and time trade of fine-tuning on compressed weights.
+then held only as codes packed two to a byte (4 bits per weight, in the
+flat-halves layout of :mod:`lcsb.quant`) and scales, and decompressed on
+each use: once in the forward, and once more in an attached layer's
+backward, where dx needs it.  A detached layer decompresses only in the
+forward.  This is the memory and time trade of fine-tuning on compressed
+weights.
 
 The forward is built from fused primitives so that an attached layer
 records few tape nodes: each projection with a LoRA adapter is one
-``lora_linear`` node (base matmul plus the scaled low-rank delta), and all
+``lora_linear`` node (base matmul plus the scaled low-rank delta), all
 heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
-``causal_attention`` node.  An attached layer records at most 14 op nodes,
-plus one leaf per LoRA matrix.
+``causal_attention`` node, and the MLP's ``silu(gate) * up`` is one
+``swiglu`` node that keeps only ``gate`` and ``up``.  An attached layer
+records at most 13 op nodes, plus one leaf per LoRA matrix.  The output
+head reads the embedding in place, through a transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -121,11 +125,12 @@ class Linear:
 
     The base is held in the (d_in, d_out) layout that ``x @ w`` reads: as
     the float32 array ``w_t``, or, for a 4-bit base, only as ``quant``
-    (codes and scales), the other being ``None``.  :meth:`base` returns the
-    float matrix, decompressing a 4-bit one on every call.  A site is one
-    node, ``lora_linear`` with an adapter (it never forms the dense
-    ``W + BA``) and ``frozen_linear`` without one; either calls :meth:`base`
-    in the forward and again in the backward only when dx is needed.
+    (packed 4-bit codes and scales), the other being ``None``.
+    :meth:`base` returns the float matrix, decompressing a 4-bit one on
+    every call.  A site is one node, ``lora_linear`` with an adapter (it
+    never forms the dense ``W + BA``) and ``frozen_linear`` without one;
+    either calls :meth:`base` in the forward and again in the backward only
+    when dx is needed.
     """
 
     def __init__(self, w_t: np.ndarray | None, lora: LoraAdapter | None,
@@ -174,12 +179,6 @@ class Model:
         self.pos: Tensor | None = None
         self.norm_out: Tensor | None = None
         self.blocks: list[_Block] = []
-        self._emb_t: Tensor | None = None
-
-    # -- construction ------------------------------------------------------
-
-    def _finalize(self) -> None:
-        self._emb_t = Tensor(self.embed.data.T)
 
     # -- parameter access --------------------------------------------------
 
@@ -210,7 +209,7 @@ class Model:
             out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp.data
             for site, lin in block.linears.items():
                 if lin.quant is not None:
-                    out[f"{prefix}.{site}.q4"] = lin.quant.qweights
+                    out[f"{prefix}.{site}.q4"] = lin.quant.packed
                     out[f"{prefix}.{site}.q4_scales"] = lin.quant.scales
                 else:
                     out[f"{prefix}.{site}.w"] = lin.w_t
@@ -224,8 +223,8 @@ class Model:
         """Copy all parameters from a checkpoint's array map into the model's own buffers.
 
         The map must have exactly the keys of :meth:`state_arrays`, with the
-        same shapes, finite float arrays, and 4-bit codes that are integers
-        in [-8, 7].  Otherwise :class:`CorruptionError` names the first bad
+        same shapes, finite float arrays, and 4-bit codes as packed uint8
+        bytes.  Otherwise :class:`CorruptionError` names the first bad
         key, and nothing has been overwritten.  The model keeps no reference
         to the caller's arrays, and its parameter tensors stay the same
         objects.
@@ -238,15 +237,14 @@ class Model:
             if name not in arrays:
                 raise CorruptionError(f"checkpoint is missing key {name!r}")
             array = np.asarray(arrays[name])
+            if name.endswith(".q4") and array.dtype != np.uint8:
+                raise CorruptionError(f"{name!r} holds {array.dtype}, not packed uint8 4-bit codes")
             if array.shape != current.shape:
                 raise CorruptionError(
                     f"{name!r} has shape {array.shape}, the model expects {current.shape}"
                 )
-            if name.endswith(".q4"):
-                if (not np.issubdtype(array.dtype, np.integer)
-                        or array.min() < -8 or array.max() > 7):
-                    raise CorruptionError(f"{name!r} holds codes that are not integers in [-8, 7]")
-            elif not np.issubdtype(array.dtype, np.floating) or not np.isfinite(array).all():
+            if not name.endswith(".q4") and (
+                    not np.issubdtype(array.dtype, np.floating) or not np.isfinite(array).all()):
                 raise CorruptionError(f"{name!r} is not an array of finite floats")
         for name, current in expected.items():
             if not name.endswith(".q4"):
@@ -254,10 +252,9 @@ class Model:
         for i, block in enumerate(self.blocks):
             for site, lin in block.linears.items():
                 if lin.quant is not None:
-                    codes = np.array(arrays[f"layers.{i}.{site}.q4"], dtype=np.int8, order="C")
-                    codes.flags.writeable = False
-                    lin.quant = QuantizedLinear(codes, lin.quant.scales, lin.quant.group_size)
-        self._finalize()
+                    packed = np.array(arrays[f"layers.{i}.{site}.q4"], order="C")
+                    packed.flags.writeable = False
+                    lin.quant = QuantizedLinear(packed, lin.quant.scales, lin.quant.group_size)
 
     # -- forward -----------------------------------------------------------
 
@@ -270,7 +267,7 @@ class Model:
     def _mlp(self, x: Tensor, block: _Block) -> Tensor:
         gate = block.linears["gate"](x)
         up = block.linears["up"](x)
-        return block.linears["down"](ad.mul(ad.silu(gate), up))
+        return block.linears["down"](ad.swiglu(gate, up))
 
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
         """One residual block in the requested gradient mode."""
@@ -311,7 +308,8 @@ class Model:
         h = ad.add(ad.embedding_lookup(self.embed, tokens), Tensor(self.pos.data[:t]))
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
-        return ad.matmul(ad.rms_norm(h, self.norm_out), self._emb_t)
+        # the weight-tied head reads the frozen embedding through a transposed view
+        return ad.frozen_linear(ad.rms_norm(h, self.norm_out), base=lambda: self.embed.data.T)
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -319,7 +317,8 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     Base weights are N(0, 0.02), LoRA A is N(0, 1/rank), LoRA B is zero,
     norm gains are ones.  When ``quantize_base`` is set, the base
-    projections are quantized once here and kept only as codes and scales.
+    projections are quantized once here and kept only as packed 4-bit codes
+    and scales.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -357,5 +356,4 @@ def init_model(config: ModelConfig, seed: int) -> Model:
             norm_mlp=Tensor(np.ones(config.d_model, dtype=np.float32)),
         ))
     model.norm_out = Tensor(np.ones(config.d_model, dtype=np.float32))
-    model._finalize()
     return model

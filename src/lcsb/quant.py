@@ -1,13 +1,19 @@
-"""Symmetric 4-bit group-wise weight quantization.
+"""Symmetric 4-bit group-wise weight quantization, held at 4 bits per weight.
 
 A frozen base weight is quantized once, at model init, and from then on is
-held only as codes and scales: :func:`dequantize` rebuilds the float32
-matrix on each use and the caller drops it afterwards.  The matrix is
-quantized in the (d_in, d_out) layout that ``x @ w`` reads, so the float
+held only as packed codes and scales: :func:`dequantize` rebuilds the
+float32 matrix on each use and the caller drops it afterwards.  The matrix
+is quantized in the (d_in, d_out) layout that ``x @ w`` reads, so the float
 matrix comes out contiguous with no transpose.  Each column is split into
 groups of ``group_size`` consecutive rows (inputs), every group gets one
-float scale (max-abs / 7), and values are stored as signed 4-bit codes in
-[-8, 7] (held in an int8 buffer).
+float scale (max-abs / 7), and values become signed 4-bit codes in [-8, 7].
+
+Two codes share a byte, in flat halves: with ``n`` codes in C order and
+``h = ceil(n / 2)``, byte ``i`` holds code ``i`` in its low nibble and code
+``i + h`` in its high nibble (the high nibble of the last byte is 0 when
+``n`` is odd).  Decoding needs no table: shifting a signed byte right by 4
+sign-extends its high nibble, and multiplying by 16 first moves the low
+nibble up.
 """
 
 from __future__ import annotations
@@ -21,23 +27,25 @@ from .errors import DimensionError
 
 @dataclass
 class QuantizedLinear:
-    """Frozen 4-bit codes plus per-group scales for one (d_in, d_out) weight matrix.
+    """Frozen packed 4-bit codes plus per-group scales for one (d_in, d_out) weight matrix.
 
-    ``qweights`` has shape (d_in, d_out) with values in [-8, 7];
-    ``scales`` has shape (d_in // group_size, d_out).
+    ``packed`` is a read-only uint8 array of ``ceil(d_in * d_out / 2)``
+    bytes in the flat-halves layout; ``scales`` has shape
+    (d_in // group_size, d_out).
     """
 
-    qweights: np.ndarray
+    packed: np.ndarray
     scales: np.ndarray
     group_size: int
 
     @property
     def shape(self) -> tuple:
-        return self.qweights.shape
+        groups, cols = self.scales.shape
+        return (groups * self.group_size, cols)
 
 
 def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
-    """Quantize a float matrix to signed 4-bit codes, one scale per group of rows.
+    """Quantize a float matrix to packed signed 4-bit codes, one scale per group of rows.
 
     A group whose values are all zero gets scale 1.0 so the codes stay
     zero with no division by zero.
@@ -54,19 +62,35 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
     scales = np.max(np.abs(grouped), axis=1) / np.float32(7.0)
     scales = np.where(scales == 0.0, np.float32(1.0), scales).astype(np.float32)
     codes = np.clip(np.round(grouped / scales[:, None, :]), -8, 7)
-    qweights = codes.reshape(rows, cols).astype(np.int8)
-    qweights.flags.writeable = False
-    return QuantizedLinear(qweights=qweights, scales=scales, group_size=group_size)
+    flat = codes.reshape(-1).astype(np.int8).view(np.uint8)  # two's complement bytes
+    half = (flat.size + 1) // 2
+    packed = flat[:half] & np.uint8(15)
+    packed[:flat.size - half] |= flat[half:] << np.uint8(4)
+    packed.flags.writeable = False
+    return QuantizedLinear(packed=packed, scales=scales, group_size=group_size)
+
+
+def unpack_codes(q: QuantizedLinear) -> np.ndarray:
+    """The (d_in, d_out) int8 codes in [-8, 7], decoded from the packed bytes."""
+    rows, cols = q.shape
+    n, half = rows * cols, q.packed.size
+    codes = np.empty(n, dtype=np.int8)
+    low = codes[:half]
+    np.multiply(q.packed, np.uint8(16), out=low.view(np.uint8))  # low nibble to the top
+    low >>= 4
+    np.right_shift(q.packed[:n - half].view(np.int8), 4, out=codes[half:])
+    return codes.reshape(rows, cols)
 
 
 def dequantize(q: QuantizedLinear) -> np.ndarray:
     """A fresh contiguous float32 matrix: codes times their group scale.
 
-    The codes are cast first and scaled in place, so the only allocation is
-    the result; no buffer is shared between calls (threads may share a model).
+    The codes are decoded to int8, cast once and scaled in place, so the
+    result is the only float allocation; no buffer is shared between calls
+    (threads may share a model).
     """
-    rows, cols = q.qweights.shape
-    out = q.qweights.astype(np.float32, order="C")  # the reshape below is then a view
+    out = unpack_codes(q).astype(np.float32)  # C order: the reshape below is a view
+    rows, cols = out.shape
     grouped = out.reshape(rows // q.group_size, q.group_size, cols)
     grouped *= q.scales[:, None, :]
     return out

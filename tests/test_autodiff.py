@@ -2,14 +2,16 @@
 
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lcsb.autodiff as ad
-from lcsb.autodiff import Tape, Tensor, backward, finite_difference_grad, paused
+from lcsb.autodiff import Tape, Tensor, backward, paused
 from lcsb.errors import DimensionError, DivergenceError
-from lcsb.gradcheck import micro_config
+from lcsb.gradcheck import finite_difference_grad, micro_config
 from lcsb.model import init_model
 
 
@@ -28,6 +30,48 @@ def test_rms_norm_hand_value():
 def test_matmul_shape_mismatch_reports_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+
+def test_swiglu_saturates_exactly_without_warnings():
+    # sigmoid(-100) is 0 and sigmoid(100) is 1 in float32: silu(-100) = 0, silu(100) = 100
+    gate = Tensor([-100.0, 100.0], requires_grad=True)
+    up = Tensor([3.0, 3.0], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            out = ad.swiglu(gate, up)
+            loss = ad.sum_all(ad.mul(out, Tensor([2.0, 2.0])))
+        grads = backward(loss, tape)
+    assert out.data.tolist() == [0.0, 300.0]
+    # d/dgate = 2 * up * silu'(gate), with silu'(-100) = 0 and silu'(100) = 1
+    assert grads[gate].tolist() == [0.0, 6.0]
+    assert grads[up].tolist() == [0.0, 200.0]
+
+
+def test_swiglu_tape_keeps_nothing_beyond_its_output():
+    rng = np.random.default_rng(4)
+    gate, up = (Tensor(rng.standard_normal((128, 256)), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.swiglu(gate, up)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert len(tape.nodes) == 3  # two leaves and the swiglu node
+    # the output (128 KiB) plus a few hundred bytes of Python objects, and no
+    # sigmoid or silu(gate) array for the backward
+    assert out.data.nbytes <= kept < out.data.nbytes + 4096
+
+
+def test_causal_mask_is_cached_read_only():
+    mask = ad._causal_mask(5)
+    assert ad._causal_mask(5) is mask
+    assert not mask.flags.writeable
+    # -1e9 where the key (row) comes after the query (column)
+    assert np.array_equal(mask != 0, np.tri(5, k=-1, dtype=bool))
+    assert set(np.unique(mask)) == {np.float32(-1e9), np.float32(0.0)}
 
 
 class TestDetach:
@@ -65,7 +109,7 @@ class TestDetach:
         x = Tensor(np.random.default_rng(1).standard_normal(6), requires_grad=True)
         with Tape() as tape:
             with paused():
-                fx = ad.silu(ad.scale(x, 3.0))
+                fx = ad.swiglu(ad.scale(x, 3.0), Tensor(np.ones(6)))
             y = ad.add(x, fx)
             loss = ad.sum_all(y)
         grads = backward(loss, tape)
@@ -148,7 +192,7 @@ class TestBackward:
         a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         with Tape() as tape:
-            loss = ad.sum_all(ad.silu(ad.matmul(a, b)))
+            loss = ad.sum_all(ad.swiglu(ad.matmul(a, b), Tensor(np.ones((4, 4)))))
         g1 = backward(loss, tape)
         g2 = backward(loss, tape)
         assert g1[a].tobytes() == g2[a].tobytes()
@@ -189,7 +233,7 @@ def test_two_layer_mlp_matches_finite_differences():
     x = rng.standard_normal((5, 4)).astype(np.float32)
 
     with Tape() as tape:
-        hidden = ad.silu(ad.matmul(Tensor(x), w1))
+        hidden = ad.swiglu(ad.matmul(Tensor(x), w1), Tensor(np.ones((5, 6))))
         loss = ad.sum_all(ad.matmul(hidden, w2))
     grads = backward(loss, tape)
 

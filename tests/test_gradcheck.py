@@ -13,10 +13,10 @@ TOL = 1e-3
 def test_every_primitive_matches_finite_differences():
     # 20 randomized small-shape cases per primitive
     worst = gradcheck.check_all_primitives(n_seeds=20)
-    # every public function of the engine is a primitive, apart from these three
+    # every public function of the engine is a primitive, apart from these two
     public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
               if fn.__module__ == ad.__name__ and not name.startswith("_")}
-    assert set(worst) == public - {"paused", "backward", "finite_difference_grad"}
+    assert set(worst) == public - {"paused", "backward"}
     for kind, err in worst.items():
         assert err < TOL, f"{kind}: max relative error {err:.2e}"
 

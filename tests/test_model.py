@@ -91,11 +91,11 @@ def test_detached_block_passes_the_output_gradient_to_its_input():
 
 
 def test_tape_node_counts():
-    # an attached layer above another: 14 op nodes and a leaf per LoRA matrix (2 x 7 sites)
-    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 28
+    # an attached layer above another: 13 op nodes and a leaf per LoRA matrix (2 x 7 sites)
+    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 27
     # the lowest layer's input is a constant, so its first norm records nothing;
     # the output norm, the head and the loss add 3
-    assert _tape_nodes([ATTACHED, ATTACHED]) == 27 + 28 + 3
+    assert _tape_nodes([ATTACHED, ATTACHED]) == 26 + 27 + 3
     assert _tape_nodes([DETACHED, DETACHED]) == 0
 
 
@@ -231,6 +231,17 @@ def test_quantized_bases_take_less_than_half_the_bytes():
     assert q_bytes - (float_bytes - base_bytes) < base_bytes / 2
 
 
+def test_head_reads_the_embedding_in_place():
+    config = replace(CFG, vocab_size=4096)  # a 256 KiB embedding
+    model, init_bytes = _init_bytes(config)
+    assert not hasattr(model, "_emb_t")
+    held = sum(a.nbytes for a in model.state_arrays().values())
+    # Python objects take some KiB; a transposed copy of the embedding would take 256 KiB
+    assert init_bytes - held < model.embed.data.nbytes / 4
+    logits = model.forward(np.arange(CFG.seq_len) % CFG.vocab_size)
+    assert logits.shape == (CFG.seq_len, config.vocab_size)
+
+
 def test_models_loaded_from_one_state_share_no_buffers():
     source = _quantized_model(0)
     state = source.state_arrays()
@@ -263,9 +274,11 @@ CORRUPTIONS = {
     "unexpected": (lambda a: {**a, "layers.9.q.w": a["layers.0.q.q4"]}, "layers.9.q.w"),
     "shape": (lambda a: {**a, "layers.1.up.lora_b": a["layers.1.up.lora_b"].T},
               "layers.1.up.lora_b"),
-    "code_above_7": (lambda a: {**a, "layers.0.q.q4": a["layers.0.q.q4"] + 8}, "layers.0.q.q4"),
-    "code_below_-8": (lambda a: {**a, "layers.1.down.q4": a["layers.1.down.q4"] - 9},
-                      "layers.1.down.q4"),
+    # every byte is a valid pair of codes, so a packed array is checked by dtype and length
+    "int8_codes": (lambda a: {**a, "layers.0.q.q4": np.zeros((CFG.d_model, CFG.d_model), np.int8)},
+                   "layers.0.q.q4"),
+    "wrong_length": (lambda a: {**a, "layers.1.down.q4": a["layers.1.down.q4"][:-1]},
+                     "layers.1.down.q4"),
     "float_codes": (lambda a: {**a, "layers.0.k.q4": a["layers.0.k.q4"] + np.float32(0.5)},
                     "layers.0.k.q4"),
     "nan": (lambda a: {**a, "layers.0.q.lora_a": a["layers.0.q.lora_a"] * np.float32(np.nan)},

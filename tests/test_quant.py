@@ -1,4 +1,4 @@
-"""4-bit group quantization: round-trip bounds and edge cases."""
+"""4-bit group quantization: packed layout, round-trip bounds and edge cases."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsb.errors import DimensionError
-from lcsb.quant import dequantize, quantize_weights
+from lcsb.quant import dequantize, quantize_weights, unpack_codes
 
 
 def test_all_zero_matrix_round_trips_to_zeros():
     w = np.zeros((4, 8), dtype=np.float32)
     q = quantize_weights(w, group_size=4)
     assert np.all(q.scales == 1.0)
-    assert np.all(q.qweights == 0)
+    assert np.all(q.packed == 0)
     assert np.array_equal(dequantize(q), w)
 
 
@@ -22,7 +22,9 @@ def test_linspace_hand_case():
     w = np.linspace(-0.7, 0.7, 7, dtype=np.float32).reshape(7, 1)
     q = quantize_weights(w, group_size=7)
     assert q.scales[0, 0] == pytest.approx(0.1, rel=1e-5)
-    np.testing.assert_array_equal(q.qweights[:, 0], [-7, -5, -2, 0, 2, 5, 7])
+    np.testing.assert_array_equal(unpack_codes(q)[:, 0], [-7, -5, -2, 0, 2, 5, 7])
+    # an odd count: byte i holds code i low and code i + 4 high, the last high nibble is 0
+    assert q.packed.tolist() == [0x29, 0x5B, 0x7E, 0x00]
     assert np.max(np.abs(w - dequantize(q))) <= 0.05
 
 
@@ -34,7 +36,7 @@ def test_group_size_must_divide_row_length():
 def test_codes_are_immutable():
     q = quantize_weights(np.ones((4, 2), dtype=np.float32), group_size=4)
     with pytest.raises(ValueError):
-        q.qweights[0, 0] = 3
+        q.packed[0] = 3
 
 
 def test_transposed_input_gives_contiguous_codes_and_matrix():
@@ -42,9 +44,9 @@ def test_transposed_input_gives_contiguous_codes_and_matrix():
     w = np.random.default_rng(0).standard_normal((6, 8)).astype(np.float32)
     q = quantize_weights(w.T, group_size=4)
     reference = quantize_weights(np.ascontiguousarray(w.T), group_size=4)
-    assert np.array_equal(q.qweights, reference.qweights)
+    assert np.array_equal(q.packed, reference.packed)
     assert np.array_equal(q.scales, reference.scales)
-    assert q.qweights.flags["C_CONTIGUOUS"] and q.scales.flags["C_CONTIGUOUS"]
+    assert q.packed.flags["C_CONTIGUOUS"] and q.scales.flags["C_CONTIGUOUS"]
     assert dequantize(q).flags["C_CONTIGUOUS"]
 
 
@@ -65,7 +67,34 @@ def test_round_trip_error_bounded_by_half_scale(seed):
     w = (rng.standard_normal((groups * group_size, cols)) * rng.uniform(0.01, 3.0)).astype(np.float32)
     q = quantize_weights(w, group_size)
     err = np.abs(w - dequantize(q))
-    assert q.qweights.min() >= -8 and q.qweights.max() <= 7
+    codes = unpack_codes(q)
+    assert codes.min() >= -8 and codes.max() <= 7
     # each element is within half a code step of its group's scale
     per_group_bound = np.repeat(q.scales, group_size, axis=0) / 2 + 1e-7
     assert np.all(err <= per_group_bound)
+
+
+def _reference_decode(packed, shape):
+    """Codes as int8 by masks and a sign fix, independent of ``unpack_codes``."""
+    nibbles = np.concatenate([packed & 0x0F, packed >> 4])[:shape[0] * shape[1]].astype(np.int16)
+    return np.where(nibbles >= 8, nibbles - 16, nibbles).astype(np.int8).reshape(shape)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dequantize_matches_an_int8_reference_decode_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    group_size = int(rng.integers(1, 8))
+    rows, cols = group_size * int(rng.integers(1, 4)), int(rng.integers(1, 8))  # odd counts too
+    q = quantize_weights(rng.standard_normal((rows, cols)).astype(np.float32), group_size)
+    codes = _reference_decode(q.packed, (rows, cols))
+    assert np.array_equal(unpack_codes(q), codes)
+    expected = codes.astype(np.float32) * np.repeat(q.scales, group_size, axis=0)
+    assert dequantize(q).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (8, 3), (32, 64)])
+def test_codes_take_half_a_byte_each(shape):
+    q = quantize_weights(np.ones(shape, dtype=np.float32), group_size=shape[0])
+    assert q.packed.dtype == np.uint8
+    assert q.packed.shape == ((shape[0] * shape[1] + 1) // 2,)
