@@ -14,6 +14,11 @@ A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
 plus one scale per group.  It is decompressed on each use: in the forward,
 and again in an attached layer's backward where the input gradient needs
 it.  An attached layer records 13 op nodes, plus one leaf per LoRA matrix.
+
+A tape is single-use: ``backward`` sweeps it once and frees each node's
+saved arrays as it passes, so a step's memory peaks at the parameters
+plus the forward's activations.  Sweeping a tape again, or recording onto
+a swept one, raises ``TapeError``; record the forward on a new ``Tape``.
 """
 
 from .autodiff import Tape, Tensor, backward, paused
@@ -24,6 +29,7 @@ from .errors import (
     DivergenceError,
     LcsbError,
     PlanError,
+    TapeError,
 )
 from .model import BlockMode, LoraAdapter, Model, ModelConfig, init_model
 from .quant import QuantizedLinear, dequantize, quantize_weights

@@ -14,6 +14,15 @@ stays compressed.  :func:`paused` stops recording for a block of code; it
 is the one way to cut a gradient, since what is computed inside is a
 constant to every tape.
 
+A tape is used once.  :func:`backward` sweeps it a single time and drops
+each node's backward function, and with it the arrays that node saved,
+as soon as the sweep has passed the node.  So the memory of a step peaks
+at the parameters plus the forward's activations, and falls while the
+gradients are formed.  Because a node's backward runs at most once, it may
+overwrite the buffers it allocated in the forward and never exposed.  A
+second sweep of the same tape, or recording onto a swept tape, raises
+:class:`~lcsb.errors.TapeError`.
+
 The tape owns its graph.  A tensor carries a tape handle only when it is
 an output that its own tape recorded.  Any other ``requires_grad`` tensor
 an op touches (a parameter, or an intermediate of another tape) is a leaf
@@ -33,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, TapeError
 
 Array = np.ndarray
 
@@ -100,18 +109,22 @@ class Tensor:
 
 
 class Tape:
-    """Append-only record of primitive applications.
+    """Append-only, single-use record of primitive applications.
 
     Nodes are stored in topological order by construction: an operation
     can only consume tensors that already exist.  A leaf (a ``requires_grad``
     tensor this tape did not produce) gets a node ``((), None)`` the first
     time an op on this tape touches it.  The tape holds a reference to each
-    leaf, so its ``id`` cannot be reused while the tape lives.
+    leaf, so its ``id`` cannot be reused while the tape lives.  Once
+    :func:`backward` has swept the tape, every op node's backward function
+    is the spent marker ``_spent``; the node count stays the recorded one,
+    and recording another node raises :class:`TapeError`.
     """
 
     def __init__(self):
         self.nodes: list[tuple[tuple, Callable | None]] = []
         self._leaves: dict[int, tuple[int, Tensor]] = {}  # id(leaf) -> (node, leaf)
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -132,6 +145,8 @@ class Tape:
         return leaf[0]
 
     def _record(self, inputs: tuple, backward_fn: Callable | None) -> int:
+        if self._swept:
+            raise TapeError("cannot record onto a tape that backward has swept; use a new Tape")
         self.nodes.append((inputs, backward_fn))
         return len(self.nodes) - 1
 
@@ -153,6 +168,11 @@ def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) ->
     return out
 
 
+def _spent(g, needs):
+    """The backward function of a node that a sweep has passed; it never runs."""
+    raise TapeError("this node's backward has already run")
+
+
 def backward(loss: Tensor, tape: Tape) -> dict:
     """Reverse sweep from a scalar loss; returns {leaf Tensor: gradient}.
 
@@ -160,10 +180,20 @@ def backward(loss: Tensor, tape: Tape) -> dict:
     gradient if it is reachable from the loss, an exact zero array
     otherwise.  A loss this tape did not record but that requires a
     gradient (a parameter, or another tape's output) is a leaf of this
-    tape with gradient 1; a constant loss reaches nothing.  Two sweeps over
-    the same tape are bit-identical.  A non-finite loss or leaf gradient
-    raises :class:`DivergenceError`.
+    tape with gradient 1; a constant loss reaches nothing.
+
+    The sweep uses the tape up.  Each op node's backward function is
+    replaced by a spent marker as soon as the sweep has passed that node,
+    whether or not the loss reached it, which frees the arrays the node
+    saved for its backward.  A second call on the same tape raises
+    :class:`TapeError`; record the forward on a new tape to sweep again.
+    The arrays returned are the caller's: the engine writes only into the
+    gradient sums it allocated itself.  A non-scalar or non-finite loss is
+    rejected before the sweep and leaves the tape unused; a non-finite leaf
+    gradient raises :class:`DivergenceError` after it.
     """
+    if tape._swept:
+        raise TapeError("this tape has already been swept; record the forward on a new Tape")
     if loss.data.ndim != 0:
         raise DimensionError(f"loss must be a scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data):
@@ -172,10 +202,14 @@ def backward(loss: Tensor, tape: Tape) -> dict:
     start = tape.handle(loss)  # None for a constant loss
     if start is not None:
         grads[start] = np.ones((), dtype=np.float32)
-    for node_id in range(len(tape.nodes) - 1, -1, -1):
-        inputs, backward_fn = tape.nodes[node_id]
+    tape._swept = True
+    nodes = tape.nodes
+    owned = set()  # nodes whose entry in grads is a sum this sweep allocated
+    for node_id in range(len(nodes) - 1, -1, -1):
+        inputs, backward_fn = nodes[node_id]
         if backward_fn is None:
             continue  # a leaf keeps its gradient in grads
+        nodes[node_id] = (inputs, _spent)
         g = grads.pop(node_id, None)
         if g is None:
             continue
@@ -183,8 +217,11 @@ def backward(loss: Tensor, tape: Tape) -> dict:
         for in_id, gin in zip(inputs, backward_fn(g, needs)):
             if in_id is None:
                 continue
-            if in_id in grads:
+            if in_id in owned:
+                grads[in_id] += gin
+            elif in_id in grads:
                 grads[in_id] = grads[in_id] + gin
+                owned.add(in_id)
             else:
                 grads[in_id] = gin
     out = {}
@@ -249,6 +286,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids)
     if table.data.ndim != 2:
         raise DimensionError(f"embedding table must be 2-d, got {table.shape}")
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise DimensionError(f"token ids must be integers, got dtype {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DimensionError(
             f"token id out of range [0, {table.shape[0]}): {int(ids.min())}..{int(ids.max())}"
@@ -276,12 +315,12 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     def bw(g, needs):
         gp = g * gain_data
         s = np.sum(gp * x_data, axis=-1, keepdims=True)
-        grad_x = inv * gp - (inv ** 3) * x_data * (s / dim)
+        grad_x = inv * gp - (inv ** 3) * x_data * (s / dim)  # float32 throughout
         if not needs[1]:
-            return (grad_x.astype(np.float32), None)
+            return (grad_x, None)
         # the normalized input is recomputed, not kept: gains are usually frozen
         grad_gain = np.sum(g * (x_data * inv), axis=tuple(range(g.ndim - 1)))
-        return (grad_x.astype(np.float32), grad_gain.astype(np.float32))
+        return (grad_x, grad_gain)
 
     out = x_data * inv
     out *= gain_data
@@ -371,8 +410,12 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
             f"lora_linear shapes incompatible: x {x.shape}, base {w.shape}, "
             f"a {a.shape}, b {b.shape}"
         )
-    # s scales the (n, rank) intermediate, not an (n, d_out) array
-    xas = x_data @ a_data.T
+    # The adapters' transposes are copied to C order (rank * d each) for the
+    # two forward products: OpenBLAS runs a product whose right operand is a
+    # transposed view well below the plain layout's speed, and the values are
+    # the same bit for bit.  s scales the (n, rank) intermediate, not an
+    # (n, d_out) array.
+    xas = x_data @ np.ascontiguousarray(a_data.T)
     xas *= np.float32(s)
 
     def bw(g, needs):
@@ -387,7 +430,7 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
         return (gx, gxa.T @ x_data if needs[1] else None, g.T @ xas if needs[2] else None)
 
     out = x_data @ w
-    out += xas @ b_data.T
+    out += xas @ np.ascontiguousarray(b_data.T)
     return _finish(out, (x, a, b), bw)
 
 
@@ -448,9 +491,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         gv = merge(probs @ gh) if needs[2] else None
         if not (needs[0] or needs[1]):
             return (None, None, gv)
-        gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs, then of the scores
-        gs -= np.sum(gs * probs, axis=1, keepdims=True)
+        # the scores' gradient probs * (gs - sum(gs * probs)), formed as
+        # gs * probs - probs * sum(gs * probs): the second product overwrites
+        # probs, which only this node holds and needs no more
+        gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs
         gs *= probs
+        gs -= np.multiply(probs, np.sum(gs, axis=1, keepdims=True), out=probs)
         gq = None
         if needs[0]:
             gq = merge(gs.transpose(0, 2, 1) @ kh)
@@ -461,26 +507,41 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
-    """Mean cross entropy of raw logits against integer class targets."""
+    """Mean cross entropy of raw (n, n_classes) logits against integer class targets.
+
+    ``targets`` holds n >= 1 integers in ``[0, n_classes)``; anything else
+    raises :class:`DimensionError`.  The node keeps the softmax probabilities and
+    turns them into the gradient in place.
+    """
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
         raise DimensionError(
             f"cross_entropy expects (n, vocab) logits and (n,) targets, "
             f"got {logits.shape} and {targets.shape}"
         )
+    n, n_classes = logits.shape
+    if n == 0:
+        raise DimensionError("cross_entropy needs at least one row of logits, got 0")
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise DimensionError(f"cross_entropy targets must be integers, got dtype {targets.dtype}")
+    if targets.min() < 0 or targets.max() >= n_classes:
+        raise DimensionError(
+            f"cross_entropy target out of range [0, {n_classes}): "
+            f"{int(targets.min())}..{int(targets.max())}"
+        )
     z = logits.data
-    n = z.shape[0]
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    sum_e = np.sum(e, axis=-1, keepdims=True)
-    log_probs = (z - m) - np.log(sum_e)
-    loss = np.float32(-np.mean(log_probs[np.arange(n), targets]))
+    # one (n, n_classes) buffer: the shifted logits, then their exponentials,
+    # then the probabilities; only the targets' log-probabilities are formed
+    probs = z - np.max(z, axis=-1, keepdims=True)
+    picked = probs[np.arange(n), targets]
+    np.exp(probs, out=probs)
+    sum_e = np.sum(probs, axis=-1, keepdims=True)
+    loss = np.float32(-np.mean(picked - np.log(sum_e[:, 0])))
+    probs /= sum_e
 
     def bw(g, needs):
-        grad = e / sum_e
-        grad[np.arange(n), targets] -= 1.0
-        grad *= g / np.float32(n)
-        return (grad.astype(np.float32),)
+        probs[np.arange(n), targets] -= 1.0
+        return (np.multiply(probs, g / np.float32(n), out=probs),)
 
     return _finish(loss, (logits,), bw)
 

@@ -1,8 +1,8 @@
 """Exception types raised across the library.
 
 Each class corresponds to one failure surface so callers can catch
-precisely: shape problems in the engine, bad configs, broken plans,
-diverged runs and corrupt checkpoints.
+precisely: shape problems in the engine, tapes used twice, bad configs,
+broken plans, diverged runs and corrupt checkpoints.
 """
 
 
@@ -28,3 +28,7 @@ class DivergenceError(LcsbError):
 
 class CorruptionError(LcsbError):
     """Checkpoint arrays do not fit the model they are loaded into."""
+
+
+class TapeError(LcsbError):
+    """A tape was swept a second time, or recorded onto after its sweep."""

@@ -286,9 +286,10 @@ class Model:
     def forward(self, tokens, plan=None) -> Tensor:
         """Logits of shape (len(tokens), vocab_size).
 
-        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` token ids.  ``plan``
-        is anything with a ``modes`` sequence, one block mode per layer;
-        ``None`` runs every block attached.
+        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` integer token ids;
+        other shapes and non-integer ids raise :class:`DimensionError`.
+        ``plan`` is anything with a ``modes`` sequence, one block mode per
+        layer; ``None`` runs every block attached.
         """
         cfg = self.config
         if plan is None:
@@ -297,12 +298,15 @@ class Model:
             modes = [_block_mode(m) for m in plan.modes]
         if len(modes) != cfg.n_layers:
             raise PlanError(f"plan covers {len(modes)} layers, model has {cfg.n_layers}")
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         if tokens.ndim != 1 or not 1 <= tokens.shape[0] <= cfg.seq_len:
             raise DimensionError(
                 f"tokens must be a 1-d sequence of 1 to seq_len={cfg.seq_len} ids, "
                 f"got shape {tokens.shape}"
             )
+        if not np.issubdtype(tokens.dtype, np.integer):
+            raise DimensionError(f"token ids must be integers, got dtype {tokens.dtype}")
+        tokens = tokens.astype(np.int64, copy=False)
         t = tokens.shape[0]
         # the position table is frozen, so its rows enter as a constant view
         h = ad.add(ad.embedding_lookup(self.embed, tokens), Tensor(self.pos.data[:t]))

@@ -1,4 +1,4 @@
-"""Engine-level tests: primitive values, paused recording, backward sweep, tape ownership."""
+"""Engine tests: primitive values and input checks, paused recording, the single backward sweep, tape ownership."""
 
 import sys
 import threading
@@ -10,7 +10,7 @@ import pytest
 
 import lcsb.autodiff as ad
 from lcsb.autodiff import Tape, Tensor, backward, paused
-from lcsb.errors import DimensionError, DivergenceError
+from lcsb.errors import DimensionError, DivergenceError, TapeError
 from lcsb.gradcheck import finite_difference_grad, micro_config
 from lcsb.model import init_model
 
@@ -19,6 +19,62 @@ def test_cross_entropy_uniform_logits_is_log_vocab():
     logits = Tensor(np.zeros((3, 32)))
     loss = ad.cross_entropy_logits(logits, np.array([0, 5, 31]))
     assert np.isclose(loss.item(), np.log(32), atol=1e-6)
+
+
+@pytest.mark.parametrize("targets", [[0, 5, -1], [0, 5, 32], [0.0, 5.0, 2.7], [True, False, True]],
+                         ids=["minus_one", "n_classes", "float", "bool"])
+def test_cross_entropy_rejects_targets_that_are_not_class_indices(targets):
+    # -1 would otherwise score the last class; the rest were bare numpy IndexErrors
+    logits = Tensor(np.zeros((3, 32)), requires_grad=True)
+    with Tape(), pytest.raises(DimensionError, match="targets? (must be integers|out of range)"):
+        ad.cross_entropy_logits(logits, np.array(targets))
+
+
+def test_cross_entropy_rejects_an_empty_batch():
+    # its mean would be nan, reported only by backward as a divergence
+    with pytest.raises(DimensionError, match="at least one row"):
+        ad.cross_entropy_logits(Tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64))
+
+
+def test_embedding_lookup_rejects_float_ids():
+    table = Tensor(np.ones((8, 2)), requires_grad=True)
+    with Tape(), pytest.raises(DimensionError, match="integers"):
+        ad.embedding_lookup(table, np.array([1.5, 2.0]))
+
+
+def test_rms_norm_gradients_are_float32_with_unchanged_bits():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((6, 16)), requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, 16), requires_grad=True)
+    w = rng.standard_normal((6, 16)).astype(np.float32)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.rms_norm(x, gain), Tensor(w)))
+    grads = backward(loss, tape)
+    # the same float32 arithmetic, cast to float32 at the end
+    xd, gd = x.data, gain.data
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xd, xd)[..., None] / np.float32(16)
+                        + np.float32(1e-5))
+    gp = w * gd
+    s = np.sum(gp * xd, axis=-1, keepdims=True)
+    want_x = (inv * gp - (inv ** 3) * xd * (s / 16)).astype(np.float32)
+    want_gain = np.sum(w * (xd * inv), axis=0).astype(np.float32)
+    assert grads[x].dtype == grads[gain].dtype == np.float32
+    assert grads[x].tobytes() == want_x.tobytes()
+    assert grads[gain].tobytes() == want_gain.tobytes()
+
+
+def test_lora_linear_matches_the_transposed_products_bit_for_bit():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((12, 32)).astype(np.float32)
+    w = rng.standard_normal((32, 48)).astype(np.float32)
+    a = rng.standard_normal((4, 32)).astype(np.float32)
+    b = rng.standard_normal((48, 4)).astype(np.float32)
+    out = ad.lora_linear(Tensor(x), Tensor(a), Tensor(b), 0.5, base=lambda: w)
+    xas = x @ a.T
+    xas *= np.float32(0.5)
+    want = x @ w
+    want += xas @ b.T
+    assert out.data.tobytes() == want.tobytes()
 
 
 def test_rms_norm_hand_value():
@@ -188,15 +244,76 @@ class TestBackward:
         assert grads[unused].shape == (3,)
 
     def test_backward_deterministic(self):
+        # a tape is swept once: two recordings of the same forward give the same bits
         rng = np.random.default_rng(3)
         a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        with Tape() as tape:
-            loss = ad.sum_all(ad.swiglu(ad.matmul(a, b), Tensor(np.ones((4, 4)))))
-        g1 = backward(loss, tape)
-        g2 = backward(loss, tape)
+
+        def grads():
+            with Tape() as tape:
+                loss = ad.sum_all(ad.swiglu(ad.matmul(a, b), Tensor(np.ones((4, 4)))))
+            return backward(loss, tape)
+
+        g1, g2 = grads(), grads()
         assert g1[a].tobytes() == g2[a].tobytes()
         assert g1[b].tobytes() == g2[b].tobytes()
+
+
+class TestSingleUseTape:
+    """``backward`` sweeps a tape once and frees each node's saved arrays as it goes."""
+
+    @staticmethod
+    def _swept():
+        theta = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul(theta, theta))
+        backward(loss, tape)
+        return theta, loss, tape
+
+    def test_second_sweep_raises(self):
+        _, loss, tape = self._swept()
+        with pytest.raises(TapeError, match="already been swept"):
+            backward(loss, tape)
+
+    def test_recording_onto_a_swept_tape_raises(self):
+        theta, _, tape = self._swept()
+        with tape, pytest.raises(TapeError, match="swept"):
+            ad.scale(theta, 2.0)
+        with Tape() as fresh:  # a new tape records the same parameter
+            ad.scale(theta, 2.0)
+        assert len(fresh.nodes) == 2
+
+    def test_node_count_is_kept_and_every_op_node_is_spent(self):
+        theta = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            ad.sum_all(ad.scale(theta, 5.0))  # on the tape, but not feeding the loss
+            loss = ad.sum_all(ad.mul(theta, theta))
+        recorded = len(tape.nodes)
+        backward(loss, tape)
+        assert len(tape.nodes) == recorded == 5
+        # the leaf keeps its ``None``; reached and unreached op nodes are spent alike
+        assert [fn is ad._spent for _, fn in tape.nodes] == [False, True, True, True, True]
+
+    def test_rejected_loss_leaves_the_tape_unswept(self):
+        theta = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            out = ad.scale(theta, 2.0)
+            loss = ad.sum_all(out)
+        with pytest.raises(DimensionError):
+            backward(out, tape)
+        assert backward(loss, tape)[theta].tolist() == [2.0, 2.0, 2.0]
+
+    def test_arrays_returned_by_a_backward_are_never_written(self):
+        # add hands one array to both w and v; w then takes two more terms
+        w = Tensor(np.ones(3), requires_grad=True)
+        v = Tensor(np.ones(3), requires_grad=True)
+        k = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        with Tape() as tape:
+            early = ad.add(ad.sum_all(ad.scale(w, 3.0)), ad.sum_all(ad.scale(w, 2.0)))
+            loss = ad.add(early, ad.sum_all(ad.mul(ad.add(w, v), Tensor(k))))
+        grads = backward(loss, tape)
+        assert grads[v].tolist() == k.tolist()
+        assert grads[w].tolist() == (k + 5.0).tolist()
 
 
 class TestFiniteDifference:

@@ -1,5 +1,6 @@
 """Model contracts: plans, detached gradients, dropped blocks, tape size, 4-bit bases, input and checkpoint checks."""
 
+import gc
 import re
 import tracemalloc
 from dataclasses import replace
@@ -148,6 +149,14 @@ def test_two_dimensional_tokens_raise():
         MODEL.forward(np.zeros((2, 3), dtype=np.int64))
 
 
+@pytest.mark.parametrize("tokens", [[1.5, 2.2, 3.9], [1.0, 2.0], np.array([True, False])],
+                         ids=["fractional", "integral_floats", "bool"])
+def test_non_integer_tokens_raise(tokens):
+    # a float cast would have run the logits of [1, 2, 3]
+    with pytest.raises(DimensionError, match="integers"):
+        MODEL.forward(tokens)
+
+
 QCFG = micro_q4_config()
 
 
@@ -240,6 +249,32 @@ def test_head_reads_the_embedding_in_place():
     assert init_bytes - held < model.embed.data.nbytes / 4
     logits = model.forward(np.arange(CFG.seq_len) % CFG.vocab_size)
     assert logits.shape == (CFG.seq_len, config.vocab_size)
+
+
+def test_backward_frees_the_tape_as_it_sweeps():
+    # the default model at T=32, every layer attached
+    model = init_model(lm.ModelConfig(seq_len=32), 0)
+    lora_bytes = sum(p.data.nbytes for p in model.trainable_params().values())  # 1088 KiB
+    tokens = np.arange(33) * 7 % model.config.vocab_size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(model.forward(tokens[:-1]), tokens[1:])
+        end_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = ad.backward(loss, tape)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained = end_forward - before  # about 2.1 MiB of activations on the tape
+    # a tape that kept every node until the sweep ended rose 1165 KiB above the
+    # forward's level, and still held 2216 KiB besides the gradients afterwards
+    assert peak - end_forward < lora_bytes
+    held_by_tape = after - before - sum(g.nbytes for g in grads.values())
+    assert held_by_tape < 0.1 * retained
+    assert len(tape.nodes) == 26 + 27 * 7 + 3  # the recorded count, kept after the sweep
 
 
 def test_models_loaded_from_one_state_share_no_buffers():
