@@ -6,8 +6,12 @@ gradients.  It provides the primitive set a small decoder-only
 transformer needs.  Three of them are fused so that a layer records few
 nodes and its tape keeps little: :func:`lora_linear` (a frozen projection
 plus its LoRA delta), :func:`causal_attention` (all heads of scaled,
-causally masked softmax attention) and :func:`swiglu` (``silu(gate) * up``,
-keeping only its two inputs), each with a hand-written backward.
+causally masked softmax attention, keeping q, k, v and two row statistics)
+and :func:`swiglu` (``silu(gate) * up``, keeping only its two inputs), each
+with a hand-written backward.  Where a node keeps less than its backward
+reads, the backward recomputes the rest with the forward's own operations:
+attention rebuilds its softmax probabilities from q, k and each query's max
+and sum, bit for bit, as FlashAttention's backward does.
 :func:`frozen_linear` and :func:`lora_linear` fetch their frozen base on
 each use, in the forward and again in the backward, so a compressed base
 stays compressed.  :func:`paused` stops recording for a block of code; it
@@ -313,9 +317,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     gain_data = gain.data
 
     def bw(g, needs):
+        # inv * gp - (inv ** 3) * x_data * (s / dim), float32 throughout, in
+        # two (T, d) buffers with the same IEEE operations
         gp = g * gain_data
         s = np.sum(gp * x_data, axis=-1, keepdims=True)
-        grad_x = inv * gp - (inv ** 3) * x_data * (s / dim)  # float32 throughout
+        grad_x = np.multiply(inv, gp, out=gp)
+        t = (inv ** 3) * x_data
+        t *= s / dim
+        grad_x -= t
         if not needs[1]:
             return (grad_x, None)
         # the normalized input is recomputed, not kept: gains are usually frozen
@@ -410,6 +419,8 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
             f"lora_linear shapes incompatible: x {x.shape}, base {w.shape}, "
             f"a {a.shape}, b {b.shape}"
         )
+    out = x_data @ w
+    del w  # a decompressed base is freed before the delta's arrays are formed
     # The adapters' transposes are copied to C order (rank * d each) for the
     # two forward products: OpenBLAS runs a product whose right operand is a
     # transposed view well below the plain layout's speed, and the values are
@@ -429,7 +440,6 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
             gx += gxa @ a_data
         return (gx, gxa.T @ x_data if needs[1] else None, g.T @ xas if needs[2] else None)
 
-    out = x_data @ w
     out += xas @ np.ascontiguousarray(b_data.T)
     return _finish(out, (x, a, b), bw)
 
@@ -456,6 +466,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     -1e9 is added to the scores of later positions before the softmax.  The
     output and dq, dk, dv of the backward are in the (T, d) layout of the
     inputs.
+
+    The node keeps q (scaled), k, v and each query's softmax max and sum,
+    (n_heads, 1, T) each, but not the (n_heads, T, T) probabilities: the
+    backward rebuilds them from the same inputs with the same operations in
+    the same order, so they are bit-identical to the forward's.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
@@ -480,20 +495,31 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     # fresh one per operation cost about 175 page faults per call and twice
     # the time (2-vCPU x86-64, one BLAS thread).
     qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
-    probs = kh @ qh.transpose(0, 2, 1)
-    probs += _causal_mask(t)
-    probs -= np.max(probs, axis=1, keepdims=True)
+
+    def scores():
+        s = kh @ qh.transpose(0, 2, 1)
+        s += _causal_mask(t)
+        return s
+
+    probs = scores()
+    row_max = np.max(probs, axis=1, keepdims=True)
+    probs -= row_max
     np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=1, keepdims=True)
+    row_sum = np.sum(probs, axis=1, keepdims=True)
+    probs /= row_sum
 
     def bw(g, needs):
+        probs = scores()  # the forward's probabilities, rebuilt bit for bit
+        probs -= row_max
+        np.exp(probs, out=probs)
+        probs /= row_sum
         gh = split(g)
         gv = merge(probs @ gh) if needs[2] else None
         if not (needs[0] or needs[1]):
             return (None, None, gv)
         # the scores' gradient probs * (gs - sum(gs * probs)), formed as
         # gs * probs - probs * sum(gs * probs): the second product overwrites
-        # probs, which only this node holds and needs no more
+        # the rebuilt probs, which are needed no more
         gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs
         gs *= probs
         gs -= np.multiply(probs, np.sum(gs, axis=1, keepdims=True), out=probs)
@@ -503,7 +529,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             gq *= c
         return (gq, merge(gs @ qh) if needs[1] else None, gv)
 
-    return _finish(merge(probs.transpose(0, 2, 1) @ vh), (q, k, v), bw)
+    out = merge(probs.transpose(0, 2, 1) @ vh)
+    del probs  # the node keeps only the row statistics
+    return _finish(out, (q, k, v), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:

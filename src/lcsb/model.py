@@ -18,8 +18,12 @@ records few tape nodes: each projection with a LoRA adapter is one
 heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
 ``causal_attention`` node, and the MLP's ``silu(gate) * up`` is one
 ``swiglu`` node that keeps only ``gate`` and ``up``.  An attached layer
-records at most 13 op nodes, plus one leaf per LoRA matrix.  The output
-head reads the embedding in place, through a transposed view.
+records at most 13 op nodes, plus one leaf per LoRA matrix.  What it
+retains for its backward is a few (T, d) and (T, d_ff) activations (the
+inputs of its norms, projections, attention and SwiGLU) and each query's
+softmax max and sum, never a (heads, T, T) array: about 0.95 MiB at the
+default T=128.  The output head reads the embedding in place, through a
+transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -37,6 +41,8 @@ what the tape records, so logits are bit-identical across such plans.
 
 from __future__ import annotations
 
+import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -83,8 +89,12 @@ class ModelConfig:
     def validate(self) -> None:
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size",
                      "seq_len", "lora_rank", "quant_group_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # a bool is an int to Python, but True layers is a mistake, not 1
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model must be divisible by n_heads ({self.d_model} mod {self.n_heads} != 0)"
@@ -93,8 +103,13 @@ class ModelConfig:
             raise ConfigError(
                 f"lora_rank must not exceed d_model ({self.lora_rank} > {self.d_model})"
             )
-        if self.lora_alpha <= 0:
-            raise ConfigError(f"lora_alpha must be positive, got {self.lora_alpha}")
+        alpha = self.lora_alpha
+        if (not isinstance(alpha, numbers.Real) or isinstance(alpha, bool)
+                or not math.isfinite(alpha) or alpha <= 0):
+            raise ConfigError(f"lora_alpha must be a finite positive number, got {alpha!r}")
+        if isinstance(self.lora_targets, str):  # "qv" would read as the sites q and v
+            raise ConfigError(f"lora_targets must be a sequence of site names, "
+                              f"not the string {self.lora_targets!r}")
         unknown = set(self.lora_targets) - set(ALL_LORA_TARGETS)
         if unknown:
             raise ConfigError(f"unknown lora targets {sorted(unknown)}")

@@ -18,11 +18,12 @@ nibble up.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CorruptionError, DimensionError
 
 
 @dataclass
@@ -48,11 +49,16 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
     """Quantize a float matrix to packed signed 4-bit codes, one scale per group of rows.
 
     A group whose values are all zero gets scale 1.0 so the codes stay
-    zero with no division by zero.
+    zero with no division by zero.  A group size that is not a positive
+    integer raises :class:`DimensionError`, and a NaN or infinite weight
+    :class:`CorruptionError`, since it has no code.
     """
     w = np.ascontiguousarray(w, dtype=np.float32)
     if w.ndim != 2:
         raise DimensionError(f"expected a weight matrix, got shape {w.shape}")
+    if (not isinstance(group_size, numbers.Integral) or isinstance(group_size, bool)
+            or group_size <= 0):
+        raise DimensionError(f"group_size must be a positive integer, got {group_size!r}")
     rows, cols = w.shape
     if rows % group_size != 0:
         raise DimensionError(
@@ -60,6 +66,8 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
         )
     grouped = w.reshape(rows // group_size, group_size, cols)
     scales = np.max(np.abs(grouped), axis=1) / np.float32(7.0)
+    if not np.isfinite(scales).all():  # a group's max is NaN or inf exactly when a value is
+        raise CorruptionError("cannot quantize a weight matrix with NaN or infinite values")
     scales = np.where(scales == 0.0, np.float32(1.0), scales).astype(np.float32)
     codes = np.clip(np.round(grouped / scales[:, None, :]), -8, 7)
     flat = codes.reshape(-1).astype(np.int8).view(np.uint8)  # two's complement bytes

@@ -121,6 +121,90 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
     assert out.data.nbytes <= kept < out.data.nbytes + 4096
 
 
+def test_rms_norm_backward_works_in_two_buffers():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, 128))  # frozen, as in the model
+    g = rng.standard_normal((128, 128)).astype(np.float32)
+    with Tape() as tape:
+        ad.rms_norm(x, gain)
+    _, bw = tape.nodes[-1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grad_x, grad_gain = bw(g, (True, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad_gain is None
+    # grad_x and one (T, d) temporary at a time; forming inv * gp - (inv ** 3)
+    # * x * (s / dim) out of place held four such arrays at once
+    assert peak - before < 3 * grad_x.nbytes
+
+
+def _split_heads(m, n_heads):
+    t, d = m.shape
+    return m.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(m):
+    h, t, d_h = m.shape
+    return m.transpose(1, 0, 2).reshape(t, h * d_h)
+
+
+def _attention_keeping_probs(q, k, v, n_heads, g):
+    """Output and dq, dk, dv of causal attention from probabilities kept in the forward."""
+    t, d = q.shape
+    c = np.float32(1.0 / np.sqrt(d // n_heads))
+    qh, kh, vh = (_split_heads(m, n_heads) for m in (q * c, k, v))
+    probs = kh @ qh.transpose(0, 2, 1)  # (head, key, query)
+    probs += ad._causal_mask(t)
+    probs -= np.max(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=1, keepdims=True)
+    out = _merge_heads(probs.transpose(0, 2, 1) @ vh)
+    gh = _split_heads(g, n_heads)
+    gs = vh @ gh.transpose(0, 2, 1)
+    gs *= probs
+    gs -= probs * np.sum(gs, axis=1, keepdims=True)
+    gq = _merge_heads(gs.transpose(0, 2, 1) @ kh)
+    gq *= c
+    return out, gq, _merge_heads(gs @ qh), _merge_heads(probs @ gh)
+
+
+@pytest.mark.parametrize("t", [1, 7, 128])
+def test_causal_attention_rebuilds_its_probabilities_bit_for_bit(t):
+    rng = np.random.default_rng(t)
+    q, k, v = (Tensor(rng.standard_normal((t, 128)), requires_grad=True) for _ in range(3))
+    g = rng.standard_normal((t, 128)).astype(np.float32)
+    with Tape() as tape:
+        out = ad.causal_attention(q, k, v, 4)
+        loss = ad.sum_all(ad.mul(out, Tensor(g)))  # the output's gradient is g exactly
+    grads = backward(loss, tape)
+    want = _attention_keeping_probs(q.data, k.data, v.data, 4, g)
+    for got, expected in zip((out.data, grads[q], grads[k], grads[v]), want):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_causal_attention_tape_keeps_no_probabilities():
+    rng = np.random.default_rng(8)
+    t, d, n_heads = 128, 128, 4
+    q, k, v = (Tensor(rng.standard_normal((t, d)), requires_grad=True) for _ in range(3))
+    ad._causal_mask(t)  # the cached mask is shared, not the node's
+    with Tape():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.causal_attention(q, k, v, n_heads)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    probs_bytes = n_heads * t * t * 4  # 256 KiB
+    # beyond the output and the scaled q: each query's softmax max and sum
+    # (4 KiB together) and a few Python objects, but no (heads, T, T) array
+    assert kept - out.data.nbytes - q.data.nbytes < probs_bytes // 16
+
+
 def test_causal_mask_is_cached_read_only():
     mask = ad._causal_mask(5)
     assert ad._causal_mask(5) is mask

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import lcsb.autodiff as ad
 import lcsb.model as lm
 from lcsb import gradcheck
-from lcsb.errors import CorruptionError, DimensionError, PlanError
+from lcsb.errors import ConfigError, CorruptionError, DimensionError, PlanError
 from lcsb.gradcheck import micro_config, micro_q4_config
-from lcsb.model import BlockMode, init_model
-from lcsb.quant import dequantize
+from lcsb.model import BlockMode, Linear, LoraAdapter, ModelConfig, init_model
+from lcsb.quant import dequantize, quantize_weights
 
 CFG = micro_config()
 ATTACHED, DETACHED, DROPPED = BlockMode.ATTACHED, BlockMode.DETACHED, BlockMode.DROPPED
@@ -122,6 +122,44 @@ def test_causal_attention_single_position_matches_reference():
     assert np.array_equal(out.data, v.data)
     assert np.array_equal(grads[v], weights)
     assert not grads[q].any() and not grads[k].any()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lora_alpha", float("nan")),  # gave NaN LoRA scales, silently
+    ("lora_alpha", float("inf")),
+    ("lora_alpha", 0.0),
+    ("d_model", 128.0),  # was a bare TypeError inside init_model
+    ("n_layers", True),  # built a 1-layer model
+    ("seq_len", "128"),
+    ("lora_targets", "qv"),  # built adapters on q and v, one per character
+])
+def test_bad_config_values_raise_config_error(field, value):
+    config = replace(ModelConfig(), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        config.validate()
+    with pytest.raises(ConfigError, match=field):
+        init_model(config, 0)
+
+
+def test_quantized_lora_forward_frees_its_base_before_the_delta():
+    rng = np.random.default_rng(3)
+    base = quantize_weights((rng.standard_normal((128, 256)) * 0.02).astype(np.float32), 32)
+    lora = LoraAdapter(a=ad.Tensor(rng.standard_normal((16, 128)), requires_grad=True),
+                       b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True),
+                       alpha=32.0, rank=16)
+    linear = Linear(None, lora, base)
+    x = ad.Tensor(rng.standard_normal((128, 128)), requires_grad=True)
+    with ad.Tape():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = linear(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the output and the (T, d_out) delta, plus the adapters' small copies;
+    # the 128 KiB decompressed base alongside them made it 3.2 outputs
+    assert peak - before < 2.5 * out.data.nbytes
 
 
 def test_wrong_length_plan_raises():

@@ -1,11 +1,13 @@
 """4-bit group quantization: packed layout, round-trip bounds and edge cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsb.errors import DimensionError
+from lcsb.errors import CorruptionError, DimensionError
 from lcsb.quant import dequantize, quantize_weights, unpack_codes
 
 
@@ -31,6 +33,24 @@ def test_linspace_hand_case():
 def test_group_size_must_divide_row_length():
     with pytest.raises(DimensionError, match="group_size"):
         quantize_weights(np.ones((10, 2), dtype=np.float32), group_size=4)
+
+
+@pytest.mark.parametrize("group_size", [0, -32])
+def test_group_size_must_be_positive(group_size):
+    # 0 was a bare ZeroDivisionError and -32 a bare ValueError from reshape
+    with pytest.raises(DimensionError, match="group_size must be a positive integer"):
+        quantize_weights(np.ones((64, 2), dtype=np.float32), group_size=group_size)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_raise_corruption(bad):
+    # they used to warn inside numpy and, with warnings off, give garbage codes
+    w = np.ones((32, 4), dtype=np.float32)
+    w[5, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptionError, match="NaN or infinite"):
+            quantize_weights(w, group_size=32)
 
 
 def test_codes_are_immutable():
