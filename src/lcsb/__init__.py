@@ -9,6 +9,10 @@ group quantization of the frozen base weights, and a finite-difference
 gradient check against an independent float64 re-implementation
 (``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs the full suite).
 
+Only the LoRA matrices train.  They and the activations are ``Tensor``
+objects; every frozen value (base weights, embedding, positions, norm
+gains) is a plain float32 array, or packed codes for a 4-bit base.
+
 A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
 (byte i holds code i and code i + ceil(n / 2), the flat-halves layout),
 plus one scale per group.  It is decompressed on each use: in the forward,

@@ -12,11 +12,13 @@ with a hand-written backward.  Where a node keeps less than its backward
 reads, the backward recomputes the rest with the forward's own operations:
 attention rebuilds its softmax probabilities from q, k and each query's max
 and sum, bit for bit, as FlashAttention's backward does.
-:func:`frozen_linear` and :func:`lora_linear` fetch their frozen base on
-each use, in the forward and again in the backward, so a compressed base
-stays compressed.  :func:`paused` stops recording for a block of code; it
-is the one way to cut a gradient, since what is computed inside is a
-constant to every tape.
+A :class:`Tensor` is a trainable matrix or an activation; a frozen value
+is a plain float32 array.  :func:`rms_norm` takes its gain as an array,
+and :func:`frozen_linear` and :func:`lora_linear` fetch their frozen base
+on each use, in the forward and again in the backward, so a compressed
+base stays compressed.  :func:`paused` stops recording for a block of
+code; it is the one way to cut a gradient, since what is computed inside
+is a constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -85,7 +87,8 @@ class Tensor:
     """An n-dimensional float32 value, optionally tracked on a tape.
 
     ``data`` is always a contiguous float32 ndarray.  ``requires_grad``
-    marks trainable leaves; a recorded output has it set too.  ``_tape``
+    marks trainable leaves; a recorded output has it set too.  A tensor
+    without it is a constant activation, such as a model's input.  ``_tape``
     and ``_node`` name the tape that recorded this tensor and its node
     there; they stay ``None`` on every tensor no tape produced.
     """
@@ -286,27 +289,12 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _finish(a.data * c, (a,), bw)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    ids = np.asarray(ids)
-    if table.data.ndim != 2:
-        raise DimensionError(f"embedding table must be 2-d, got {table.shape}")
-    if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise DimensionError(f"token ids must be integers, got dtype {ids.dtype}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise DimensionError(
-            f"token id out of range [0, {table.shape[0]}): {int(ids.min())}..{int(ids.max())}"
-        )
-    table_shape = table.shape
+def rms_norm(x: Tensor, gain: Array, eps: float = 1e-5) -> Tensor:
+    """``x / sqrt(mean(x ** 2) + eps) * gain`` over the last axis, as one node.
 
-    def bw(g, needs):
-        grad = np.zeros(table_shape, dtype=np.float32)
-        np.add.at(grad, ids, g)
-        return (grad,)
-
-    return _finish(table.data[ids], (table,), bw)
-
-
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+    ``gain`` is a frozen (d,) float32 array, not a tensor: only ``x`` gets a
+    gradient, and the node keeps ``x``, each row's inverse norm and the gain.
+    """
     if gain.shape != (x.shape[-1],):
         raise DimensionError(f"rms_norm gain shape {gain.shape} does not match {x.shape}")
     x_data = x.data
@@ -314,26 +302,21 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     # the sum of squares in one pass, with no (T, d) temporary
     sum_sq = np.einsum("...i,...i->...", x_data, x_data)[..., None]
     inv = 1.0 / np.sqrt(sum_sq / np.float32(dim) + np.float32(eps))
-    gain_data = gain.data
 
     def bw(g, needs):
         # inv * gp - (inv ** 3) * x_data * (s / dim), float32 throughout, in
         # two (T, d) buffers with the same IEEE operations
-        gp = g * gain_data
+        gp = g * gain
         s = np.sum(gp * x_data, axis=-1, keepdims=True)
         grad_x = np.multiply(inv, gp, out=gp)
         t = (inv ** 3) * x_data
         t *= s / dim
         grad_x -= t
-        if not needs[1]:
-            return (grad_x, None)
-        # the normalized input is recomputed, not kept: gains are usually frozen
-        grad_gain = np.sum(g * (x_data * inv), axis=tuple(range(g.ndim - 1)))
-        return (grad_x, grad_gain)
+        return (grad_x,)
 
     out = x_data * inv
-    out *= gain_data
-    return _finish(out, (x, gain), bw)
+    out *= gain
+    return _finish(out, (x,), bw)
 
 
 def _sigmoid(x: Array) -> Array:

@@ -128,12 +128,10 @@ def _primitive_cases(rng: np.random.Generator):
     factor = float(rng.uniform(0.5, 2.0))
     yield ad.scale, [t(shape)], {"factor": factor}, lambda d: d[0] * factor
 
-    ids = rng.integers(0, 6, size=7)  # repeats exercise accumulation
-    yield ad.embedding_lookup, [t((6, 5))], {"ids": ids}, lambda d: d[0][ids]
-
-    x = t((4, 6))
-    gain = t((6,), lo=0.5, hi=1.5)
-    yield ad.rms_norm, [x, gain], {"eps": 1e-5}, lambda d: _ref_rms_norm(d[0], d[1])
+    gain = rng.uniform(0.5, 1.5, size=6).astype(np.float32)  # frozen, as in the model
+    yield ad.rms_norm, [t((4, 6))], {"gain": gain, "eps": 1e-5}, (
+        lambda d: _ref_rms_norm(d[0], gain.astype(np.float64))
+    )
 
     yield ad.swiglu, [t(shape, lo=-3.0, hi=3.0), t(shape)], {}, (
         lambda d: _ref_silu(d[0]) * d[1]
@@ -217,40 +215,30 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
     """Float64 forward + cross entropy reading the model's live buffers.
 
     A 4-bit base is decompressed here from its codes and scales, in float64.
+    The LoRA scale is taken from the config, ``lora_alpha / lora_rank``.
     """
     cfg = model.config
-    head_dim = cfg.d_model // cfg.n_heads
-    t = len(tokens)
+    s = cfg.lora_alpha / cfg.lora_rank
 
     def linear(x, lin):
-        y = x @ (lin.w_t.astype(np.float64) if lin.quant is None else _ref_dequantize(lin.quant))
-        if lin.lora is not None:
-            la = lin.lora
-            y = y + (la.alpha / la.rank) * (
-                (x @ la.a.data.astype(np.float64).T) @ la.b.data.astype(np.float64).T
-            )
-        return y
+        w = lin.w_t.astype(np.float64) if lin.quant is None else _ref_dequantize(lin.quant)
+        if lin.lora is None:
+            return x @ w
+        a, b = (m.data.astype(np.float64) for m in (lin.lora.a, lin.lora.b))
+        return _ref_lora_linear(x, w, a, b, s)
 
-    mask = np.triu(np.full((t, t), float(np.float32(-1e9))), k=1)
-    h = model.embed.data.astype(np.float64)[tokens] + model.pos.data.astype(np.float64)[:t]
+    h = model.embed.astype(np.float64)[tokens] + model.pos.astype(np.float64)[:len(tokens)]
     for block in model.blocks:
-        x = _ref_rms_norm(h, block.norm_attn.data.astype(np.float64))
-        q, k, v = (linear(x, block.linears[s]) for s in ("q", "k", "v"))
-        heads = []
-        for hh in range(cfg.n_heads):
-            cols = slice(hh * head_dim, (hh + 1) * head_dim)
-            scores = q[:, cols] @ k[:, cols].T / math.sqrt(head_dim) + mask
-            heads.append(_ref_softmax(scores) @ v[:, cols])
-        a = h + linear(np.concatenate(heads, axis=-1), block.linears["o"])
-        x = _ref_rms_norm(a, block.norm_mlp.data.astype(np.float64))
+        x = _ref_rms_norm(h, block.norm_attn.astype(np.float64))
+        q, k, v = (linear(x, block.linears[site]) for site in ("q", "k", "v"))
+        a = h + linear(_ref_causal_attention(q, k, v, cfg.n_heads), block.linears["o"])
+        x = _ref_rms_norm(a, block.norm_mlp.astype(np.float64))
         mlp = linear(
             _ref_silu(linear(x, block.linears["gate"])) * linear(x, block.linears["up"]),
             block.linears["down"],
         )
         h = a + mlp
-    logits = _ref_rms_norm(h, model.norm_out.data.astype(np.float64)) @ (
-        model.embed.data.astype(np.float64).T
-    )
+    logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ model.embed.astype(np.float64).T
     return _ref_cross_entropy(logits, targets)
 
 

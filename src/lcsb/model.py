@@ -1,8 +1,10 @@
 """A nano decoder-only transformer with LoRA adapters on frozen base weights.
 
 Per layer: pre-RMSNorm causal multi-head attention and a SwiGLU MLP, each
-with a residual add.  Only the LoRA matrices are trainable; base weights,
-embeddings, norms, and the weight-tied output head are frozen.
+with a residual add.  Only the LoRA matrices are trainable, and they are the
+model's only :class:`~lcsb.autodiff.Tensor` objects.  Everything frozen (base
+weights, embeddings, norm gains and the weight-tied output head, which reads
+the embedding) is a plain float32 array.
 
 The base projections can be 4-bit quantized at init.  A quantized base is
 then held only as codes packed two to a byte (4 bits per weight, in the
@@ -123,16 +125,16 @@ class ModelConfig:
 
 @dataclass
 class LoraAdapter:
-    """Trainable low-rank delta ``(alpha / rank) * B @ A``; B starts at zero.
+    """Trainable low-rank delta ``scale * B @ A``; B starts at zero.
 
     A and B are stored as (rank, d_in) and (d_out, rank) and used in place
     by :func:`lcsb.autodiff.lora_linear`; no step copies or transposes them.
+    ``scale`` is ``alpha / rank`` of the config.
     """
 
     a: Tensor  # (rank, d_in)
     b: Tensor  # (d_out, rank)
-    alpha: float
-    rank: int
+    scale: float
 
 
 class Linear:
@@ -163,11 +165,11 @@ class Linear:
         lora = self.lora
         if lora is None:
             return ad.frozen_linear(x, base=self.base)
-        return ad.lora_linear(x, lora.a, lora.b, lora.alpha / lora.rank, base=self.base)
+        return ad.lora_linear(x, lora.a, lora.b, lora.scale, base=self.base)
 
 
 class _Block:
-    def __init__(self, linears: dict, norm_attn: Tensor, norm_mlp: Tensor):
+    def __init__(self, linears: dict, norm_attn: np.ndarray, norm_mlp: np.ndarray):
         self.linears = linears
         self.norm_attn = norm_attn
         self.norm_mlp = norm_mlp
@@ -190,9 +192,9 @@ class Model:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.embed: Tensor | None = None
-        self.pos: Tensor | None = None
-        self.norm_out: Tensor | None = None
+        self.embed: np.ndarray | None = None
+        self.pos: np.ndarray | None = None
+        self.norm_out: np.ndarray | None = None
         self.blocks: list[_Block] = []
 
     # -- parameter access --------------------------------------------------
@@ -217,11 +219,11 @@ class Model:
 
     def state_arrays(self) -> dict:
         """Name -> ndarray of everything a checkpoint must persist."""
-        out = {"embed.weight": self.embed.data, "embed.pos": self.pos.data}
+        out = {"embed.weight": self.embed, "embed.pos": self.pos}
         for i, block in enumerate(self.blocks):
             prefix = f"layers.{i}"
-            out[f"{prefix}.norm_attn.gain"] = block.norm_attn.data
-            out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp.data
+            out[f"{prefix}.norm_attn.gain"] = block.norm_attn
+            out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp
             for site, lin in block.linears.items():
                 if lin.quant is not None:
                     out[f"{prefix}.{site}.q4"] = lin.quant.packed
@@ -231,7 +233,7 @@ class Model:
                 if lin.lora is not None:
                     out[f"{prefix}.{site}.lora_a"] = lin.lora.a.data
                     out[f"{prefix}.{site}.lora_b"] = lin.lora.b.data
-        out["norm_out.gain"] = self.norm_out.data
+        out["norm_out.gain"] = self.norm_out
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
@@ -241,8 +243,8 @@ class Model:
         same shapes, finite float arrays, and 4-bit codes as packed uint8
         bytes.  Otherwise :class:`CorruptionError` names the first bad
         key, and nothing has been overwritten.  The model keeps no reference
-        to the caller's arrays, and its parameter tensors stay the same
-        objects.
+        to the caller's arrays, and its float arrays and LoRA tensors stay the
+        same objects.
         """
         expected = self.state_arrays()
         unknown = sorted(set(arrays) - set(expected))
@@ -301,8 +303,9 @@ class Model:
     def forward(self, tokens, plan=None) -> Tensor:
         """Logits of shape (len(tokens), vocab_size).
 
-        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` integer token ids;
-        other shapes and non-integer ids raise :class:`DimensionError`.
+        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` integer token ids in
+        ``[0, vocab_size)``; other shapes, non-integer ids and ids out of range
+        raise :class:`DimensionError`.
         ``plan`` is anything with a ``modes`` sequence, one block mode per
         layer; ``None`` runs every block attached.
         """
@@ -321,14 +324,17 @@ class Model:
             )
         if not np.issubdtype(tokens.dtype, np.integer):
             raise DimensionError(f"token ids must be integers, got dtype {tokens.dtype}")
-        tokens = tokens.astype(np.int64, copy=False)
-        t = tokens.shape[0]
-        # the position table is frozen, so its rows enter as a constant view
-        h = ad.add(ad.embedding_lookup(self.embed, tokens), Tensor(self.pos.data[:t]))
+        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:  # -1 would index the last row
+            raise DimensionError(
+                f"token id out of range [0, {cfg.vocab_size}): "
+                f"{int(tokens.min())}..{int(tokens.max())}"
+            )
+        # the embedding and positions are frozen, so the first activation is a constant
+        h = Tensor(self.embed[tokens] + self.pos[:tokens.shape[0]])
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
         # the weight-tied head reads the frozen embedding through a transposed view
-        return ad.frozen_linear(ad.rms_norm(h, self.norm_out), base=lambda: self.embed.data.T)
+        return ad.frozen_linear(ad.rms_norm(h, self.norm_out), base=lambda: self.embed.T)
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -346,8 +352,8 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     def gauss(shape, std):
         return (rng.standard_normal(shape) * std).astype(np.float32)
 
-    model.embed = Tensor(gauss((config.vocab_size, config.d_model), 0.02))
-    model.pos = Tensor(gauss((config.seq_len, config.d_model), 0.02))
+    model.embed = gauss((config.vocab_size, config.d_model), 0.02)
+    model.pos = gauss((config.seq_len, config.d_model), 0.02)
     for _ in range(config.n_layers):
         linears = {}
         for site in ALL_LORA_TARGETS:
@@ -365,14 +371,13 @@ def init_model(config: ModelConfig, seed: int) -> Model:
                     a=Tensor(a_init, requires_grad=True),
                     b=Tensor(np.zeros((d_out, config.lora_rank), dtype=np.float32),
                              requires_grad=True),
-                    alpha=config.lora_alpha,
-                    rank=config.lora_rank,
+                    scale=config.lora_alpha / config.lora_rank,
                 )
             linears[site] = Linear(w_t, lora, quant)
         model.blocks.append(_Block(
             linears=linears,
-            norm_attn=Tensor(np.ones(config.d_model, dtype=np.float32)),
-            norm_mlp=Tensor(np.ones(config.d_model, dtype=np.float32)),
+            norm_attn=np.ones(config.d_model, dtype=np.float32),
+            norm_mlp=np.ones(config.d_model, dtype=np.float32),
         ))
-    model.norm_out = Tensor(np.ones(config.d_model, dtype=np.float32))
+    model.norm_out = np.ones(config.d_model, dtype=np.float32)
     return model

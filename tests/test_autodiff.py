@@ -36,31 +36,23 @@ def test_cross_entropy_rejects_an_empty_batch():
         ad.cross_entropy_logits(Tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64))
 
 
-def test_embedding_lookup_rejects_float_ids():
-    table = Tensor(np.ones((8, 2)), requires_grad=True)
-    with Tape(), pytest.raises(DimensionError, match="integers"):
-        ad.embedding_lookup(table, np.array([1.5, 2.0]))
-
-
 def test_rms_norm_gradients_are_float32_with_unchanged_bits():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((6, 16)), requires_grad=True)
-    gain = Tensor(rng.uniform(0.5, 1.5, 16), requires_grad=True)
+    gain = rng.uniform(0.5, 1.5, 16).astype(np.float32)
     w = rng.standard_normal((6, 16)).astype(np.float32)
     with Tape() as tape:
         loss = ad.sum_all(ad.mul(ad.rms_norm(x, gain), Tensor(w)))
     grads = backward(loss, tape)
     # the same float32 arithmetic, cast to float32 at the end
-    xd, gd = x.data, gain.data
+    xd, gd = x.data, gain
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xd, xd)[..., None] / np.float32(16)
                         + np.float32(1e-5))
     gp = w * gd
     s = np.sum(gp * xd, axis=-1, keepdims=True)
     want_x = (inv * gp - (inv ** 3) * xd * (s / 16)).astype(np.float32)
-    want_gain = np.sum(w * (xd * inv), axis=0).astype(np.float32)
-    assert grads[x].dtype == grads[gain].dtype == np.float32
+    assert grads[x].dtype == np.float32
     assert grads[x].tobytes() == want_x.tobytes()
-    assert grads[gain].tobytes() == want_gain.tobytes()
 
 
 def test_lora_linear_matches_the_transposed_products_bit_for_bit():
@@ -79,7 +71,7 @@ def test_lora_linear_matches_the_transposed_products_bit_for_bit():
 
 def test_rms_norm_hand_value():
     # x = (3, 4), unit gain, eps=0: x / sqrt(mean(x^2)) = x / sqrt(12.5)
-    out = ad.rms_norm(Tensor([3.0, 4.0]), Tensor([1.0, 1.0]), eps=0.0)
+    out = ad.rms_norm(Tensor([3.0, 4.0]), np.ones(2, dtype=np.float32), eps=0.0)
     np.testing.assert_allclose(out.data, [0.84852814, 1.13137085], atol=1e-6)
 
 
@@ -124,7 +116,7 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
 def test_rms_norm_backward_works_in_two_buffers():
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
-    gain = Tensor(rng.uniform(0.5, 1.5, 128))  # frozen, as in the model
+    gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)  # frozen, as in the model
     g = rng.standard_normal((128, 128)).astype(np.float32)
     with Tape() as tape:
         ad.rms_norm(x, gain)
@@ -132,11 +124,10 @@ def test_rms_norm_backward_works_in_two_buffers():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        grad_x, grad_gain = bw(g, (True, False))
+        (grad_x,) = bw(g, (True,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grad_gain is None
     # grad_x and one (T, d) temporary at a time; forming inv * gp - (inv ** 3)
     # * x * (s / dim) out of place held four such arrays at once
     assert peak - before < 3 * grad_x.nbytes

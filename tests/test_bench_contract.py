@@ -1,0 +1,46 @@
+"""The library names the step benchmark's tracer patches are still there and still called.
+
+``stepbench/tracing.instrument`` wraps ``Model.forward``,
+``Model.block_forward(h, layer_index, mode)``, ``autodiff.backward`` and the
+``quantize_weights``/``dequantize`` that ``lcsb.model`` imports.  A refactor
+that renames or moves one of them breaks only the benchmark; these tests
+break with it.  ``stepbench`` is imported by path and not changed.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "stepbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"stepbench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+harness = _load("harness")
+tracing = _load("tracing")
+
+
+@pytest.mark.parametrize("name", sorted(harness.WORKLOADS))
+def test_one_traced_step_opens_the_benchmark_spans(name):
+    workload = harness.WORKLOADS[name]
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        trainer = harness.Trainer(workload, 0, harness.token_stream(0, 4 * workload.seq_len))
+        tracer.step = 0
+        trainer.step(tracer.span)
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count("model.forward") == 1
+    assert spans.count("autodiff.backward") == 1
+    assert spans.count("model.block_attached") == workload.attached
+    assert spans.count("model.block_detached") == trainer.n_layers - workload.attached
+    if workload.quantize:
+        assert "quant.quantize_weights" in spans
+        assert "quant.dequantize" in spans

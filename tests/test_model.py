@@ -146,7 +146,7 @@ def test_quantized_lora_forward_frees_its_base_before_the_delta():
     base = quantize_weights((rng.standard_normal((128, 256)) * 0.02).astype(np.float32), 32)
     lora = LoraAdapter(a=ad.Tensor(rng.standard_normal((16, 128)), requires_grad=True),
                        b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True),
-                       alpha=32.0, rank=16)
+                       scale=2.0)
     linear = Linear(None, lora, base)
     x = ad.Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     with ad.Tape():
@@ -193,6 +193,42 @@ def test_non_integer_tokens_raise(tokens):
     # a float cast would have run the logits of [1, 2, 3]
     with pytest.raises(DimensionError, match="integers"):
         MODEL.forward(tokens)
+
+
+@pytest.mark.parametrize("token", [-1, CFG.vocab_size], ids=["minus_one", "vocab_size"])
+def test_out_of_range_tokens_raise(token):
+    # plain indexing would have read the embedding's last row for -1, silently
+    with pytest.raises(DimensionError, match=rf"out of range \[0, {CFG.vocab_size}\)"):
+        MODEL.forward([1, token])
+
+
+def _tensors_held(obj, seen):
+    """Every Tensor reachable from ``obj`` through containers and lcsb objects' fields."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, ad.Tensor):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _tensors_held(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _tensors_held(value, seen)
+    elif type(obj).__module__.startswith("lcsb."):
+        yield from _tensors_held(vars(obj), seen)
+
+
+@pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
+def test_only_lora_matrices_are_tensors(quantize):
+    model = init_model(micro_q4_config() if quantize else CFG, 0)
+    trainable = model.trainable_params()
+    for name, array in model.state_arrays().items():
+        if name not in trainable:
+            assert type(array) is np.ndarray, name
+    held = {id(t) for t in _tensors_held(model, set())}
+    assert held == {id(t) for t in trainable.values()}
+    assert all(t.requires_grad for t in trainable.values())
 
 
 QCFG = micro_q4_config()
@@ -284,7 +320,7 @@ def test_head_reads_the_embedding_in_place():
     assert not hasattr(model, "_emb_t")
     held = sum(a.nbytes for a in model.state_arrays().values())
     # Python objects take some KiB; a transposed copy of the embedding would take 256 KiB
-    assert init_bytes - held < model.embed.data.nbytes / 4
+    assert init_bytes - held < model.embed.nbytes / 4
     logits = model.forward(np.arange(CFG.seq_len) % CFG.vocab_size)
     assert logits.shape == (CFG.seq_len, config.vocab_size)
 
