@@ -12,6 +12,29 @@ with a hand-written backward.  Where a node keeps less than its backward
 reads, the backward recomputes the rest with the forward's own operations:
 attention rebuilds its softmax probabilities from q, k and each query's max
 and sum, bit for bit, as FlashAttention's backward does.
+
+What each node keeps for its backward:
+
+* ``rms_norm``: its input, each row's inverse norm and the gain;
+* ``swiglu``: its two inputs;
+* ``causal_attention``: the scaled q, k, v and each query's softmax max and sum;
+* ``lora_linear``: the adapters, the (n, rank) product ``s * x @ a.T`` and
+  the means to form ``x`` for dA (see below);
+* ``frozen_linear``: only the function that fetches its base;
+* ``cross_entropy_logits``: its softmax probabilities;
+* ``matmul`` and ``mul``: both inputs.
+
+One rule decides how ``lora_linear`` holds ``x``.  An output of
+``rms_norm`` or ``swiglu`` that a tape recorded carries a rebuild: a
+zero-argument function that repeats the forward's float32 operations on
+arrays its node keeps anyway, so it costs no matmul and returns the same
+bits.  ``lora_linear`` keeps that rebuild if its input offers one, and the
+input array otherwise, and calls the rebuild in the backward only for dA.
+An attached layer thus holds neither its normalized inputs nor its SwiGLU
+output through the step; this is selective activation recomputation
+(Korthikanti et al. 2022) where it needs no matmul.  An output made under
+:func:`paused` carries no rebuild.
+
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 is a plain float32 array.  :func:`rms_norm` takes its gain as an array,
 and :func:`frozen_linear` and :func:`lora_linear` fetch their frozen base
@@ -41,6 +64,7 @@ Everything is float32 and single-threaded per tape.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -90,7 +114,11 @@ class Tensor:
     marks trainable leaves; a recorded output has it set too.  A tensor
     without it is a constant activation, such as a model's input.  ``_tape``
     and ``_node`` name the tape that recorded this tensor and its node
-    there; they stay ``None`` on every tensor no tape produced.
+    there; they stay ``None`` on every tensor no tape produced.  ``_rebuild``
+    is ``None`` too, unless the recorded node can form ``data`` again from
+    the arrays it keeps anyway: then it is a zero-argument function that
+    returns a fresh array equal to ``data`` bit for bit.  So the ``data``
+    of a recorded output is not to be written in place.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -101,6 +129,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._tape: Tape | None = None
         self._node: int | None = None
+        self._rebuild: Callable[[], Array] | None = None
 
     @property
     def shape(self) -> tuple:
@@ -158,12 +187,15 @@ class Tape:
         return len(self.nodes) - 1
 
 
-def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable,
+            rebuild: Callable[[], Array] | None = None) -> Tensor:
     """Wrap a forward result, recording a node if any input is tracked.
 
     ``backward_fn(g, needs)`` maps the output gradient to one gradient per
     input; ``needs[i]`` is False when input ``i`` has no node on the tape,
-    and its gradient may then be ``None``.
+    and its gradient may then be ``None``.  ``rebuild`` re-forms
+    ``out_data`` from what ``backward_fn`` keeps; it is attached to the
+    output only when the node is recorded.
     """
     out = Tensor(out_data)
     tape = _active_tape()
@@ -172,6 +204,7 @@ def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) ->
         out.requires_grad = True
         out._tape = tape
         out._node = tape._record(handles, backward_fn)
+        out._rebuild = rebuild
     return out
 
 
@@ -292,9 +325,11 @@ def scale(a: Tensor, factor: float) -> Tensor:
 def rms_norm(x: Tensor, gain: Array, eps: float = 1e-5) -> Tensor:
     """``x / sqrt(mean(x ** 2) + eps) * gain`` over the last axis, as one node.
 
-    ``gain`` is a frozen (d,) float32 array, not a tensor: only ``x`` gets a
-    gradient, and the node keeps ``x``, each row's inverse norm and the gain.
+    ``gain`` is a frozen (d,) array, not a tensor, and is read as float32:
+    only ``x`` gets a gradient, and the node keeps ``x``, each row's inverse
+    norm and the gain.  A recorded output carries a rebuild from those three.
     """
+    gain = np.asarray(gain, dtype=np.float32)
     if gain.shape != (x.shape[-1],):
         raise DimensionError(f"rms_norm gain shape {gain.shape} does not match {x.shape}")
     x_data = x.data
@@ -314,9 +349,12 @@ def rms_norm(x: Tensor, gain: Array, eps: float = 1e-5) -> Tensor:
         grad_x -= t
         return (grad_x,)
 
-    out = x_data * inv
-    out *= gain
-    return _finish(out, (x,), bw)
+    def normalized():
+        out = x_data * inv
+        out *= gain
+        return out
+
+    return _finish(normalized(), (x,), bw, normalized)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -337,7 +375,8 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     """``silu(gate) * up`` with ``silu(x) = x * sigmoid(x)``, as one node.
 
     The node keeps only its two inputs: the backward recomputes the
-    sigmoid rather than holding it or ``silu(gate)``.
+    sigmoid rather than holding it or ``silu(gate)``.  A recorded output
+    carries a rebuild from the two inputs.
     """
     if gate.shape != up.shape:
         raise DimensionError(f"swiglu shapes differ: {gate.shape} vs {up.shape}")
@@ -359,10 +398,13 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
             g_gate *= sig
         return (g_gate, g_up)
 
-    out = _sigmoid(gate_data)
-    out *= gate_data
-    out *= up_data
-    return _finish(out, (gate, up), bw)
+    def gated():
+        out = _sigmoid(gate_data)
+        out *= gate_data
+        out *= up_data
+        return out
+
+    return _finish(gated(), (gate, up), bw, gated)
 
 
 def frozen_linear(x: Tensor, *, base: Callable[[], Array]) -> Tensor:
@@ -374,6 +416,8 @@ def frozen_linear(x: Tensor, *, base: Callable[[], Array]) -> Tensor:
     x_data, w = x.data, base()
     if x_data.ndim != 2 or w.ndim != 2 or w.shape[0] != x_data.shape[1]:
         raise DimensionError(f"frozen_linear shapes incompatible: x {x.shape}, base {w.shape}")
+    if w.dtype != np.float32:
+        raise DimensionError(f"frozen_linear base must be float32, got {w.dtype}")
 
     def bw(g, needs):
         return (g @ base().T,)
@@ -392,7 +436,8 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
     on each use and never held in float by the tape.  The backward works
     through the (n, rank) intermediate and never forms the dense
     ``w + s * (b @ a).T``; it returns dx, dA and dB, each only when that
-    input has a node.
+    input has a node.  Only dA reads ``x``: the node keeps ``x``'s rebuild
+    when its producer offers one, and ``x`` itself otherwise.
     """
     x_data, w, a_data, b_data = x.data, base(), a.data, b.data
     if (x_data.ndim != 2 or w.ndim != 2 or a_data.ndim != 2
@@ -402,6 +447,9 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
             f"lora_linear shapes incompatible: x {x.shape}, base {w.shape}, "
             f"a {a.shape}, b {b.shape}"
         )
+    if w.dtype != np.float32:
+        raise DimensionError(f"lora_linear base must be float32, got {w.dtype}")
+    x_values = x._rebuild or (lambda: x_data)
     out = x_data @ w
     del w  # a decompressed base is freed before the delta's arrays are formed
     # The adapters' transposes are copied to C order (rank * d each) for the
@@ -421,7 +469,7 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
         if needs[0]:
             gx = g @ base().T
             gx += gxa @ a_data
-        return (gx, gxa.T @ x_data if needs[1] else None, g.T @ xas if needs[2] else None)
+        return (gx, gxa.T @ x_values() if needs[1] else None, g.T @ xas if needs[2] else None)
 
     out += xas @ np.ascontiguousarray(b_data.T)
     return _finish(out, (x, a, b), bw)
@@ -460,6 +508,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             f"causal_attention expects equal (T, d) inputs, got {q.shape}, {k.shape}, {v.shape}"
         )
     t, d = q.shape
+    if not isinstance(n_heads, numbers.Integral) or isinstance(n_heads, bool):
+        raise DimensionError(f"causal_attention: n_heads must be an int, got {n_heads!r}")
     if n_heads <= 0 or d % n_heads != 0:
         raise DimensionError(f"causal_attention: {n_heads} heads do not divide d={d}")
     d_h = d // n_heads

@@ -22,10 +22,11 @@ heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
 ``swiglu`` node that keeps only ``gate`` and ``up``.  An attached layer
 records at most 13 op nodes, plus one leaf per LoRA matrix.  What it
 retains for its backward is a few (T, d) and (T, d_ff) activations (the
-inputs of its norms, projections, attention and SwiGLU) and each query's
-softmax max and sum, never a (heads, T, T) array: about 0.95 MiB at the
-default T=128.  The output head reads the embedding in place, through a
-transposed view.
+inputs of its norms, attention and SwiGLU, and the attention's output) and
+each query's softmax max and sum, never a (heads, T, T) array: about
+0.70 MiB at the default T=128.  The projections that read a norm's or the
+SwiGLU's output keep a rebuild of it instead of the array.  The output
+head reads the embedding in place, through a transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -275,16 +276,28 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _attention(self, x: Tensor, block: _Block) -> Tensor:
-        q = block.linears["q"](x)
-        k = block.linears["k"](x)
-        v = block.linears["v"](x)
-        return block.linears["o"](ad.causal_attention(q, k, v, self.config.n_heads))
+    # The branches drop each intermediate after its last use.  In a detached
+    # block nothing else holds them, and in an attached one the tape keeps
+    # only what its backward needs, so neither holds an array longer than
+    # the branch must.
 
-    def _mlp(self, x: Tensor, block: _Block) -> Tensor:
-        gate = block.linears["gate"](x)
-        up = block.linears["up"](x)
-        return block.linears["down"](ad.swiglu(gate, up))
+    def _attention(self, h: Tensor, block: _Block) -> Tensor:
+        lin = block.linears
+        x = ad.rms_norm(h, block.norm_attn)
+        q, k, v = lin["q"](x), lin["k"](x), lin["v"](x)
+        del x
+        heads = ad.causal_attention(q, k, v, self.config.n_heads)
+        del q, k, v
+        return lin["o"](heads)
+
+    def _mlp(self, h: Tensor, block: _Block) -> Tensor:
+        lin = block.linears
+        x = ad.rms_norm(h, block.norm_mlp)
+        gate, up = lin["gate"](x), lin["up"](x)
+        del x
+        hidden = ad.swiglu(gate, up)
+        del gate, up
+        return lin["down"](hidden)
 
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
         """One residual block in the requested gradient mode."""
@@ -294,10 +307,10 @@ class Model:
         block = self.blocks[layer_index]
         branch = ad.paused if mode is BlockMode.DETACHED else nullcontext
         with branch():
-            attn = self._attention(ad.rms_norm(h, block.norm_attn), block)
+            attn = self._attention(h, block)
         a = ad.add(h, attn)
         with branch():
-            mlp = self._mlp(ad.rms_norm(a, block.norm_mlp), block)
+            mlp = self._mlp(a, block)
         return ad.add(a, mlp)
 
     def forward(self, tokens, plan=None) -> Tensor:

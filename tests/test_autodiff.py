@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import lcsb.autodiff as ad
 from lcsb.autodiff import Tape, Tensor, backward, paused
 from lcsb.errors import DimensionError, DivergenceError, TapeError
-from lcsb.gradcheck import finite_difference_grad, micro_config
+from lcsb.gradcheck import _ref_rms_norm, finite_difference_grad, micro_config
 from lcsb.model import init_model
 
 
@@ -205,6 +206,109 @@ def test_causal_mask_is_cached_read_only():
     assert set(np.unique(mask)) == {np.float32(-1e9), np.float32(0.0)}
 
 
+@pytest.mark.parametrize("n_heads", [2.0, True], ids=["float", "bool"])
+def test_causal_attention_rejects_a_head_count_that_is_not_an_int(n_heads):
+    # both were bare TypeErrors from numpy
+    q = Tensor(np.ones((3, 8)))
+    with pytest.raises(DimensionError, match="n_heads must be an int"):
+        ad.causal_attention(q, q, q, n_heads)
+
+
+@pytest.mark.parametrize("op", ["lora_linear", "frozen_linear"])
+def test_linears_reject_a_base_that_is_not_float32(op):
+    # a float64 base made a float64 dx
+    x = Tensor(np.ones((2, 4)), requires_grad=True)
+    w = np.ones((4, 3))
+    with Tape(), pytest.raises(DimensionError, match="float64"):
+        if op == "lora_linear":
+            ad.lora_linear(x, Tensor(np.ones((2, 4)), requires_grad=True),
+                           Tensor(np.zeros((3, 2)), requires_grad=True), 1.0, base=lambda: w)
+        else:
+            ad.frozen_linear(x, base=lambda: w)
+
+
+@pytest.mark.parametrize("as_given", [lambda gain: gain, lambda gain: gain.tolist()],
+                         ids=["float64", "list"])
+def test_rms_norm_reads_any_gain_as_float32(as_given):
+    # a float64 gain made a float64 gradient, and a list one an AttributeError
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+    gain = rng.uniform(0.5, 1.5, 8)
+    w = Tensor(rng.standard_normal((3, 8)))
+
+    def value_and_grad(gain):
+        with Tape() as tape:
+            out = ad.rms_norm(x, gain)
+            loss = ad.sum_all(ad.mul(out, w))
+        return out.data, backward(loss, tape)[x]
+
+    got = value_and_grad(as_given(gain))
+    want = value_and_grad(gain.astype(np.float32))
+    assert got[1].dtype == np.float32
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, want))
+    # the model's gains are all ones, so only here is the value's gain checked
+    np.testing.assert_allclose(got[0], _ref_rms_norm(x.data.astype(np.float64), gain), rtol=1e-5)
+
+
+def _producer(name, rng, t):
+    """Tracked inputs of ``rms_norm`` or ``swiglu`` at length ``t``, and the call on them."""
+    if name == "rms_norm":
+        x = Tensor(rng.standard_normal((t, 32)), requires_grad=True)
+        gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
+        return (x,), lambda: ad.rms_norm(x, gain)
+    gate, up = (Tensor(rng.standard_normal((t, 32)), requires_grad=True) for _ in range(2))
+    return (gate, up), lambda: ad.swiglu(gate, up)
+
+
+def _adapter(rng):
+    """A (32 -> 24) base and a rank-4 adapter with a nonzero B."""
+    w = rng.standard_normal((32, 24)).astype(np.float32)
+    a = Tensor(rng.standard_normal((4, 32)), requires_grad=True)
+    b = Tensor(rng.standard_normal((24, 4)), requires_grad=True)
+    return w, a, b
+
+
+@pytest.mark.parametrize("t", [1, 7, 128])
+@pytest.mark.parametrize("producer", ["rms_norm", "swiglu"])
+def test_lora_linear_gradients_from_a_rebuilt_input_are_unchanged(producer, t):
+    rng = np.random.default_rng(t)
+    inputs, produce = _producer(producer, rng, t)
+    w, a, b = _adapter(rng)
+    g = Tensor(rng.standard_normal((t, 24)))
+
+    def grads(copy):
+        with Tape() as tape:
+            y = produce()
+            assert y._rebuild is not None
+            if copy:  # the same values, in an output that offers no rebuild
+                y = ad.mul(y, Tensor(np.ones(y.shape)))
+                assert y._rebuild is None
+            out = ad.lora_linear(y, a, b, 0.5, base=lambda: w)
+            loss = ad.sum_all(ad.mul(out, g))
+        return backward(loss, tape)
+
+    got, want = grads(False), grads(True)
+    for p in (*inputs, a, b):
+        assert got[p].tobytes() == want[p].tobytes()
+
+
+@pytest.mark.parametrize("producer, kept", [("rms_norm", False), ("swiglu", False), ("mul", True)])
+def test_lora_linear_keeps_its_input_only_without_a_rebuild(producer, kept):
+    rng = np.random.default_rng(10)
+    w, a, b = _adapter(rng)
+    if producer == "mul":
+        x = Tensor(rng.standard_normal((16, 32)), requires_grad=True)
+        produce = lambda: ad.mul(x, x)  # noqa: E731
+    else:
+        _, produce = _producer(producer, rng, 16)
+    with Tape():
+        y = produce()
+        array = weakref.ref(y.data)
+        ad.lora_linear(y, a, b, 0.5, base=lambda: w)
+        del y
+        assert (array() is not None) == kept
+
+
 class TestDetach:
     """A value computed under ``paused()`` is a constant: the one way to cut a gradient."""
 
@@ -245,6 +349,16 @@ class TestDetach:
             loss = ad.sum_all(y)
         grads = backward(loss, tape)
         np.testing.assert_array_equal(grads[x], np.ones(6, dtype=np.float32))
+
+    def test_paused_outputs_carry_no_rebuild(self):
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 4)), requires_grad=True)
+        gain = np.ones(4, dtype=np.float32)
+        with Tape():
+            with paused():
+                constants = (ad.rms_norm(x, gain), ad.swiglu(x, x))
+            tracked = (ad.rms_norm(x, gain), ad.swiglu(x, x))
+        assert all(c._rebuild is None for c in constants)
+        assert all(t._rebuild is not None for t in tracked)
 
 
 class TestBackward:

@@ -5,6 +5,10 @@
 ``quantize_weights``/``dequantize`` that ``lcsb.model`` imports.  A refactor
 that renames or moves one of them breaks only the benchmark; these tests
 break with it.  ``stepbench`` is imported by path and not changed.
+
+The benchmark's deterministic memory and graph-size probes are pinned here
+too, so that a change to the library cannot give back what the tape saves
+without a test failing.
 """
 
 import importlib.util
@@ -44,3 +48,12 @@ def test_one_traced_step_opens_the_benchmark_spans(name):
     if workload.quantize:
         assert "quant.quantize_weights" in spans
         assert "quant.dequantize" in spans
+
+
+def test_all_attached_tape_size_and_retained_bytes():
+    trainer = harness.Trainer(harness.WORKLOADS["attach_all"], 0, harness.token_stream(0))
+    tokens, targets, plan = trainer.batch(0)
+    trainer.model.forward(tokens)  # builds the causal mask, which every later step shares
+    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 218
+    # 5.78 MiB; 7.71 while the projections kept the norm and SwiGLU outputs
+    assert harness.retained_mib(trainer.model, plan, tokens) < 6.2
