@@ -5,9 +5,10 @@ a tape autodiff engine whose one way to cut a gradient is paused
 recording, a LoRA-adapted nano transformer whose blocks run attached,
 detached or dropped on each forward pass (a detached block runs its
 branches paused and records only its residual adds), symmetric 4-bit
-group quantization of the frozen base weights, and a finite-difference
-gradient check against an independent float64 re-implementation
-(``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs the full suite).
+group quantization of the frozen base weights, and a check of forward
+values and finite-difference gradients against an independent float64
+re-implementation (``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs
+the full suite).
 
 Only the LoRA matrices train.  They and the activations are ``Tensor``
 objects; every frozen value (base weights, embedding, positions, norm

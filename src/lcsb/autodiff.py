@@ -2,8 +2,8 @@
 
 The engine records one node per primitive onto an explicit :class:`Tape`
 (entered as a context manager) and replays them in reverse to accumulate
-gradients.  It provides the primitive set a small decoder-only
-transformer needs.  Three of them are fused so that a layer records few
+gradients.  Its seven primitives are exactly those a training step of
+:mod:`lcsb.model` records.  Three are fused so that a layer records few
 nodes and its tape keeps little: :func:`lora_linear` (a frozen projection
 plus its LoRA delta), :func:`causal_attention` (all heads of scaled,
 causally masked softmax attention, keeping q, k, v and two row statistics)
@@ -20,9 +20,9 @@ What each node keeps for its backward:
 * ``causal_attention``: the scaled q, k, v and each query's softmax max and sum;
 * ``lora_linear``: the adapters, the (n, rank) product ``s * x @ a.T`` and
   the means to form ``x`` for dA (see below);
-* ``frozen_linear``: only the function that fetches its base;
+* ``frozen_linear`` (the model's output head): the function fetching its base;
 * ``cross_entropy_logits``: its softmax probabilities;
-* ``matmul`` and ``mul``: both inputs.
+* ``add``: nothing.
 
 One rule decides how ``lora_linear`` holds ``x``.  An output of
 ``rms_norm`` or ``swiglu`` that a tape recorded carries a rebuild: a
@@ -77,6 +77,7 @@ from .errors import DimensionError, DivergenceError, TapeError
 Array = np.ndarray
 
 _local = threading.local()
+RMS_EPS = np.float32(1e-5)  # added to each row's mean square in rms_norm
 
 
 def _tape_stack() -> list:
@@ -281,17 +282,6 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def bw(g, needs):
-        return (g @ b_data.T if needs[0] else None, a_data.T @ g if needs[1] else None)
-
-    return _finish(a_data @ b_data, (a, b), bw)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
@@ -302,28 +292,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish(a.data + b.data, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def bw(g, needs):
-        return (g * b_data if needs[0] else None, g * a_data if needs[1] else None)
-
-    return _finish(a_data * b_data, (a, b), bw)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    c = np.float32(factor)
-
-    def bw(g, needs):
-        return (g * c,)
-
-    return _finish(a.data * c, (a,), bw)
-
-
-def rms_norm(x: Tensor, gain: Array, eps: float = 1e-5) -> Tensor:
-    """``x / sqrt(mean(x ** 2) + eps) * gain`` over the last axis, as one node.
+def rms_norm(x: Tensor, gain: Array) -> Tensor:
+    """``x / sqrt(mean(x ** 2) + RMS_EPS) * gain`` over the last axis, as one node.
 
     ``gain`` is a frozen (d,) array, not a tensor, and is read as float32:
     only ``x`` gets a gradient, and the node keeps ``x``, each row's inverse
@@ -336,7 +306,7 @@ def rms_norm(x: Tensor, gain: Array, eps: float = 1e-5) -> Tensor:
     dim = x_data.shape[-1]
     # the sum of squares in one pass, with no (T, d) temporary
     sum_sq = np.einsum("...i,...i->...", x_data, x_data)[..., None]
-    inv = 1.0 / np.sqrt(sum_sq / np.float32(dim) + np.float32(eps))
+    inv = 1.0 / np.sqrt(sum_sq / np.float32(dim) + RMS_EPS)
 
     def bw(g, needs):
         # inv * gp - (inv ** 3) * x_data * (s / dim), float32 throughout, in
@@ -410,8 +380,9 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
 def frozen_linear(x: Tensor, *, base: Callable[[], Array]) -> Tensor:
     """``x @ w`` with a frozen base ``w = base()`` of shape (d_in, d_out), as one node.
 
-    Like :func:`lora_linear` without an adapter: the node keeps no reference
-    to the base and calls ``base`` again in the backward, for dx.
+    Like :func:`lora_linear` without an adapter; the model's weight-tied
+    head is its one user.  The node keeps no reference to the base and
+    calls ``base`` again in the backward, for dx.
     """
     x_data, w = x.data, base()
     if x_data.ndim != 2 or w.ndim != 2 or w.shape[0] != x_data.shape[1]:
@@ -606,11 +577,3 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
 
     return _finish(loss, (logits,), bw)
 
-
-def sum_all(x: Tensor) -> Tensor:
-    in_shape = x.shape
-
-    def bw(g, needs):
-        return (np.full(in_shape, g, dtype=np.float32),)
-
-    return _finish(np.float32(np.sum(x.data)), (x,), bw)

@@ -1,8 +1,9 @@
-"""Finite-difference verification of the engine's analytic gradients.
+"""Verification of the engine's forward values and analytic gradients.
 
-Every check pits the float32 tape backward against central finite
-differences of an independent float64 re-implementation written directly
-in numpy, so the two routes share no code.
+Every check pits the float32 engine against an independent float64
+re-implementation written directly in numpy, so the two routes share no
+code: the forward value against the reference's value, and the tape
+backward against central finite differences of the reference.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from .autodiff import Tape, Tensor, backward
 from .model import Model, ModelConfig, init_model
 
 FD_EPS = 1e-3
+VALUE_TOL = 1e-5  # a float32 forward against its float64 reference
 
 
-def finite_difference_grad(f: Callable[[Tensor], float], theta: Tensor, eps: float) -> Tensor:
+def finite_difference_grad(f: Callable[[Tensor], float], theta: Tensor, eps: float) -> np.ndarray:
     """Central-difference gradient of a scalar function, one coordinate at a time.
 
     ``f`` must be deterministic given ``theta``.  The perturbation is applied
     to the float32 buffer in place and the achieved step (which may differ
-    from ``2*eps`` by rounding) is used as the denominator.
+    from ``2*eps`` by rounding) is used as the denominator.  The estimate is
+    returned in float64, of ``theta``'s shape.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -43,11 +46,11 @@ def finite_difference_grad(f: Callable[[Tensor], float], theta: Tensor, eps: flo
         f_minus = float(f(theta))
         buf[i] = orig
         grad[i] = (f_plus - f_minus) / (float(plus) - float(minus))
-    return Tensor(grad.reshape(theta.shape))
+    return grad.reshape(theta.shape)
 
 
 def _rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
-    """Max absolute difference normalized by the reference gradient scale."""
+    """Max absolute difference normalized by the reference's largest magnitude."""
     scale = float(np.max(np.abs(reference)))
     return float(np.max(np.abs(analytic.astype(np.float64) - reference))) / (scale + 1e-12)
 
@@ -61,8 +64,8 @@ def _ref_softmax(x):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _ref_rms_norm(x, gain, eps=1e-5):
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps) * gain
+def _ref_rms_norm(x, gain):
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-5) * gain
 
 
 def _ref_silu(x):
@@ -117,19 +120,11 @@ def _primitive_cases(rng: np.random.Generator):
         data = rng.uniform(lo, hi, size=shape).astype(np.float32)
         return Tensor(data, requires_grad=requires_grad)
 
-    m, k, n = rng.integers(2, 8, size=3)
-    a, b = t((m, k)), t((k, n))
-    yield ad.matmul, [a, b], {}, lambda d: d[0] @ d[1]
-
     shape = tuple(rng.integers(2, 8, size=2))
     yield ad.add, [t(shape), t(shape)], {}, lambda d: d[0] + d[1]
-    yield ad.mul, [t(shape), t(shape)], {}, lambda d: d[0] * d[1]
-
-    factor = float(rng.uniform(0.5, 2.0))
-    yield ad.scale, [t(shape)], {"factor": factor}, lambda d: d[0] * factor
 
     gain = rng.uniform(0.5, 1.5, size=6).astype(np.float32)  # frozen, as in the model
-    yield ad.rms_norm, [t((4, 6))], {"gain": gain, "eps": 1e-5}, (
+    yield ad.rms_norm, [t((4, 6))], {"gain": gain}, (
         lambda d: _ref_rms_norm(d[0], gain.astype(np.float64))
     )
 
@@ -160,51 +155,53 @@ def _primitive_cases(rng: np.random.Generator):
         lambda d: _ref_cross_entropy(d[0], targets)
     )
 
-    yield ad.sum_all, [t(shape)], {}, lambda d: float(np.sum(d[0]))
 
+def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> tuple:
+    """Relative errors ``(value, gradient)`` of one case against the float64 ``reference``.
 
-def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> float:
-    """Max relative error of analytic grads vs finite differences for one case.
-
-    Every input with ``requires_grad`` is checked; the others are constants.
+    The primitive is recorded alone and its node's backward called with a
+    random float32 cotangent ``w`` (in [0.5, 1.5] for a 0-d output); its
+    gradient of each ``requires_grad`` input is compared with finite
+    differences of ``sum(reference * w)``.  The other inputs are constants.
     """
     with Tape() as tape:
         out = fn(*inputs, **kwargs)
-        if out.data.ndim == 0:
-            w = float(rng.uniform(0.5, 1.5))
-            loss = ad.scale(out, w)
-            weights = np.float64(w)
-        else:
-            weights = rng.uniform(-1.0, 1.0, size=out.shape)
-            loss = ad.sum_all(ad.mul(out, Tensor(weights.astype(np.float32))))
-            weights = weights.astype(np.float32).astype(np.float64)
-    grads = backward(loss, tape)
+    _, node_backward = tape.nodes[-1]
+    w = rng.uniform(0.5, 1.5) if out.data.ndim == 0 else rng.uniform(-1.0, 1.0, size=out.shape)
+    w = np.asarray(w, dtype=np.float32)
+    needs = tuple(t.requires_grad for t in inputs)
+    grads = node_backward(w, needs)
+
+    def ref_value():
+        return np.asarray(reference([t.data.astype(np.float64) for t in inputs]))
 
     def f(_):
-        data = [t.data.astype(np.float64) for t in inputs]
-        return float(np.sum(reference(data) * weights))
+        return float(np.sum(ref_value() * w.astype(np.float64)))
 
-    worst = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        fd = finite_difference_grad(f, t, FD_EPS)
-        worst = max(worst, _rel_err(grads[t], fd.data.astype(np.float64)))
-    return worst
+    value_err = _rel_err(out.data, ref_value())
+    grad_err = 0.0
+    for t, grad, tracked in zip(inputs, grads, needs):
+        if tracked:
+            grad_err = max(grad_err, _rel_err(grad, finite_difference_grad(f, t, FD_EPS)))
+    return value_err, grad_err
 
 
-def check_all_primitives(n_seeds: int = 20, base_seed: int = 0) -> dict:
-    """Per-primitive worst relative error across ``n_seeds`` randomized cases.
+def check_all_primitives(n_seeds: int = 20, base_seed: int = 0) -> tuple:
+    """Per-primitive worst relative errors ``(values, gradients)`` over ``n_seeds`` cases.
 
-    Keyed by the primitive's function name in :mod:`lcsb.autodiff`.
+    Each is a dict keyed by the primitive's function name in
+    :mod:`lcsb.autodiff`.
     """
-    worst: dict[str, float] = {}
+    values: dict[str, float] = {}
+    gradients: dict[str, float] = {}
     for s in range(n_seeds):
         rng = np.random.default_rng(base_seed + s)
         for fn, inputs, kwargs, reference in _primitive_cases(rng):
-            err = check_primitive(fn, inputs, kwargs, reference, rng)
-            worst[fn.__name__] = max(worst.get(fn.__name__, 0.0), err)
-    return worst
+            value_err, grad_err = check_primitive(fn, inputs, kwargs, reference, rng)
+            name = fn.__name__
+            values[name] = max(values.get(name, 0.0), value_err)
+            gradients[name] = max(gradients.get(name, 0.0), grad_err)
+    return values, gradients
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +219,6 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
 
     def linear(x, lin):
         w = lin.w_t.astype(np.float64) if lin.quant is None else _ref_dequantize(lin.quant)
-        if lin.lora is None:
-            return x @ w
         a, b = (m.data.astype(np.float64) for m in (lin.lora.a, lin.lora.b))
         return _ref_lora_linear(x, w, a, b, s)
 
@@ -249,13 +244,8 @@ def micro_config() -> ModelConfig:
     )
 
 
-def check_model_gradients(seed: int, config: ModelConfig | None = None) -> float:
-    """Backward LoRA grads on a micro model vs finite differences (float64 oracle).
-
-    LoRA matrices are randomized first; at the zero init of B, the A
-    matrices receive mathematically zero gradient and the check would be
-    vacuous.
-    """
+def _micro_case(seed: int, config: ModelConfig | None) -> tuple:
+    """``(model, tokens, targets)`` with random LoRA matrices; B's zero init gives A no gradient."""
     cfg = config or micro_config()
     model = init_model(cfg, seed)
     rng = np.random.default_rng(seed + 1)
@@ -263,7 +253,19 @@ def check_model_gradients(seed: int, config: ModelConfig | None = None) -> float
         tensor.data[...] = (rng.standard_normal(tensor.shape) * 0.1).astype(np.float32)
     tokens = rng.integers(0, cfg.vocab_size, size=cfg.seq_len)
     targets = rng.integers(0, cfg.vocab_size, size=cfg.seq_len)
+    return model, tokens, targets
 
+
+def check_model_loss(seed: int, config: ModelConfig | None = None) -> float:
+    """Relative error of a micro model's float32 loss against :func:`reference_model_loss`."""
+    model, tokens, targets = _micro_case(seed, config)
+    loss = ad.cross_entropy_logits(model.forward(tokens), targets)
+    return _rel_err(loss.data, np.asarray(reference_model_loss(model, tokens, targets)))
+
+
+def check_model_gradients(seed: int, config: ModelConfig | None = None) -> float:
+    """Backward LoRA grads on a micro model vs finite differences (float64 oracle)."""
+    model, tokens, targets = _micro_case(seed, config)
     with Tape() as tape:
         loss = ad.cross_entropy_logits(model.forward(tokens), targets)
     grads = backward(loss, tape)
@@ -273,8 +275,7 @@ def check_model_gradients(seed: int, config: ModelConfig | None = None) -> float
 
     worst = 0.0
     for tensor in model.trainable_params().values():
-        fd = finite_difference_grad(f, tensor, FD_EPS)
-        worst = max(worst, _rel_err(grads[tensor], fd.data.astype(np.float64)))
+        worst = max(worst, _rel_err(grads[tensor], finite_difference_grad(f, tensor, FD_EPS)))
     return worst
 
 
@@ -283,17 +284,21 @@ def micro_q4_config() -> ModelConfig:
 
 
 def run_suite(primitive_seeds: int = 20, model_seeds: int = 10, tol: float = 1e-3) -> dict:
-    """Full finite-difference suite; returns per-check errors and pass flags.
+    """Full suite on the float and 4-bit micro configs; returns per-check errors and the pass flag.
 
-    The model checks run on the float and the 4-bit micro configs.
+    ``primitives`` and ``model`` hold gradient errors, gated at ``tol``, and
+    ``primitive_values`` and ``model_values`` value errors, gated at :data:`VALUE_TOL`.
     """
-    report = {"tol": tol, "primitives": check_all_primitives(primitive_seeds), "model": {}}
+    values, gradients = check_all_primitives(primitive_seeds)
+    report = {"tol": tol, "value_tol": VALUE_TOL, "primitives": gradients,
+              "primitive_values": values, "model": {}, "model_values": {}}
     for s in range(model_seeds):
-        report["model"][f"seed_{s}"] = check_model_gradients(s)
-        report["model"][f"q4_seed_{s}"] = check_model_gradients(s, micro_q4_config())
-    errs = list(report["primitives"].values()) + list(report["model"].values())
-    report["max_err"] = max(errs)
-    report["passed"] = report["max_err"] < tol
+        for name, config in ((f"seed_{s}", micro_config()), (f"q4_seed_{s}", micro_q4_config())):
+            report["model"][name] = check_model_gradients(s, config)
+            report["model_values"][name] = check_model_loss(s, config)
+    report["max_err"] = max([*gradients.values(), *report["model"].values()])
+    report["max_value_err"] = max([*values.values(), *report["model_values"].values()])
+    report["passed"] = report["max_err"] < tol and report["max_value_err"] < VALUE_TOL
     return report
 
 

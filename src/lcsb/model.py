@@ -14,8 +14,9 @@ backward, where dx needs it.  A detached layer decompresses only in the
 forward.  This is the memory and time trade of fine-tuning on compressed
 weights.
 
-The forward is built from fused primitives so that an attached layer
-records few tape nodes: each projection with a LoRA adapter is one
+Every one of a layer's seven projections (q, k, v, o, gate, up, down)
+has a LoRA adapter.  The forward is built from fused primitives so that an
+attached layer records few tape nodes: each projection is one
 ``lora_linear`` node (base matmul plus the scaled low-rank delta), all
 heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
 ``causal_attention`` node, and the MLP's ``silu(gate) * up`` is one
@@ -26,7 +27,8 @@ inputs of its norms, attention and SwiGLU, and the attention's output) and
 each query's softmax max and sum, never a (heads, T, T) array: about
 0.70 MiB at the default T=128.  The projections that read a norm's or the
 SwiGLU's output keep a rebuild of it instead of the array.  The output
-head reads the embedding in place, through a transposed view.
+head, the model's one ``frozen_linear`` node, reads the embedding in place,
+through a transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -57,8 +59,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, CorruptionError, DimensionError, PlanError
 from .quant import QuantizedLinear, dequantize, quantize_weights
 
-ALL_LORA_TARGETS = ("q", "k", "v", "o", "gate", "up", "down")
-
 
 class BlockMode(str, Enum):
     ATTACHED = "attached"
@@ -85,7 +85,6 @@ class ModelConfig:
     seq_len: int = 128
     lora_rank: int = 16
     lora_alpha: float = 32.0
-    lora_targets: tuple = ALL_LORA_TARGETS
     quantize_base: bool = False
     quant_group_size: int = 32
 
@@ -110,12 +109,6 @@ class ModelConfig:
         if (not isinstance(alpha, numbers.Real) or isinstance(alpha, bool)
                 or not math.isfinite(alpha) or alpha <= 0):
             raise ConfigError(f"lora_alpha must be a finite positive number, got {alpha!r}")
-        if isinstance(self.lora_targets, str):  # "qv" would read as the sites q and v
-            raise ConfigError(f"lora_targets must be a sequence of site names, "
-                              f"not the string {self.lora_targets!r}")
-        unknown = set(self.lora_targets) - set(ALL_LORA_TARGETS)
-        if unknown:
-            raise ConfigError(f"unknown lora targets {sorted(unknown)}")
         if self.quantize_base:
             for length in (self.d_model, self.d_ff):
                 if length % self.quant_group_size != 0:
@@ -139,19 +132,18 @@ class LoraAdapter:
 
 
 class Linear:
-    """Frozen base projection plus an optional trainable LoRA adapter.
+    """Frozen base projection plus its trainable LoRA adapter.
 
     The base is held in the (d_in, d_out) layout that ``x @ w`` reads: as
     the float32 array ``w_t``, or, for a 4-bit base, only as ``quant``
     (packed 4-bit codes and scales), the other being ``None``.
     :meth:`base` returns the float matrix, decompressing a 4-bit one on
-    every call.  A site is one node, ``lora_linear`` with an adapter (it
-    never forms the dense ``W + BA``) and ``frozen_linear`` without one;
-    either calls :meth:`base` in the forward and again in the backward only
-    when dx is needed.
+    every call.  A call is one ``lora_linear`` node, which never forms the
+    dense ``W + BA`` and calls :meth:`base` in the forward and again in the
+    backward only when dx is needed.
     """
 
-    def __init__(self, w_t: np.ndarray | None, lora: LoraAdapter | None,
+    def __init__(self, w_t: np.ndarray | None, lora: LoraAdapter,
                  quant: QuantizedLinear | None = None):
         self.w_t = w_t
         self.lora = lora
@@ -163,10 +155,7 @@ class Linear:
         return dequantize(self.quant)
 
     def __call__(self, x: Tensor) -> Tensor:
-        lora = self.lora
-        if lora is None:
-            return ad.frozen_linear(x, base=self.base)
-        return ad.lora_linear(x, lora.a, lora.b, lora.scale, base=self.base)
+        return ad.lora_linear(x, self.lora.a, self.lora.b, self.lora.scale, base=self.base)
 
 
 class _Block:
@@ -205,9 +194,8 @@ class Model:
         out = {}
         for i, block in enumerate(self.blocks):
             for site, lin in block.linears.items():
-                if lin.lora is not None:
-                    out[f"layers.{i}.{site}.lora_a"] = lin.lora.a
-                    out[f"layers.{i}.{site}.lora_b"] = lin.lora.b
+                out[f"layers.{i}.{site}.lora_a"] = lin.lora.a
+                out[f"layers.{i}.{site}.lora_b"] = lin.lora.b
         return out
 
     def lora_params_by_layer(self) -> list:
@@ -231,9 +219,8 @@ class Model:
                     out[f"{prefix}.{site}.q4_scales"] = lin.quant.scales
                 else:
                     out[f"{prefix}.{site}.w"] = lin.w_t
-                if lin.lora is not None:
-                    out[f"{prefix}.{site}.lora_a"] = lin.lora.a.data
-                    out[f"{prefix}.{site}.lora_b"] = lin.lora.b.data
+                out[f"{prefix}.{site}.lora_a"] = lin.lora.a.data
+                out[f"{prefix}.{site}.lora_b"] = lin.lora.b.data
         out["norm_out.gain"] = self.norm_out
         return out
 
@@ -300,7 +287,11 @@ class Model:
         return lin["down"](hidden)
 
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
-        """One residual block in the requested gradient mode."""
+        """One residual block in the requested gradient mode; layer_index is in [0, n_layers)."""
+        n_layers = len(self.blocks)
+        if (not isinstance(layer_index, numbers.Integral) or isinstance(layer_index, bool)
+                or not 0 <= layer_index < n_layers):
+            raise PlanError(f"layer index {layer_index!r} is not an int in [0, {n_layers})")
         mode = _block_mode(mode)
         if mode is BlockMode.DROPPED:
             return h
@@ -320,13 +311,18 @@ class Model:
         ``[0, vocab_size)``; other shapes, non-integer ids and ids out of range
         raise :class:`DimensionError`.
         ``plan`` is anything with a ``modes`` sequence, one block mode per
-        layer; ``None`` runs every block attached.
+        layer; ``None`` runs every block attached.  A plan without such a
+        sequence raises :class:`PlanError`.
         """
         cfg = self.config
+        modes = getattr(plan, "modes", None)
         if plan is None:
             modes = [BlockMode.ATTACHED] * cfg.n_layers
-        else:
-            modes = [_block_mode(m) for m in plan.modes]
+        try:
+            modes = [_block_mode(m) for m in modes]
+        except TypeError:  # no .modes, or one that cannot be iterated
+            raise PlanError(f"a plan needs a sequence of block modes in .modes, "
+                            f"got {plan!r}") from None
         if len(modes) != cfg.n_layers:
             raise PlanError(f"plan covers {len(modes)} layers, model has {cfg.n_layers}")
         tokens = np.asarray(tokens)
@@ -369,23 +365,18 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     model.pos = gauss((config.seq_len, config.d_model), 0.02)
     for _ in range(config.n_layers):
         linears = {}
-        for site in ALL_LORA_TARGETS:
-            d_out, d_in = _SITE_DIMS[site](config)
+        for site, dims in _SITE_DIMS.items():
+            d_out, d_in = dims(config)
             w_t = np.ascontiguousarray(gauss((d_out, d_in), 0.02).T)
             quant = None
             if config.quantize_base:
                 quant, w_t = quantize_weights(w_t, config.quant_group_size), None
-            # A is drawn for every site so the stream (and hence the base
-            # weights) is identical across lora_targets choices
             a_init = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
-            lora = None
-            if site in config.lora_targets:
-                lora = LoraAdapter(
-                    a=Tensor(a_init, requires_grad=True),
-                    b=Tensor(np.zeros((d_out, config.lora_rank), dtype=np.float32),
-                             requires_grad=True),
-                    scale=config.lora_alpha / config.lora_rank,
-                )
+            lora = LoraAdapter(
+                a=Tensor(a_init, requires_grad=True),
+                b=Tensor(np.zeros((d_out, config.lora_rank), dtype=np.float32), requires_grad=True),
+                scale=config.lora_alpha / config.lora_rank,
+            )
             linears[site] = Linear(w_t, lora, quant)
         model.blocks.append(_Block(
             linears=linears,

@@ -1,24 +1,60 @@
-"""Finite-difference suite: float32 analytic gradients vs the float64 oracle."""
+"""Finite-difference suite: float32 values and analytic gradients vs the float64 oracle."""
 
 import inspect
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import lcsb.autodiff as ad
 from lcsb import gradcheck
+from lcsb.model import BlockMode, ModelConfig, init_model
 
 TOL = 1e-3
+
+PUBLIC = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+          if fn.__module__ == ad.__name__ and not name.startswith("_")}
 
 
 def test_every_primitive_matches_finite_differences():
     # 20 randomized small-shape cases per primitive
-    worst = gradcheck.check_all_primitives(n_seeds=20)
+    values, gradients = gradcheck.check_all_primitives(n_seeds=20)
     # every public function of the engine is a primitive, apart from these two
-    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
-              if fn.__module__ == ad.__name__ and not name.startswith("_")}
-    assert set(worst) == public - {"paused", "backward"}
-    for kind, err in worst.items():
-        assert err < TOL, f"{kind}: max relative error {err:.2e}"
+    assert set(values) == set(gradients) == PUBLIC - {"paused", "backward"}
+    for kind in gradients:
+        assert values[kind] < gradcheck.VALUE_TOL, f"{kind}: value error {values[kind]:.2e}"
+        assert gradients[kind] < TOL, f"{kind}: gradient error {gradients[kind]:.2e}"
+
+
+def test_a_forward_off_by_1e_4_fails_on_value_only():
+    # an identity whose forward scales by 1.0001, with the identity's exact backward
+    def off_identity(x):
+        return ad._finish(x.data * np.float32(1.0001), (x,), lambda g, needs: (g,))
+
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.uniform(-1.0, 1.0, size=(4, 5)), requires_grad=True)
+    value_err, grad_err = gradcheck.check_primitive(off_identity, [x], {}, lambda d: d[0], rng)
+    assert value_err > gradcheck.VALUE_TOL
+    assert grad_err < TOL
+
+
+@pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
+def test_a_training_step_calls_every_public_function_of_the_engine(monkeypatch, quantize):
+    # the engine holds nothing a step does not run
+    called = set()
+    for name in PUBLIC:
+        def counted(*args, _fn=getattr(ad, name), _name=name, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ad, name, counted)
+    model = init_model(ModelConfig(quantize_base=quantize), 0)
+    half = model.config.n_layers // 2
+    plan = SimpleNamespace(modes=[BlockMode.DETACHED] * half + [BlockMode.ATTACHED] * half)
+    tokens = np.arange(17) * 7 % model.config.vocab_size
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy_logits(model.forward(tokens[:-1], plan), tokens[1:])
+    ad.backward(loss, tape)
+    assert called == PUBLIC
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -33,6 +69,8 @@ def test_quantized_micro_model_lora_gradients():
 
 def test_run_suite_reports_pass():
     report = gradcheck.run_suite(primitive_seeds=2, model_seeds=1)
-    assert report["model"].keys() == {"seed_0", "q4_seed_0"}
+    assert report["model"].keys() == report["model_values"].keys() == {"seed_0", "q4_seed_0"}
+    assert report["primitives"].keys() == report["primitive_values"].keys()
     assert report["passed"]
     assert report["max_err"] < TOL
+    assert report["max_value_err"] < gradcheck.VALUE_TOL

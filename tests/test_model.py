@@ -18,6 +18,7 @@ from lcsb.errors import ConfigError, CorruptionError, DimensionError, PlanError
 from lcsb.gradcheck import micro_config, micro_q4_config
 from lcsb.model import BlockMode, Linear, LoraAdapter, ModelConfig, init_model
 from lcsb.quant import dequantize, quantize_weights
+from scalar_loss import weighted_sum
 
 CFG = micro_config()
 ATTACHED, DETACHED, DROPPED = BlockMode.ATTACHED, BlockMode.DETACHED, BlockMode.DROPPED
@@ -85,7 +86,7 @@ def test_detached_block_passes_the_output_gradient_to_its_input():
     weights = rng.standard_normal((5, CFG.d_model)).astype(np.float32)
     with ad.Tape() as tape:
         out = MODEL.block_forward(h, 1, DETACHED)
-        loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+        loss = weighted_sum(out, weights)
     grads = ad.backward(loss, tape)
     assert list(grads) == [h]
     assert np.array_equal(grads[h], weights)
@@ -100,12 +101,6 @@ def test_tape_node_counts():
     assert _tape_nodes([DETACHED, DETACHED]) == 0
 
 
-def test_plain_projections_next_to_lora_ones_pass_gradcheck():
-    # k, o and the MLP sites have no adapter; k of the first layer is a constant
-    for config in (CFG, micro_q4_config()):
-        assert gradcheck.check_model_gradients(0, replace(config, lora_targets=("q", "v"))) < 1e-3
-
-
 def test_causal_attention_single_position_matches_reference():
     rng = np.random.default_rng(0)
     q, k, v = (ad.Tensor(rng.standard_normal((1, CFG.d_model)), requires_grad=True)
@@ -113,7 +108,7 @@ def test_causal_attention_single_position_matches_reference():
     weights = rng.standard_normal((1, CFG.d_model)).astype(np.float32)
     with ad.Tape() as tape:
         out = ad.causal_attention(q, k, v, CFG.n_heads)
-        loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+        loss = weighted_sum(out, weights)
     reference = gradcheck._ref_causal_attention(
         *(t.data.astype(np.float64) for t in (q, k, v)), CFG.n_heads)
     np.testing.assert_allclose(out.data, reference, rtol=1e-6)
@@ -131,7 +126,6 @@ def test_causal_attention_single_position_matches_reference():
     ("d_model", 128.0),  # was a bare TypeError inside init_model
     ("n_layers", True),  # built a 1-layer model
     ("seq_len", "128"),
-    ("lora_targets", "qv"),  # built adapters on q and v, one per character
 ])
 def test_bad_config_values_raise_config_error(field, value):
     config = replace(ModelConfig(), **{field: value})
@@ -170,6 +164,22 @@ def test_wrong_length_plan_raises():
 def test_unknown_block_mode_raises():
     with pytest.raises(PlanError, match="bogus"):
         MODEL.forward([1, 2], _plan([ATTACHED, "bogus"]))
+
+
+H = ad.Tensor(np.ones((3, CFG.d_model)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MODEL.forward([1, 2], [ATTACHED, ATTACHED]),  # a bare AttributeError
+    lambda: MODEL.forward([1, 2], _plan(None)),  # a bare TypeError
+    lambda: MODEL.block_forward(H, -1, ATTACHED),  # ran the last layer, silently
+    lambda: MODEL.block_forward(H, CFG.n_layers, ATTACHED),  # a bare IndexError
+    lambda: MODEL.block_forward(H, 1.0, ATTACHED),  # a bare TypeError
+    lambda: MODEL.block_forward(H, True, DROPPED),
+], ids=["list_plan", "modes_none", "index_minus_one", "index_n_layers", "index_float", "index_bool"])
+def test_bad_plans_and_layer_indices_raise_plan_error(call):
+    with pytest.raises(PlanError, match="plan needs|layer index"):
+        call()
 
 
 def test_too_many_tokens_raises():
@@ -270,9 +280,8 @@ def test_decompress_on_use_changes_no_number():
         assert all(np.array_equal(q_grads[name], f_grads[name]) for name in q_grads)
 
 
-@pytest.mark.parametrize("lora_targets", [QCFG.lora_targets, ("q", "v")])
-def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch, lora_targets):
-    model = _model(replace(QCFG, lora_targets=lora_targets))
+def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
+    model = _model(QCFG)
     calls = []
 
     def counting_dequantize(q):
