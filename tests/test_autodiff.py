@@ -77,6 +77,15 @@ def test_rms_norm_hand_value():
     np.testing.assert_allclose(out.data, [0.84852780, 1.13137040], atol=1e-6)
 
 
+def test_matmul_shape_mismatch_reports_shapes():
+    x, w = Tensor(np.ones((2, 3))), np.ones((2, 3), dtype=np.float32)
+    with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\)"):
+        ad.frozen_linear(x, base=lambda: w)
+    a, b = Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1)))
+    with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\), a \(1, 3\), b \(3, 1\)"):
+        ad.lora_linear(x, a, b, 0.5, base=lambda: w)
+
+
 def test_swiglu_saturates_exactly_without_warnings():
     # sigmoid(-100) is 0 and sigmoid(100) is 1 in float32: silu(-100) = 0, silu(100) = 100
     gate = Tensor([-100.0, 100.0], requires_grad=True)
