@@ -12,7 +12,9 @@ the full suite).
 
 Only the LoRA matrices train.  They and the activations are ``Tensor``
 objects; every frozen value (base weights, embedding, positions, norm
-gains) is a plain float32 array, or packed codes for a 4-bit base.
+gains) is a plain float32 array, or packed codes for a 4-bit base.  Each
+projection is one ``model.Linear``: its frozen ``weight`` and its LoRA
+matrices ``a`` and ``b`` with their ``scale``.
 
 A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
 (byte i holds code i and code i + ceil(n / 2), the flat-halves layout),
@@ -36,7 +38,7 @@ from .errors import (
     PlanError,
     TapeError,
 )
-from .model import BlockMode, LoraAdapter, Model, ModelConfig, init_model
+from .model import BlockMode, Model, ModelConfig, init_model
 from .quant import QuantizedLinear, dequantize, quantize_weights
 
 __version__ = "0.1.0"

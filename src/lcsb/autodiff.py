@@ -20,7 +20,8 @@ What each node keeps for its backward:
 * ``causal_attention``: the scaled q, k, v and each query's softmax max and sum;
 * ``lora_linear``: the adapters, the (n, rank) product ``s * x @ a.T`` and
   the means to form ``x`` for dA (see below);
-* ``frozen_linear`` (the model's output head): the function fetching its base;
+* ``frozen_linear`` (the model's output head): its weight, the embedding's
+  transposed view;
 * ``cross_entropy_logits``: its softmax probabilities;
 * ``add``: nothing.
 
@@ -36,12 +37,12 @@ output through the step; this is selective activation recomputation
 :func:`paused` carries no rebuild.
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
-is a plain float32 array.  :func:`rms_norm` takes its gain as an array,
-and :func:`frozen_linear` and :func:`lora_linear` fetch their frozen base
-on each use, in the forward and again in the backward, so a compressed
-base stays compressed.  :func:`paused` stops recording for a block of
-code; it is the one way to cut a gradient, since what is computed inside
-is a constant to every tape.
+is a plain float32 array.  :func:`rms_norm` and :func:`frozen_linear`
+take their gain and weight as arrays, and :func:`lora_linear` fetches
+its frozen base on each use, in the forward and again in the backward,
+so a compressed base stays compressed.  :func:`paused` stops recording
+for a block of code; it is the one way to cut a gradient, since what is
+computed inside is a constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -154,8 +155,8 @@ class Tape:
     time an op on this tape touches it.  The tape holds a reference to each
     leaf, so its ``id`` cannot be reused while the tape lives.  Once
     :func:`backward` has swept the tape, every op node's backward function
-    is the spent marker ``_spent``; the node count stays the recorded one,
-    and recording another node raises :class:`TapeError`.
+    is ``None`` too; the node count stays the recorded one, and recording
+    another node or sweeping again raises :class:`TapeError`.
     """
 
     def __init__(self):
@@ -209,11 +210,6 @@ def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable,
     return out
 
 
-def _spent(g, needs):
-    """The backward function of a node that a sweep has passed; it never runs."""
-    raise TapeError("this node's backward has already run")
-
-
 def backward(loss: Tensor, tape: Tape) -> dict:
     """Reverse sweep from a scalar loss; returns {leaf Tensor: gradient}.
 
@@ -224,7 +220,7 @@ def backward(loss: Tensor, tape: Tape) -> dict:
     tape with gradient 1; a constant loss reaches nothing.
 
     The sweep uses the tape up.  Each op node's backward function is
-    replaced by a spent marker as soon as the sweep has passed that node,
+    replaced by ``None`` as soon as the sweep has passed that node,
     whether or not the loss reached it, which frees the arrays the node
     saved for its backward.  A second call on the same tape raises
     :class:`TapeError`; record the forward on a new tape to sweep again.
@@ -250,7 +246,7 @@ def backward(loss: Tensor, tape: Tape) -> dict:
         inputs, backward_fn = nodes[node_id]
         if backward_fn is None:
             continue  # a leaf keeps its gradient in grads
-        nodes[node_id] = (inputs, _spent)
+        nodes[node_id] = (inputs, None)
         g = grads.pop(node_id, None)
         if g is None:
             continue
@@ -354,18 +350,14 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
 
     def bw(g, needs):
         sig = _sigmoid(gate_data)
-        g_up = None
-        if needs[1]:
-            g_up = gate_data * sig  # silu(gate)
-            g_up *= g
-        g_gate = None
-        if needs[0]:
-            g_gate = g * up_data
-            g_gate *= sig
-            np.subtract(np.float32(1.0), sig, out=sig)  # silu'(x) = sig * (1 + x * (1 - sig))
-            sig *= gate_data
-            sig += np.float32(1.0)
-            g_gate *= sig
+        g_up = gate_data * sig  # silu(gate)
+        g_up *= g
+        g_gate = g * up_data
+        g_gate *= sig
+        np.subtract(np.float32(1.0), sig, out=sig)  # silu'(x) = sig * (1 + x * (1 - sig))
+        sig *= gate_data
+        sig += np.float32(1.0)
+        g_gate *= sig
         return (g_gate, g_up)
 
     def gated():
@@ -377,23 +369,22 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     return _finish(gated(), (gate, up), bw, gated)
 
 
-def frozen_linear(x: Tensor, *, base: Callable[[], Array]) -> Tensor:
-    """``x @ w`` with a frozen base ``w = base()`` of shape (d_in, d_out), as one node.
+def frozen_linear(x: Tensor, w: Array) -> Tensor:
+    """``x @ w`` with a frozen float32 ``w`` of shape (d_in, d_out), as one node.
 
     Like :func:`lora_linear` without an adapter; the model's weight-tied
-    head is its one user.  The node keeps no reference to the base and
-    calls ``base`` again in the backward, for dx.
+    head, which is never compressed, is its one user.  The node keeps ``w``
+    for dx.
     """
-    x_data, w = x.data, base()
-    if x_data.ndim != 2 or w.ndim != 2 or w.shape[0] != x_data.shape[1]:
+    if x.data.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
         raise DimensionError(f"frozen_linear shapes incompatible: x {x.shape}, base {w.shape}")
     if w.dtype != np.float32:
         raise DimensionError(f"frozen_linear base must be float32, got {w.dtype}")
 
     def bw(g, needs):
-        return (g @ base().T,)
+        return (g @ w.T,)
 
-    return _finish(x_data @ w, (x,), bw)
+    return _finish(x.data @ w, (x,), bw)
 
 
 def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[], Array]) -> Tensor:
@@ -474,9 +465,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     backward rebuilds them from the same inputs with the same operations in
     the same order, so they are bit-identical to the forward's.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+    if q.data.ndim != 2 or q.shape[0] == 0 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
-            f"causal_attention expects equal (T, d) inputs, got {q.shape}, {k.shape}, {v.shape}"
+            f"causal_attention expects equal (T, d) inputs with T >= 1, "
+            f"got {q.shape}, {k.shape}, {v.shape}"
         )
     t, d = q.shape
     if not isinstance(n_heads, numbers.Integral) or isinstance(n_heads, bool):
@@ -518,20 +510,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         np.exp(probs, out=probs)
         probs /= row_sum
         gh = split(g)
-        gv = merge(probs @ gh) if needs[2] else None
-        if not (needs[0] or needs[1]):
-            return (None, None, gv)
+        gv = merge(probs @ gh)
         # the scores' gradient probs * (gs - sum(gs * probs)), formed as
         # gs * probs - probs * sum(gs * probs): the second product overwrites
         # the rebuilt probs, which are needed no more
         gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs
         gs *= probs
         gs -= np.multiply(probs, np.sum(gs, axis=1, keepdims=True), out=probs)
-        gq = None
-        if needs[0]:
-            gq = merge(gs.transpose(0, 2, 1) @ kh)
-            gq *= c
-        return (gq, merge(gs @ qh) if needs[1] else None, gv)
+        gq = merge(gs.transpose(0, 2, 1) @ kh)
+        gq *= c
+        return (gq, merge(gs @ qh), gv)
 
     out = merge(probs.transpose(0, 2, 1) @ vh)
     del probs  # the node keeps only the row statistics

@@ -19,11 +19,11 @@ class ConfigError(LcsbError):
 
 
 class PlanError(LcsbError):
-    """A selection plan does not cover the model's layers."""
+    """A plan does not cover the model's layers, or names a bad block mode or layer index."""
 
 
 class DivergenceError(LcsbError):
-    """Training produced a non-finite or above-threshold loss."""
+    """A backward sweep met a non-finite loss or leaf gradient."""
 
 
 class CorruptionError(LcsbError):

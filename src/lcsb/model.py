@@ -14,21 +14,22 @@ backward, where dx needs it.  A detached layer decompresses only in the
 forward.  This is the memory and time trade of fine-tuning on compressed
 weights.
 
-Every one of a layer's seven projections (q, k, v, o, gate, up, down)
-has a LoRA adapter.  The forward is built from fused primitives so that an
-attached layer records few tape nodes: each projection is one
-``lora_linear`` node (base matmul plus the scaled low-rank delta), all
-heads of attention (scale, causal mask, softmax, ``probs @ v``) are one
-``causal_attention`` node, and the MLP's ``silu(gate) * up`` is one
-``swiglu`` node that keeps only ``gate`` and ``up``.  An attached layer
-records at most 13 op nodes, plus one leaf per LoRA matrix.  What it
-retains for its backward is a few (T, d) and (T, d_ff) activations (the
-inputs of its norms, attention and SwiGLU, and the attention's output) and
-each query's softmax max and sum, never a (heads, T, T) array: about
-0.70 MiB at the default T=128.  The projections that read a norm's or the
-SwiGLU's output keep a rebuild of it instead of the array.  The output
-head, the model's one ``frozen_linear`` node, reads the embedding in place,
-through a transposed view.
+Each of a layer's seven projections (q, k, v, o, gate, up, down) is one
+:class:`Linear`: a frozen base and its LoRA matrices.  The forward is
+built from fused primitives so that an attached layer records few tape
+nodes: each projection is one ``lora_linear`` node (base matmul plus the
+scaled low-rank delta), all heads of attention (scale, causal mask,
+softmax, ``probs @ v``) are one ``causal_attention`` node, and the MLP's
+``silu(gate) * up`` is one ``swiglu`` node that keeps only ``gate`` and
+``up``.  An attached layer records at most 13 op nodes, plus one leaf
+per LoRA matrix.  What it retains for its backward is a few (T, d) and
+(T, d_ff) activations (the inputs of its norms, attention and SwiGLU,
+and the attention's output) and each query's softmax max and sum, never
+a (heads, T, T) array: about 0.70 MiB at the default T=128.  The
+projections that read a norm's or the SwiGLU's output keep a rebuild of
+it instead of the array.  The output head, the model's one
+``frozen_linear`` node, reads the embedding in place, through a
+transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -109,6 +110,8 @@ class ModelConfig:
         if (not isinstance(alpha, numbers.Real) or isinstance(alpha, bool)
                 or not math.isfinite(alpha) or alpha <= 0):
             raise ConfigError(f"lora_alpha must be a finite positive number, got {alpha!r}")
+        if not isinstance(self.quantize_base, bool):
+            raise ConfigError(f"quantize_base must be a bool, got {self.quantize_base!r}")
         if self.quantize_base:
             for length in (self.d_model, self.d_ff):
                 if length % self.quant_group_size != 0:
@@ -117,52 +120,38 @@ class ModelConfig:
                     )
 
 
-@dataclass
-class LoraAdapter:
-    """Trainable low-rank delta ``scale * B @ A``; B starts at zero.
+@dataclass(eq=False)
+class Linear:
+    """One projection: a frozen base plus its trainable LoRA delta ``scale * B @ A``.
 
-    A and B are stored as (rank, d_in) and (d_out, rank) and used in place
-    by :func:`lcsb.autodiff.lora_linear`; no step copies or transposes them.
-    ``scale`` is ``alpha / rank`` of the config.
+    ``weight`` is the base in the (d_in, d_out) layout that ``x @ w`` reads,
+    a float32 array or, for a 4-bit base, only a :class:`QuantizedLinear`;
+    :meth:`base` returns it in float, decompressing on every call.  ``a``
+    (rank, d_in) and ``b`` (d_out, rank; zero at init) are used in place, and
+    ``scale`` is the config's ``lora_alpha / lora_rank``.  A call is one
+    ``lora_linear`` node, which never forms the dense ``W + BA`` and calls
+    :meth:`base` again in the backward only when dx is needed.
     """
 
-    a: Tensor  # (rank, d_in)
-    b: Tensor  # (d_out, rank)
+    weight: np.ndarray | QuantizedLinear
+    a: Tensor
+    b: Tensor
     scale: float
 
-
-class Linear:
-    """Frozen base projection plus its trainable LoRA adapter.
-
-    The base is held in the (d_in, d_out) layout that ``x @ w`` reads: as
-    the float32 array ``w_t``, or, for a 4-bit base, only as ``quant``
-    (packed 4-bit codes and scales), the other being ``None``.
-    :meth:`base` returns the float matrix, decompressing a 4-bit one on
-    every call.  A call is one ``lora_linear`` node, which never forms the
-    dense ``W + BA`` and calls :meth:`base` in the forward and again in the
-    backward only when dx is needed.
-    """
-
-    def __init__(self, w_t: np.ndarray | None, lora: LoraAdapter,
-                 quant: QuantizedLinear | None = None):
-        self.w_t = w_t
-        self.lora = lora
-        self.quant = quant
-
     def base(self) -> np.ndarray:
-        if self.quant is None:
-            return self.w_t
-        return dequantize(self.quant)
+        if isinstance(self.weight, QuantizedLinear):
+            return dequantize(self.weight)
+        return self.weight
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.lora_linear(x, self.lora.a, self.lora.b, self.lora.scale, base=self.base)
+        return ad.lora_linear(x, self.a, self.b, self.scale, base=self.base)
 
 
+@dataclass(eq=False)
 class _Block:
-    def __init__(self, linears: dict, norm_attn: np.ndarray, norm_mlp: np.ndarray):
-        self.linears = linears
-        self.norm_attn = norm_attn
-        self.norm_mlp = norm_mlp
+    linears: dict[str, Linear]  # by site name
+    norm_attn: np.ndarray
+    norm_mlp: np.ndarray
 
 
 # site name -> (d_out, d_in) picker, in init draw order
@@ -177,34 +166,27 @@ _SITE_DIMS = {
 }
 
 
+@dataclass(eq=False)
 class Model:
     """Instantiated parameters plus the forward graph builders."""
 
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        self.embed: np.ndarray | None = None
-        self.pos: np.ndarray | None = None
-        self.norm_out: np.ndarray | None = None
-        self.blocks: list[_Block] = []
+    config: ModelConfig
+    embed: np.ndarray
+    pos: np.ndarray
+    blocks: list[_Block]
+    norm_out: np.ndarray
 
     # -- parameter access --------------------------------------------------
 
+    def lora_params_by_layer(self) -> list:
+        """Per-layer {name: Tensor} over that layer's LoRA matrices."""
+        return [{f"layers.{i}.{site}.lora_{m}": t for site, lin in block.linears.items()
+                 for m, t in (("a", lin.a), ("b", lin.b))}
+                for i, block in enumerate(self.blocks)]
+
     def trainable_params(self) -> dict:
         """Name -> Tensor for every LoRA matrix, in layer order."""
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for site, lin in block.linears.items():
-                out[f"layers.{i}.{site}.lora_a"] = lin.lora.a
-                out[f"layers.{i}.{site}.lora_b"] = lin.lora.b
-        return out
-
-    def lora_params_by_layer(self) -> list:
-        """Per-layer list of {name: Tensor} over that layer's LoRA matrices."""
-        per_layer = [dict() for _ in self.blocks]
-        for name, t in self.trainable_params().items():
-            layer = int(name.split(".")[1])
-            per_layer[layer][name] = t
-        return per_layer
+        return {name: t for layer in self.lora_params_by_layer() for name, t in layer.items()}
 
     def state_arrays(self) -> dict:
         """Name -> ndarray of everything a checkpoint must persist."""
@@ -214,13 +196,13 @@ class Model:
             out[f"{prefix}.norm_attn.gain"] = block.norm_attn
             out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp
             for site, lin in block.linears.items():
-                if lin.quant is not None:
-                    out[f"{prefix}.{site}.q4"] = lin.quant.packed
-                    out[f"{prefix}.{site}.q4_scales"] = lin.quant.scales
+                if isinstance(lin.weight, QuantizedLinear):
+                    out[f"{prefix}.{site}.q4"] = lin.weight.packed
+                    out[f"{prefix}.{site}.q4_scales"] = lin.weight.scales
                 else:
-                    out[f"{prefix}.{site}.w"] = lin.w_t
-                out[f"{prefix}.{site}.lora_a"] = lin.lora.a.data
-                out[f"{prefix}.{site}.lora_b"] = lin.lora.b.data
+                    out[f"{prefix}.{site}.w"] = lin.weight
+                out[f"{prefix}.{site}.lora_a"] = lin.a.data
+                out[f"{prefix}.{site}.lora_b"] = lin.b.data
         out["norm_out.gain"] = self.norm_out
         return out
 
@@ -228,9 +210,9 @@ class Model:
         """Copy all parameters from a checkpoint's array map into the model's own buffers.
 
         The map must have exactly the keys of :meth:`state_arrays`, with the
-        same shapes, finite float arrays, and 4-bit codes as packed uint8
-        bytes.  Otherwise :class:`CorruptionError` names the first bad
-        key, and nothing has been overwritten.  The model keeps no reference
+        same shapes, float arrays whose values are finite in float32, and
+        4-bit codes as packed uint8 bytes.  Otherwise :class:`CorruptionError`
+        names the first bad key, and nothing has been overwritten.  The model keeps no reference
         to the caller's arrays, and its float arrays and LoRA tensors stay the
         same objects.
         """
@@ -238,6 +220,7 @@ class Model:
         unknown = sorted(set(arrays) - set(expected))
         if unknown:
             raise CorruptionError(f"checkpoint has unexpected key {unknown[0]!r}")
+        checked = {}  # name -> the array to copy in, as float32 unless packed codes
         for name, current in expected.items():
             if name not in arrays:
                 raise CorruptionError(f"checkpoint is missing key {name!r}")
@@ -248,18 +231,22 @@ class Model:
                 raise CorruptionError(
                     f"{name!r} has shape {array.shape}, the model expects {current.shape}"
                 )
-            if not name.endswith(".q4") and (
-                    not np.issubdtype(array.dtype, np.floating) or not np.isfinite(array).all()):
-                raise CorruptionError(f"{name!r} is not an array of finite floats")
+            if not name.endswith(".q4"):
+                if np.issubdtype(array.dtype, np.floating):
+                    with np.errstate(over="ignore"):  # beyond float32's range casts to inf
+                        array = array.astype(np.float32, copy=False)
+                if array.dtype != np.float32 or not np.isfinite(array).all():
+                    raise CorruptionError(f"{name!r} is not an array of finite float32 values")
+            checked[name] = array
         for name, current in expected.items():
             if not name.endswith(".q4"):
-                current[...] = arrays[name]
+                current[...] = checked[name]
         for i, block in enumerate(self.blocks):
             for site, lin in block.linears.items():
-                if lin.quant is not None:
-                    packed = np.array(arrays[f"layers.{i}.{site}.q4"], order="C")
+                if isinstance(lin.weight, QuantizedLinear):
+                    packed = np.array(checked[f"layers.{i}.{site}.q4"], order="C")
                     packed.flags.writeable = False
-                    lin.quant = QuantizedLinear(packed, lin.quant.scales, lin.quant.group_size)
+                    lin.weight = QuantizedLinear(packed, lin.weight.scales, lin.weight.group_size)
 
     # -- forward -----------------------------------------------------------
 
@@ -343,7 +330,7 @@ class Model:
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
         # the weight-tied head reads the frozen embedding through a transposed view
-        return ad.frozen_linear(ad.rms_norm(h, self.norm_out), base=lambda: self.embed.T)
+        return ad.frozen_linear(ad.rms_norm(h, self.norm_out), self.embed.T)
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -356,32 +343,25 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     """
     config.validate()
     rng = np.random.default_rng(seed)
-    model = Model(config)
 
     def gauss(shape, std):
         return (rng.standard_normal(shape) * std).astype(np.float32)
 
-    model.embed = gauss((config.vocab_size, config.d_model), 0.02)
-    model.pos = gauss((config.seq_len, config.d_model), 0.02)
+    embed = gauss((config.vocab_size, config.d_model), 0.02)
+    pos = gauss((config.seq_len, config.d_model), 0.02)
+    blocks = []
     for _ in range(config.n_layers):
         linears = {}
         for site, dims in _SITE_DIMS.items():
             d_out, d_in = dims(config)
-            w_t = np.ascontiguousarray(gauss((d_out, d_in), 0.02).T)
-            quant = None
+            weight = np.ascontiguousarray(gauss((d_out, d_in), 0.02).T)
             if config.quantize_base:
-                quant, w_t = quantize_weights(w_t, config.quant_group_size), None
-            a_init = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
-            lora = LoraAdapter(
-                a=Tensor(a_init, requires_grad=True),
-                b=Tensor(np.zeros((d_out, config.lora_rank), dtype=np.float32), requires_grad=True),
-                scale=config.lora_alpha / config.lora_rank,
-            )
-            linears[site] = Linear(w_t, lora, quant)
-        model.blocks.append(_Block(
-            linears=linears,
-            norm_attn=np.ones(config.d_model, dtype=np.float32),
-            norm_mlp=np.ones(config.d_model, dtype=np.float32),
-        ))
-    model.norm_out = np.ones(config.d_model, dtype=np.float32)
-    return model
+                weight = quantize_weights(weight, config.quant_group_size)
+            a = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
+            b = np.zeros((d_out, config.lora_rank), dtype=np.float32)
+            linears[site] = Linear(weight, Tensor(a, requires_grad=True),
+                                   Tensor(b, requires_grad=True),
+                                   scale=config.lora_alpha / config.lora_rank)
+        blocks.append(_Block(linears, norm_attn=np.ones(config.d_model, dtype=np.float32),
+                             norm_mlp=np.ones(config.d_model, dtype=np.float32)))
+    return Model(config, embed, pos, blocks, norm_out=np.ones(config.d_model, dtype=np.float32))

@@ -10,8 +10,6 @@ import lcsb.autodiff as ad
 from lcsb import gradcheck
 from lcsb.model import BlockMode, ModelConfig, init_model
 
-TOL = 1e-3
-
 PUBLIC = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
           if fn.__module__ == ad.__name__ and not name.startswith("_")}
 
@@ -23,7 +21,7 @@ def test_every_primitive_matches_finite_differences():
     assert set(values) == set(gradients) == PUBLIC - {"paused", "backward"}
     for kind in gradients:
         assert values[kind] < gradcheck.VALUE_TOL, f"{kind}: value error {values[kind]:.2e}"
-        assert gradients[kind] < TOL, f"{kind}: gradient error {gradients[kind]:.2e}"
+        assert gradients[kind] < gradcheck.GRAD_TOL, f"{kind}: gradient error {gradients[kind]:.2e}"
 
 
 def test_a_forward_off_by_1e_4_fails_on_value_only():
@@ -35,7 +33,7 @@ def test_a_forward_off_by_1e_4_fails_on_value_only():
     x = ad.Tensor(rng.uniform(-1.0, 1.0, size=(4, 5)), requires_grad=True)
     value_err, grad_err = gradcheck.check_primitive(off_identity, [x], {}, lambda d: d[0], rng)
     assert value_err > gradcheck.VALUE_TOL
-    assert grad_err < TOL
+    assert grad_err < gradcheck.GRAD_TOL
 
 
 @pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
@@ -59,12 +57,12 @@ def test_a_training_step_calls_every_public_function_of_the_engine(monkeypatch, 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_micro_model_lora_gradients(seed):
-    assert gradcheck.check_model_gradients(seed) < TOL
+    assert gradcheck.check_model_gradients(seed) < gradcheck.GRAD_TOL
 
 
 def test_quantized_micro_model_lora_gradients():
     # the oracle decompresses the 4-bit codes itself, in float64
-    assert gradcheck.check_model_gradients(0, gradcheck.micro_q4_config()) < TOL
+    assert gradcheck.check_model_gradients(0, gradcheck.micro_q4_config()) < gradcheck.GRAD_TOL
 
 
 def test_run_suite_reports_pass():
@@ -72,5 +70,5 @@ def test_run_suite_reports_pass():
     assert report["model"].keys() == report["model_values"].keys() == {"seed_0", "q4_seed_0"}
     assert report["primitives"].keys() == report["primitive_values"].keys()
     assert report["passed"]
-    assert report["max_err"] < TOL
+    assert report["max_err"] < gradcheck.GRAD_TOL
     assert report["max_value_err"] < gradcheck.VALUE_TOL

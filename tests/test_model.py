@@ -16,7 +16,7 @@ import lcsb.model as lm
 from lcsb import gradcheck
 from lcsb.errors import ConfigError, CorruptionError, DimensionError, PlanError
 from lcsb.gradcheck import micro_config, micro_q4_config
-from lcsb.model import BlockMode, Linear, LoraAdapter, ModelConfig, init_model
+from lcsb.model import BlockMode, Linear, ModelConfig, init_model
 from lcsb.quant import dequantize, quantize_weights
 from scalar_loss import weighted_sum
 
@@ -92,6 +92,18 @@ def test_detached_block_passes_the_output_gradient_to_its_input():
     assert np.array_equal(grads[h], weights)
 
 
+def test_lora_params_by_layer_splits_trainable_params_in_order():
+    per_layer = MODEL.lora_params_by_layer()
+    assert len(per_layer) == CFG.n_layers
+    flat = [(name, t) for layer in per_layer for name, t in layer.items()]
+    assert flat == list(MODEL.trainable_params().items())
+    for i, layer in enumerate(per_layer):
+        assert len(layer) == 2 * 7  # A and B of each projection
+        for site, lin in MODEL.blocks[i].linears.items():
+            assert layer[f"layers.{i}.{site}.lora_a"] is lin.a
+            assert layer[f"layers.{i}.{site}.lora_b"] is lin.b
+
+
 def test_tape_node_counts():
     # an attached layer above another: 13 op nodes and a leaf per LoRA matrix (2 x 7 sites)
     assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 27
@@ -126,6 +138,7 @@ def test_causal_attention_single_position_matches_reference():
     ("d_model", 128.0),  # was a bare TypeError inside init_model
     ("n_layers", True),  # built a 1-layer model
     ("seq_len", "128"),
+    ("quantize_base", "no"),  # quantized the base, as any truthy value did
 ])
 def test_bad_config_values_raise_config_error(field, value):
     config = replace(ModelConfig(), **{field: value})
@@ -138,10 +151,8 @@ def test_bad_config_values_raise_config_error(field, value):
 def test_quantized_lora_forward_frees_its_base_before_the_delta():
     rng = np.random.default_rng(3)
     base = quantize_weights((rng.standard_normal((128, 256)) * 0.02).astype(np.float32), 32)
-    lora = LoraAdapter(a=ad.Tensor(rng.standard_normal((16, 128)), requires_grad=True),
-                       b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True),
-                       scale=2.0)
-    linear = Linear(None, lora, base)
+    linear = Linear(base, a=ad.Tensor(rng.standard_normal((16, 128)), requires_grad=True),
+                    b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True), scale=2.0)
     x = ad.Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     with ad.Tape():
         tracemalloc.start()
@@ -254,7 +265,7 @@ def _float_twin(qmodel):
               if not name.endswith((".q4", ".q4_scales"))}
     for i, block in enumerate(qmodel.blocks):
         for site, lin in block.linears.items():
-            arrays[f"layers.{i}.{site}.w"] = dequantize(lin.quant)
+            arrays[f"layers.{i}.{site}.w"] = dequantize(lin.weight)
     twin = init_model(replace(qmodel.config, quantize_base=False), 1)
     twin.load_state_arrays(arrays)
     return twin
@@ -317,7 +328,7 @@ def test_quantized_bases_take_less_than_half_the_bytes():
     config = replace(CFG, d_model=64, d_ff=128)
     float_model, float_bytes = _init_bytes(config)
     _, q_bytes = _init_bytes(replace(config, quantize_base=True, quant_group_size=8))
-    base_bytes = sum(lin.w_t.nbytes for block in float_model.blocks
+    base_bytes = sum(lin.weight.nbytes for block in float_model.blocks
                      for lin in block.linears.values())
     # both models hold the same parameters apart from their bases
     assert q_bytes - (float_bytes - base_bytes) < base_bytes / 2
@@ -429,6 +440,13 @@ def _without(arrays, name):
     return {k: a for k, a in arrays.items() if k != name}
 
 
+def _beyond_float32(arrays, name):
+    """``arrays`` with the last value of ``name`` a float64 1e39, which is inf in float32."""
+    big = arrays[name].astype(np.float64)
+    big.flat[-1] = 1e39
+    return {**arrays, name: big}
+
+
 CORRUPTIONS = {
     "missing": (lambda a: _without(a, "norm_out.gain"), "norm_out.gain"),
     "unexpected": (lambda a: {**a, "layers.9.q.w": a["layers.0.q.q4"]}, "layers.9.q.w"),
@@ -447,6 +465,9 @@ CORRUPTIONS = {
                   "layers.1.o.q4_scales"),
     "integer_floats": (lambda a: {**a, "norm_out.gain": a["norm_out.gain"].astype(np.int64)},
                        "norm_out.gain"),
+    # finite in float64 but inf in float32, so the cast is checked before any key is written
+    **{f"float32_overflow_{key}": (lambda a, key=key: _beyond_float32(a, key), key)
+       for key in ("layers.0.q.lora_a", "layers.0.q.q4_scales", "embed.weight")},
 }
 
 
@@ -457,7 +478,9 @@ def test_corrupt_state_raises_before_overwriting(case):
         arrays = corrupt(_quantized_model(0).state_arrays())
     target = _quantized_model(1)
     before = target.state_arrays()
+    values = {k: a.copy() for k, a in before.items()}
     with pytest.raises(CorruptionError, match=re.escape(key)):
         target.load_state_arrays(arrays)
     after = target.state_arrays()
     assert after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+    assert all(np.array_equal(after[k], values[k]) for k in before)
