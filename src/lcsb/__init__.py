@@ -19,8 +19,9 @@ matrices ``a`` and ``b`` with their ``scale``.
 A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
 (byte i holds code i and code i + ceil(n / 2), the flat-halves layout),
 plus one scale per group.  It is decompressed on each use: in the forward,
-and again in an attached layer's backward where the input gradient needs
-it.  An attached layer records 13 op nodes, plus one leaf per LoRA matrix.
+and again in an attached layer's backward where the input gradient or the
+MLP's re-formed gate and up need it.  An attached layer records 9 op
+nodes, plus one leaf per LoRA matrix.
 
 A tape is single-use: ``backward`` sweeps it once and frees each node's
 saved arrays as it passes, so a step's memory peaks at the parameters

@@ -7,16 +7,22 @@ gradients.  Its seven primitives are exactly those a training step of
 nodes and its tape keeps little: :func:`lora_linear` (a frozen projection
 plus its LoRA delta), :func:`causal_attention` (all heads of scaled,
 causally masked softmax attention, keeping q, k, v and two row statistics)
-and :func:`swiglu` (``silu(gate) * up``, keeping only its two inputs), each
-with a hand-written backward.  Where a node keeps less than its backward
-reads, the backward recomputes the rest with the forward's own operations:
-attention rebuilds its softmax probabilities from q, k and each query's max
-and sum, bit for bit, as FlashAttention's backward does.
+and :func:`swiglu_mlp` (a whole pre-norm SwiGLU MLP, keeping only its input
+and two small arrays), each with a hand-written backward.  Where a node
+keeps less than its backward reads, the backward recomputes the rest with
+the forward's own operations, bit for bit: attention rebuilds its softmax
+probabilities from q, k and each query's max and sum, as FlashAttention's
+backward does, and the MLP re-forms its normalized input, gate, up and
+SwiGLU output once.  It shares private helpers for the array math of a
+norm and a projection with :func:`rms_norm` and :func:`lora_linear`, so
+its values and gradients are those of the chain of these primitives and
+a SwiGLU, bit for bit.
 
 What each node keeps for its backward:
 
 * ``rms_norm``: its input, each row's inverse norm and the gain;
-* ``swiglu``: its two inputs;
+* ``swiglu_mlp``: the adapters, its input, each row's inverse norm, the
+  gain and the down projection's (n, rank) product ``s * hidden @ a.T``;
 * ``causal_attention``: the scaled q, k, v and each query's softmax max and sum;
 * ``lora_linear``: the adapters, the (n, rank) product ``s * x @ a.T`` and
   the means to form ``x`` for dA (see below);
@@ -26,23 +32,25 @@ What each node keeps for its backward:
 * ``add``: nothing.
 
 One rule decides how ``lora_linear`` holds ``x``.  An output of
-``rms_norm`` or ``swiglu`` that a tape recorded carries a rebuild: a
-zero-argument function that repeats the forward's float32 operations on
-arrays its node keeps anyway, so it costs no matmul and returns the same
-bits.  ``lora_linear`` keeps that rebuild if its input offers one, and the
-input array otherwise, and calls the rebuild in the backward only for dA.
-An attached layer thus holds neither its normalized inputs nor its SwiGLU
-output through the step; this is selective activation recomputation
-(Korthikanti et al. 2022) where it needs no matmul.  An output made under
-:func:`paused` carries no rebuild.
+``rms_norm`` that a tape recorded carries a rebuild: a zero-argument
+function that repeats the forward's float32 operations on arrays its node
+keeps anyway, so it costs no matmul and returns the same bits.
+``lora_linear`` keeps that rebuild if its input offers one, and the input
+array otherwise, and calls the rebuild in the backward only for dA.  In
+the model this serves the attention's norm, read by q, k and v; the MLP's
+norm lives inside :func:`swiglu_mlp`.  An attached layer thus holds no
+normalized input, gate, up or SwiGLU output through the step; this is
+selective activation recomputation (Korthikanti et al. 2022) where it
+needs few or no matmuls.  An output made under :func:`paused` carries no
+rebuild.
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 is a plain float32 array.  :func:`rms_norm` and :func:`frozen_linear`
-take their gain and weight as arrays, and :func:`lora_linear` fetches
-its frozen base on each use, in the forward and again in the backward,
-so a compressed base stays compressed.  :func:`paused` stops recording
-for a block of code; it is the one way to cut a gradient, since what is
-computed inside is a constant to every tape.
+take their gain and weight as arrays, and :func:`lora_linear` and
+:func:`swiglu_mlp` fetch a frozen base on each use, in the forward and
+again in the backward, so a compressed base stays compressed.
+:func:`paused` stops recording for a block of code; it is the one way to
+cut a gradient, since what is computed inside is a constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -288,6 +296,43 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish(a.data + b.data, (a, b), bw)
 
 
+def _norm_gain(x: Tensor, gain, op: str) -> Array:
+    """``gain`` as a float32 (d,) array for the rows of ``x``; a zero-width ``x`` is rejected."""
+    gain = np.asarray(gain, dtype=np.float32)
+    if x.data.ndim == 0 or x.shape[-1] == 0:
+        raise DimensionError(f"{op} needs rows of width >= 1, got shape {x.shape}")
+    if gain.shape != (x.shape[-1],):
+        raise DimensionError(f"{op} gain shape {gain.shape} does not match {x.shape}")
+    return gain
+
+
+def _rms_inv(x_data: Array) -> Array:
+    """Each row's inverse norm ``1 / sqrt(mean(x ** 2) + RMS_EPS)``, with a trailing axis of 1."""
+    # the sum of squares in one pass, with no (T, d) temporary
+    sum_sq = np.einsum("...i,...i->...", x_data, x_data)[..., None]
+    return 1.0 / np.sqrt(sum_sq / np.float32(x_data.shape[-1]) + RMS_EPS)
+
+
+def _rms_normalized(x_data: Array, inv: Array, gain: Array) -> Array:
+    out = x_data * inv
+    out *= gain
+    return out
+
+
+def _rms_norm_backward(g: Array, x_data: Array, inv: Array, gain: Array) -> Array:
+    """The gradient of ``x``: ``inv * gp - (inv ** 3) * x * (s / dim)`` with ``gp = g * gain``.
+
+    Float32 throughout, in two (T, d) buffers with the same IEEE operations.
+    """
+    gp = g * gain
+    s = np.sum(gp * x_data, axis=-1, keepdims=True)
+    grad_x = np.multiply(inv, gp, out=gp)
+    t = (inv ** 3) * x_data
+    t *= s / x_data.shape[-1]
+    grad_x -= t
+    return grad_x
+
+
 def rms_norm(x: Tensor, gain: Array) -> Tensor:
     """``x / sqrt(mean(x ** 2) + RMS_EPS) * gain`` over the last axis, as one node.
 
@@ -295,30 +340,15 @@ def rms_norm(x: Tensor, gain: Array) -> Tensor:
     only ``x`` gets a gradient, and the node keeps ``x``, each row's inverse
     norm and the gain.  A recorded output carries a rebuild from those three.
     """
-    gain = np.asarray(gain, dtype=np.float32)
-    if gain.shape != (x.shape[-1],):
-        raise DimensionError(f"rms_norm gain shape {gain.shape} does not match {x.shape}")
+    gain = _norm_gain(x, gain, "rms_norm")
     x_data = x.data
-    dim = x_data.shape[-1]
-    # the sum of squares in one pass, with no (T, d) temporary
-    sum_sq = np.einsum("...i,...i->...", x_data, x_data)[..., None]
-    inv = 1.0 / np.sqrt(sum_sq / np.float32(dim) + RMS_EPS)
+    inv = _rms_inv(x_data)
 
     def bw(g, needs):
-        # inv * gp - (inv ** 3) * x_data * (s / dim), float32 throughout, in
-        # two (T, d) buffers with the same IEEE operations
-        gp = g * gain
-        s = np.sum(gp * x_data, axis=-1, keepdims=True)
-        grad_x = np.multiply(inv, gp, out=gp)
-        t = (inv ** 3) * x_data
-        t *= s / dim
-        grad_x -= t
-        return (grad_x,)
+        return (_rms_norm_backward(g, x_data, inv, gain),)
 
     def normalized():
-        out = x_data * inv
-        out *= gain
-        return out
+        return _rms_normalized(x_data, inv, gain)
 
     return _finish(normalized(), (x,), bw, normalized)
 
@@ -335,38 +365,6 @@ def _sigmoid(x: Array) -> Array:
     sig += np.float32(1.0)
     np.divide(np.float32(1.0), sig, out=sig)
     return sig
-
-
-def swiglu(gate: Tensor, up: Tensor) -> Tensor:
-    """``silu(gate) * up`` with ``silu(x) = x * sigmoid(x)``, as one node.
-
-    The node keeps only its two inputs: the backward recomputes the
-    sigmoid rather than holding it or ``silu(gate)``.  A recorded output
-    carries a rebuild from the two inputs.
-    """
-    if gate.shape != up.shape:
-        raise DimensionError(f"swiglu shapes differ: {gate.shape} vs {up.shape}")
-    gate_data, up_data = gate.data, up.data
-
-    def bw(g, needs):
-        sig = _sigmoid(gate_data)
-        g_up = gate_data * sig  # silu(gate)
-        g_up *= g
-        g_gate = g * up_data
-        g_gate *= sig
-        np.subtract(np.float32(1.0), sig, out=sig)  # silu'(x) = sig * (1 + x * (1 - sig))
-        sig *= gate_data
-        sig += np.float32(1.0)
-        g_gate *= sig
-        return (g_gate, g_up)
-
-    def gated():
-        out = _sigmoid(gate_data)
-        out *= gate_data
-        out *= up_data
-        return out
-
-    return _finish(gated(), (gate, up), bw, gated)
 
 
 def frozen_linear(x: Tensor, w: Array) -> Tensor:
@@ -387,6 +385,55 @@ def frozen_linear(x: Tensor, w: Array) -> Tensor:
     return _finish(x.data @ w, (x,), bw)
 
 
+def _lora_forward(x_data: Array, base: Callable[[], Array], a_data: Array, b_data: Array,
+                  s: float, op: str) -> tuple:
+    """``x @ w + s * (x @ a.T) @ b.T`` and the (n, rank) product ``s * x @ a.T`` that dB reads.
+
+    ``base()`` is called once, and a decompressed base is freed before the
+    delta's arrays are formed.  Shapes and the base's dtype are checked
+    first; ``op`` names the projection in the error.
+    """
+    w = base()
+    if (x_data.ndim != 2 or w.ndim != 2 or a_data.ndim != 2
+            or w.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
+            or b_data.shape != (w.shape[1], a_data.shape[0])):
+        raise DimensionError(
+            f"{op} shapes incompatible: x {x_data.shape}, base {w.shape}, "
+            f"a {a_data.shape}, b {b_data.shape}"
+        )
+    if w.dtype != np.float32:
+        raise DimensionError(f"{op} base must be float32, got {w.dtype}")
+    out = x_data @ w
+    del w
+    # The adapters' transposes are copied to C order (rank * d each) for the
+    # two forward products: OpenBLAS runs a product whose right operand is a
+    # transposed view well below the plain layout's speed, and the values are
+    # the same bit for bit.  s scales the (n, rank) intermediate, not an
+    # (n, d_out) array.
+    xas = x_data @ np.ascontiguousarray(a_data.T)
+    xas *= np.float32(s)
+    out += xas @ np.ascontiguousarray(b_data.T)
+    return out, xas
+
+
+def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array, b_data: Array,
+                s: float, xas: Array) -> tuple:
+    """``(dx, gxa, dB)`` of a projection, each only where ``needs`` (x, a, b) asks.
+
+    ``dA`` is ``gxa.T @ x``, formed by the caller, which holds ``x`` or its
+    means.  ``base()`` is called only for dx.
+    """
+    gxa = None
+    if needs[0] or needs[1]:
+        gxa = g @ b_data
+        gxa *= np.float32(s)
+    gx = None
+    if needs[0]:
+        gx = g @ base().T
+        gx += gxa @ a_data
+    return gx, gxa, (g.T @ xas if needs[2] else None)
+
+
 def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[], Array]) -> Tensor:
     """``x @ w + s * (x @ a.T) @ b.T``, a frozen base projection plus a LoRA delta, as one node.
 
@@ -401,40 +448,99 @@ def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[],
     input has a node.  Only dA reads ``x``: the node keeps ``x``'s rebuild
     when its producer offers one, and ``x`` itself otherwise.
     """
-    x_data, w, a_data, b_data = x.data, base(), a.data, b.data
-    if (x_data.ndim != 2 or w.ndim != 2 or a_data.ndim != 2
-            or w.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
-            or b_data.shape != (w.shape[1], a_data.shape[0])):
-        raise DimensionError(
-            f"lora_linear shapes incompatible: x {x.shape}, base {w.shape}, "
-            f"a {a.shape}, b {b.shape}"
-        )
-    if w.dtype != np.float32:
-        raise DimensionError(f"lora_linear base must be float32, got {w.dtype}")
+    x_data, a_data, b_data = x.data, a.data, b.data
     x_values = x._rebuild or (lambda: x_data)
-    out = x_data @ w
-    del w  # a decompressed base is freed before the delta's arrays are formed
-    # The adapters' transposes are copied to C order (rank * d each) for the
-    # two forward products: OpenBLAS runs a product whose right operand is a
-    # transposed view well below the plain layout's speed, and the values are
-    # the same bit for bit.  s scales the (n, rank) intermediate, not an
-    # (n, d_out) array.
-    xas = x_data @ np.ascontiguousarray(a_data.T)
-    xas *= np.float32(s)
+    out, xas = _lora_forward(x_data, base, a_data, b_data, s, "lora_linear")
 
     def bw(g, needs):
-        gxa = None
-        if needs[0] or needs[1]:
-            gxa = g @ b_data
-            gxa *= np.float32(s)
-        gx = None
-        if needs[0]:
-            gx = g @ base().T
-            gx += gxa @ a_data
-        return (gx, gxa.T @ x_values() if needs[1] else None, g.T @ xas if needs[2] else None)
+        gx, gxa, gb = _lora_grads(g, needs, base, a_data, b_data, s, xas)
+        return (gx, gxa.T @ x_values() if needs[1] else None, gb)
 
-    out += xas @ np.ascontiguousarray(b_data.T)
     return _finish(out, (x, a, b), bw)
+
+
+def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
+    """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x, gain)``, a pre-norm SwiGLU MLP, as one node.
+
+    ``silu(z) = z * sigmoid(z)``.  ``gate``, ``up`` and ``down`` are
+    projections such as :class:`lcsb.model.Linear`: each has LoRA tensors
+    ``a`` and ``b``, a ``scale`` and a ``base()`` that returns its float32
+    (d_in, d_out) base, and is applied as :func:`lora_linear` applies one.
+    ``x`` is (n, d) and ``gain`` a frozen (d,) array, read as float32.  The
+    node's inputs are ``x`` and the six LoRA matrices, in the order gate's
+    ``a``, ``b``, up's, down's.
+
+    The node keeps ``x``, each row's inverse norm and the down projection's
+    (n, rank) product: nothing of width ``d_ff``.  Its backward re-forms the
+    normalized input, ``gate``, ``up`` and the SwiGLU output once, with the
+    forward's own operations, so the gradients are those of the unfused
+    chain bit for bit.  Each base is fetched on each use, as in
+    :func:`lora_linear`: a compressed one is decompressed once per
+    projection in the forward, and in the backward once for each of gate
+    and up to re-form them and once per projection for dx.
+    """
+    gain = _norm_gain(x, gain, "swiglu_mlp")
+    x_data = x.data
+    inv = _rms_inv(x_data)
+    projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (gate, up, down)]
+
+    def gate_and_up(n):
+        """``gate(n)``, ``up(n)`` and their (n, rank) products."""
+        gate_out, xas_gate = _lora_forward(n, *projections[0], "swiglu_mlp gate")
+        up_out, xas_up = _lora_forward(n, *projections[1], "swiglu_mlp up")
+        if gate_out.shape != up_out.shape:
+            raise DimensionError(
+                f"swiglu_mlp gate and up outputs differ: {gate_out.shape} vs {up_out.shape}"
+            )
+        return gate_out, xas_gate, up_out, xas_up
+
+    n = _rms_normalized(x_data, inv, gain)
+    gate_out, _, up_out, _ = gate_and_up(n)
+    del n
+    hidden = _sigmoid(gate_out)
+    hidden *= gate_out  # silu(gate)
+    hidden *= up_out
+    del gate_out, up_out
+    out, xas_down = _lora_forward(hidden, *projections[2], "swiglu_mlp down")
+    del hidden
+
+    def bw(g, needs):
+        # g is shared with the residual add, so it is only read
+        g_hidden, gxa_down, gb_down = _lora_grads(g, (True, *needs[5:]), *projections[2], xas_down)
+        n = _rms_normalized(x_data, inv, gain)
+        gate_out, xas_gate, up_out, xas_up = gate_and_up(n)
+        sig = _sigmoid(gate_out)
+        buf = np.multiply(sig, gate_out)  # silu(gate)
+        ga_down = None
+        if needs[5]:
+            buf *= up_out  # the SwiGLU output, for dA of down
+            ga_down = gxa_down.T @ buf
+            np.multiply(sig, gate_out, out=buf)
+        # silu(gate) * g_hidden for up; g_hidden * up * silu'(gate) for gate,
+        # with silu'(z) = sig * (1 + z * (1 - sig)), in g_hidden's buffer
+        g_up = buf
+        g_up *= g_hidden
+        g_gate = np.multiply(g_hidden, up_out, out=g_hidden)
+        del up_out
+        g_gate *= sig
+        np.subtract(np.float32(1.0), sig, out=sig)
+        sig *= gate_out
+        sig += np.float32(1.0)
+        g_gate *= sig
+        del sig, gate_out
+        gx, gxa_up, gb_up = _lora_grads(g_up, (needs[0], *needs[3:5]), *projections[1], xas_up)
+        ga_up = gxa_up.T @ n if needs[3] else None
+        del g_up
+        gx_gate, gxa_gate, gb_gate = _lora_grads(g_gate, needs[:3], *projections[0], xas_gate)
+        ga_gate = gxa_gate.T @ n if needs[1] else None
+        del g_gate, n
+        if needs[0]:
+            gx += gx_gate  # the normalized input's gradient, up's term first
+            gx = _rms_norm_backward(gx, x_data, inv, gain)
+        return (gx, ga_gate, gb_gate, ga_up, gb_up, ga_down, gb_down)
+
+    inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
+    return _finish(out, inputs, bw)
 
 
 @lru_cache(maxsize=32)
@@ -465,9 +571,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     backward rebuilds them from the same inputs with the same operations in
     the same order, so they are bit-identical to the forward's.
     """
-    if q.data.ndim != 2 or q.shape[0] == 0 or k.shape != q.shape or v.shape != q.shape:
+    if (q.data.ndim != 2 or q.shape[0] == 0 or q.shape[1] == 0
+            or k.shape != q.shape or v.shape != q.shape):
         raise DimensionError(
-            f"causal_attention expects equal (T, d) inputs with T >= 1, "
+            f"causal_attention expects equal (T, d) inputs with T >= 1 and d >= 1, "
             f"got {q.shape}, {k.shape}, {v.shape}"
         )
     t, d = q.shape

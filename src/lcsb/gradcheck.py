@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .model import Model, ModelConfig, init_model
+from .model import Linear, Model, ModelConfig, init_model
+from .quant import quantize_weights
 
 FD_EPS = 1e-3  # the central difference's half step
 GRAD_TOL = 1e-3  # an analytic gradient against finite differences of its reference
@@ -75,6 +76,12 @@ def _ref_lora_linear(x, w, a, b, s):
     return x @ w + s * ((x @ a.T) @ b.T)
 
 
+def _ref_swiglu_mlp(x, gain, gate, up, down):
+    """The pre-norm SwiGLU MLP; each projection is ``_ref_lora_linear``'s (w, a, b, s)."""
+    n = _ref_rms_norm(x, gain)
+    return _ref_lora_linear(_ref_silu(_ref_lora_linear(n, *gate)) * _ref_lora_linear(n, *up), *down)
+
+
 def _ref_dequantize(q):
     """The (d_in, d_out) matrix of 4-bit codes times their group scales, in float64.
 
@@ -127,10 +134,6 @@ def _primitive_cases(rng: np.random.Generator):
         lambda d: _ref_rms_norm(d[0], gain.astype(np.float64))
     )
 
-    yield ad.swiglu, [t(shape, lo=-3.0, hi=3.0), t(shape)], {}, (
-        lambda d: _ref_silu(d[0]) * d[1]
-    )
-
     n, d_in, d_out, rank = rng.integers(1, 7, size=4)
     s = float(rng.uniform(0.5, 2.0))
     w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32)
@@ -143,6 +146,9 @@ def _primitive_cases(rng: np.random.Generator):
             lambda d: _ref_lora_linear(d[0], w.astype(np.float64), d[1], d[2], s)
         )
 
+    for quantize in (False, True):
+        yield _swiglu_mlp_case(rng, t, quantize)
+
     seq, n_heads, head_dim = rng.integers(1, 6), rng.integers(1, 4), rng.integers(1, 4)
     qkv = [t((seq, n_heads * head_dim), lo=-2.0, hi=2.0) for _ in range(3)]
     yield ad.causal_attention, qkv, {"n_heads": n_heads}, (
@@ -153,6 +159,37 @@ def _primitive_cases(rng: np.random.Generator):
     yield ad.cross_entropy_logits, [t((5, 8), lo=-2.0, hi=2.0)], {"targets": targets}, (
         lambda d: _ref_cross_entropy(d[0], targets)
     )
+
+
+def _swiglu_mlp_case(rng: np.random.Generator, t: Callable, quantize: bool) -> tuple:
+    """A :func:`~lcsb.autodiff.swiglu_mlp` case with a random gain and nonzero adapters.
+
+    Its inputs are x and the six LoRA matrices; the bases are float, or 4-bit
+    in groups of 2, which the reference decompresses with
+    :func:`_ref_dequantize`.
+    """
+    n, rank = rng.integers(1, 6), rng.integers(1, 4)
+    d, d_ff = 2 * rng.integers(1, 4), 2 * rng.integers(1, 5)
+    gain = rng.uniform(0.5, 1.5, size=d).astype(np.float32)
+    scales = rng.uniform(0.5, 2.0, size=3)
+    bases = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+             for shape in ((d, d_ff), (d, d_ff), (d_ff, d))]
+    if quantize:
+        bases = [quantize_weights(w, 2) for w in bases]
+    ref_bases = [_ref_dequantize(w) if quantize else w.astype(np.float64) for w in bases]
+    inputs = [t((n, d))] + [t(shape) for d_in, d_out in ((d, d_ff), (d, d_ff), (d_ff, d))
+                            for shape in ((rank, d_in), (d_out, rank))]
+
+    def swiglu_mlp(x, *adapters):
+        gate, up, down = (Linear(w, a, b, float(s)) for w, a, b, s
+                          in zip(bases, adapters[0::2], adapters[1::2], scales))
+        return ad.swiglu_mlp(x, gain, gate, up, down)
+
+    def reference(v):
+        return _ref_swiglu_mlp(v[0], gain.astype(np.float64),
+                               *zip(ref_bases, v[1::2], v[2::2], scales))
+
+    return swiglu_mlp, inputs, {}, reference
 
 
 def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> tuple:
@@ -216,22 +253,20 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
     cfg = model.config
     s = cfg.lora_alpha / cfg.lora_rank
 
-    def linear(x, lin):
+    def operands(lin):
         w = lin.weight if isinstance(lin.weight, np.ndarray) else _ref_dequantize(lin.weight)
-        a, b = (m.data.astype(np.float64) for m in (lin.a, lin.b))
-        return _ref_lora_linear(x, w.astype(np.float64), a, b, s)
+        return (w.astype(np.float64), *(m.data.astype(np.float64) for m in (lin.a, lin.b)), s)
+
+    def linear(x, lin):
+        return _ref_lora_linear(x, *operands(lin))
 
     h = model.embed.astype(np.float64)[tokens] + model.pos.astype(np.float64)[:len(tokens)]
     for block in model.blocks:
         x = _ref_rms_norm(h, block.norm_attn.astype(np.float64))
         q, k, v = (linear(x, block.linears[site]) for site in ("q", "k", "v"))
         a = h + linear(_ref_causal_attention(q, k, v, cfg.n_heads), block.linears["o"])
-        x = _ref_rms_norm(a, block.norm_mlp.astype(np.float64))
-        mlp = linear(
-            _ref_silu(linear(x, block.linears["gate"])) * linear(x, block.linears["up"]),
-            block.linears["down"],
-        )
-        h = a + mlp
+        h = a + _ref_swiglu_mlp(a, block.norm_mlp.astype(np.float64),
+                                *(operands(block.linears[site]) for site in ("gate", "up", "down")))
     logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ model.embed.astype(np.float64).T
     return _ref_cross_entropy(logits, targets)
 

@@ -9,25 +9,27 @@ the embedding) is a plain float32 array.
 The base projections can be 4-bit quantized at init.  A quantized base is
 then held only as codes packed two to a byte (4 bits per weight, in the
 flat-halves layout of :mod:`lcsb.quant`) and scales, and decompressed on
-each use: once in the forward, and once more in an attached layer's
-backward, where dx needs it.  A detached layer decompresses only in the
+each use: once in the forward, and again in an attached layer's
+backward, once where dx needs it and, for the MLP's gate and up, once
+more to re-form their outputs.  A detached layer decompresses only in the
 forward.  This is the memory and time trade of fine-tuning on compressed
 weights.
 
 Each of a layer's seven projections (q, k, v, o, gate, up, down) is one
 :class:`Linear`: a frozen base and its LoRA matrices.  The forward is
 built from fused primitives so that an attached layer records few tape
-nodes: each projection is one ``lora_linear`` node (base matmul plus the
-scaled low-rank delta), all heads of attention (scale, causal mask,
-softmax, ``probs @ v``) are one ``causal_attention`` node, and the MLP's
-``silu(gate) * up`` is one ``swiglu`` node that keeps only ``gate`` and
-``up``.  An attached layer records at most 13 op nodes, plus one leaf
-per LoRA matrix.  What it retains for its backward is a few (T, d) and
-(T, d_ff) activations (the inputs of its norms, attention and SwiGLU,
-and the attention's output) and each query's softmax max and sum, never
-a (heads, T, T) array: about 0.70 MiB at the default T=128.  The
-projections that read a norm's or the SwiGLU's output keep a rebuild of
-it instead of the array.  The output head, the model's one
+nodes: q, k, v and o are one ``lora_linear`` node each (base matmul plus
+the scaled low-rank delta), all heads of attention (scale, causal mask,
+softmax, ``probs @ v``) are one ``causal_attention`` node, and the whole
+MLP (norm, gate and up, ``silu(gate) * up``, down) is one ``swiglu_mlp``
+node.  An attached layer records at most 9 op nodes, plus one leaf per
+LoRA matrix.  What it retains for its backward is a few (T, d)
+activations (the inputs of its two norms and of its attention, and the
+attention's output), each query's softmax max and sum and each row's
+inverse norms, never a (heads, T, T) array or one of width d_ff: about
+0.43 MiB at the default T=128.  The projections that read the attention's
+norm keep a rebuild of it instead of the array, and the MLP re-forms its
+intermediates in its backward.  The output head, the model's one
 ``frozen_linear`` node, reads the embedding in place, through a
 transposed view.
 
@@ -130,7 +132,8 @@ class Linear:
     (rank, d_in) and ``b`` (d_out, rank; zero at init) are used in place, and
     ``scale`` is the config's ``lora_alpha / lora_rank``.  A call is one
     ``lora_linear`` node, which never forms the dense ``W + BA`` and calls
-    :meth:`base` again in the backward only when dx is needed.
+    :meth:`base` again in the backward only when dx is needed; the MLP's
+    gate, up and down are handed to ``swiglu_mlp`` whole instead.
     """
 
     weight: np.ndarray | QuantizedLinear
@@ -237,6 +240,9 @@ class Model:
                         array = array.astype(np.float32, copy=False)
                 if array.dtype != np.float32 or not np.isfinite(array).all():
                     raise CorruptionError(f"{name!r} is not an array of finite float32 values")
+                if name.endswith(".q4_scales") and not (array > 0).all():
+                    # quantize_weights writes only positive scales (1.0 for an all-zero group)
+                    raise CorruptionError(f"{name!r} holds a scale that is not positive")
             checked[name] = array
         for name, current in expected.items():
             if not name.endswith(".q4"):
@@ -250,10 +256,10 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    # The branches drop each intermediate after its last use.  In a detached
-    # block nothing else holds them, and in an attached one the tape keeps
-    # only what its backward needs, so neither holds an array longer than
-    # the branch must.
+    # The attention branch drops each intermediate after its last use, as
+    # swiglu_mlp does inside.  In a detached block nothing else holds them,
+    # and in an attached one the tape keeps only what its backward needs, so
+    # neither holds an array longer than the branch must.
 
     def _attention(self, h: Tensor, block: _Block) -> Tensor:
         lin = block.linears
@@ -263,15 +269,6 @@ class Model:
         heads = ad.causal_attention(q, k, v, self.config.n_heads)
         del q, k, v
         return lin["o"](heads)
-
-    def _mlp(self, h: Tensor, block: _Block) -> Tensor:
-        lin = block.linears
-        x = ad.rms_norm(h, block.norm_mlp)
-        gate, up = lin["gate"](x), lin["up"](x)
-        del x
-        hidden = ad.swiglu(gate, up)
-        del gate, up
-        return lin["down"](hidden)
 
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
         """One residual block in the requested gradient mode; layer_index is in [0, n_layers)."""
@@ -287,8 +284,9 @@ class Model:
         with branch():
             attn = self._attention(h, block)
         a = ad.add(h, attn)
+        lin = block.linears
         with branch():
-            mlp = self._mlp(a, block)
+            mlp = ad.swiglu_mlp(a, block.norm_mlp, lin["gate"], lin["up"], lin["down"])
         return ad.add(a, mlp)
 
     def forward(self, tokens, plan=None) -> Tensor:

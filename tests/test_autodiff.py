@@ -13,7 +13,7 @@ import lcsb.autodiff as ad
 from lcsb.autodiff import Tape, Tensor, backward, paused
 from lcsb.errors import DimensionError, DivergenceError, TapeError
 from lcsb.gradcheck import GRAD_TOL, _ref_rms_norm, finite_difference_grad, micro_config
-from lcsb.model import init_model
+from lcsb.model import Linear, init_model
 from scalar_loss import weighted_sum
 
 
@@ -86,37 +86,125 @@ def test_matmul_shape_mismatch_reports_shapes():
         ad.lora_linear(x, a, b, 0.5, base=lambda: w)
 
 
+def _projections(rng, d, d_ff, rank):
+    """Gate, up and down projections (d -> d_ff, d -> d_ff, d_ff -> d), scale 0.5, with nonzero adapters."""
+    return tuple(
+        Linear(rng.standard_normal((d_in, d_out)).astype(np.float32),
+               Tensor(rng.standard_normal((rank, d_in)) * 0.5, requires_grad=True),
+               Tensor(rng.standard_normal((d_out, rank)) * 0.5, requires_grad=True), 0.5)
+        for d_in, d_out in ((d, d_ff), (d, d_ff), (d_ff, d))
+    )
+
+
+def _adapters(projections):
+    return [m for p in projections for m in (p.a, p.b)]
+
+
 def test_swiglu_saturates_exactly_without_warnings():
-    # sigmoid(-100) is 0 and sigmoid(100) is 1 in float32: silu(-100) = 0, silu(100) = 100
-    gate = Tensor([-100.0, 100.0], requires_grad=True)
-    up = Tensor([3.0, 3.0], requires_grad=True)
+    # sigmoid(-100) is 0 and sigmoid(100) is 1 in float32: silu(-100) = 0, silu(100) = 100.
+    # x normalizes to (1, -1) exactly: its mean square 2 ** 22 absorbs the eps.
+    # The bases make gate (100, -100), up (3, -3) and down the identity; with
+    # B zero the deltas add exact zeros, and rank-1 A = (1, 0) makes dB of
+    # gate and up equal to the gradients of the gate and up values.
+    eye = np.eye(2, dtype=np.float32)
+    gate, up, down = (Linear(w * eye, Tensor([[1.0, 0.0]], requires_grad=True),
+                             Tensor(np.zeros((2, 1)), requires_grad=True), 1.0)
+                      for w in (100.0, 3.0, 1.0))
+    x = Tensor([[2048.0, -2048.0]], requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            out = ad.swiglu(gate, up)
+            out = ad.swiglu_mlp(x, np.ones(2), gate, up, down)
             loss = weighted_sum(out, [2.0, 2.0])
         grads = backward(loss, tape)
-    assert out.data.tolist() == [0.0, 300.0]
-    # d/dgate = 2 * up * silu'(gate), with silu'(-100) = 0 and silu'(100) = 1
-    assert grads[gate].tolist() == [0.0, 6.0]
-    assert grads[up].tolist() == [0.0, 200.0]
+    assert out.data.tolist() == [[300.0, 0.0]]
+    # d/dgate = 2 * up * silu'(gate), with silu'(100) = 1 and silu'(-100) = 0
+    assert grads[gate.b].tolist() == [[6.0], [0.0]]
+    # d/dup = 2 * silu(gate)
+    assert grads[up.b].tolist() == [[200.0], [0.0]]
 
 
 def test_swiglu_tape_keeps_nothing_beyond_its_output():
+    # the fused MLP node keeps its input, each row's inverse norm and down's
+    # (T, rank) product, but no gate, up or SwiGLU array of width d_ff
     rng = np.random.default_rng(4)
-    gate, up = (Tensor(rng.standard_normal((128, 256)), requires_grad=True) for _ in range(2))
+    projections = _projections(rng, 128, 256, 16)
+    x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
+    gain = np.ones(128, dtype=np.float32)
     with Tape() as tape:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = ad.swiglu(gate, up)
+            out = ad.swiglu_mlp(x, gain, *projections)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-    assert len(tape.nodes) == 3  # two leaves and the swiglu node
-    # the output (128 KiB) plus a few hundred bytes of Python objects, and no
-    # sigmoid or silu(gate) array for the backward
-    assert out.data.nbytes <= kept < out.data.nbytes + 4096
+    assert len(tape.nodes) == 8  # x, the six LoRA matrices and the fused node
+    small = 128 * 4 + 128 * 16 * 4  # the inverse norms and down's (T, rank) product
+    # the output (64 KiB), those 8.5 KiB and a few KiB of Python objects
+    assert out.data.nbytes + small <= kept < out.data.nbytes + small + 4096
+
+
+def _swiglu_node(gate, up):
+    """``silu(gate) * up`` as one node, keeping its two inputs: the unfused chain's SwiGLU."""
+    def bw(g, needs):
+        sig = ad._sigmoid(gate.data)
+        g_up = gate.data * sig
+        g_up *= g
+        g_gate = g * up.data
+        g_gate *= sig
+        np.subtract(np.float32(1.0), sig, out=sig)
+        sig *= gate.data
+        sig += np.float32(1.0)
+        g_gate *= sig
+        return (g_gate, g_up)
+
+    out = ad._sigmoid(gate.data)
+    out *= gate.data
+    out *= up.data
+    return ad._finish(out, (gate, up), bw)
+
+
+@pytest.mark.parametrize("t", [1, 7, 128])
+def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t):
+    rng = np.random.default_rng(t)
+    projections = _projections(rng, 32, 48, 4)
+    gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
+    x = Tensor(rng.standard_normal((t, 32)), requires_grad=True)
+    g = rng.standard_normal((t, 32))
+    gate, up, down = projections
+
+    def unfused():
+        n = ad.rms_norm(x, gain)
+        hidden = _swiglu_node(gate(n), up(n))
+        return down(hidden)
+
+    def run(mlp):
+        with Tape() as tape:
+            out = mlp()
+            # x also feeds the residual add, as in a block; its two terms
+            # are summed in the sweep's order
+            loss = weighted_sum(ad.add(x, out), g)
+        return out.data, backward(loss, tape)
+
+    (got, got_grads), (want, want_grads) = run(lambda: ad.swiglu_mlp(x, gain, *projections)), run(unfused)
+    assert got.tobytes() == want.tobytes()
+    for p in (x, *_adapters(projections)):
+        assert got_grads[p].tobytes() == want_grads[p].tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("op", ["rms_norm", "causal_attention", "swiglu_mlp"])
+def test_zero_width_inputs_raise(op):
+    # each divided by zero, with inf or NaN out
+    x = Tensor(np.ones((3, 0)), requires_grad=True)
+    with Tape(), pytest.raises(DimensionError, match="d >= 1|width >= 1"):
+        if op == "rms_norm":
+            ad.rms_norm(x, np.ones(0))
+        elif op == "causal_attention":
+            ad.causal_attention(x, x, x, 1)
+        else:
+            ad.swiglu_mlp(x, np.ones(0), *_projections(np.random.default_rng(0), 0, 4, 1))
 
 
 def test_rms_norm_backward_works_in_two_buffers():
@@ -263,13 +351,11 @@ def test_rms_norm_reads_any_gain_as_float32(as_given):
 
 
 def _producer(name, rng, t):
-    """Tracked inputs of ``rms_norm`` or ``swiglu`` at length ``t``, and the call on them."""
-    if name == "rms_norm":
-        x = Tensor(rng.standard_normal((t, 32)), requires_grad=True)
-        gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
-        return (x,), lambda: ad.rms_norm(x, gain)
-    gate, up = (Tensor(rng.standard_normal((t, 32)), requires_grad=True) for _ in range(2))
-    return (gate, up), lambda: ad.swiglu(gate, up)
+    """Tracked input of ``rms_norm``, the one primitive whose output offers a rebuild, and the call on it."""
+    assert name == "rms_norm"
+    x = Tensor(rng.standard_normal((t, 32)), requires_grad=True)
+    gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
+    return (x,), lambda: ad.rms_norm(x, gain)
 
 
 def _adapter(rng):
@@ -281,7 +367,7 @@ def _adapter(rng):
 
 
 @pytest.mark.parametrize("t", [1, 7, 128])
-@pytest.mark.parametrize("producer", ["rms_norm", "swiglu"])
+@pytest.mark.parametrize("producer", ["rms_norm"])
 def test_lora_linear_gradients_from_a_rebuilt_input_are_unchanged(producer, t):
     rng = np.random.default_rng(t)
     inputs, produce = _producer(producer, rng, t)
@@ -304,7 +390,7 @@ def test_lora_linear_gradients_from_a_rebuilt_input_are_unchanged(producer, t):
         assert got[p].tobytes() == want[p].tobytes()
 
 
-@pytest.mark.parametrize("producer, kept", [("rms_norm", False), ("swiglu", False), ("add", True)])
+@pytest.mark.parametrize("producer, kept", [("rms_norm", False), ("add", True)])
 def test_lora_linear_keeps_its_input_only_without_a_rebuild(producer, kept):
     rng = np.random.default_rng(10)
     w, a, b = _adapter(rng)
@@ -353,24 +439,30 @@ class TestDetach:
 
     def test_residual_identity_jacobian(self):
         # y = x + f(x) with f paused: gradient of sum(y) w.r.t. x is all ones
-        x = Tensor(np.random.default_rng(1).standard_normal(6), requires_grad=True)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        projections = _projections(rng, 6, 8, 2)
         with Tape() as tape:
             with paused():
-                fx = ad.swiglu(x, Tensor(np.full(6, 3.0)))
+                fx = ad.swiglu_mlp(x, np.ones(6), *projections)
             y = ad.add(x, fx)
             loss = weighted_sum(y, 1.0)
         grads = backward(loss, tape)
-        np.testing.assert_array_equal(grads[x], np.ones(6, dtype=np.float32))
+        assert list(grads) == [x]
+        np.testing.assert_array_equal(grads[x], np.ones((3, 6), dtype=np.float32))
 
     def test_paused_outputs_carry_no_rebuild(self):
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 4)), requires_grad=True)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         gain = np.ones(4, dtype=np.float32)
         with Tape():
             with paused():
-                constants = (ad.rms_norm(x, gain), ad.swiglu(x, x))
-            tracked = (ad.rms_norm(x, gain), ad.swiglu(x, x))
-        assert all(c._rebuild is None for c in constants)
-        assert all(t._rebuild is not None for t in tracked)
+                constant = ad.rms_norm(x, gain)
+            tracked = ad.rms_norm(x, gain)
+            # no projection reads the fused MLP's output for dA, so it offers none
+            mlp = ad.swiglu_mlp(x, gain, *_projections(rng, 4, 6, 2))
+        assert constant._rebuild is None and mlp._rebuild is None
+        assert tracked._rebuild is not None
 
 
 class TestBackward:
@@ -449,17 +541,17 @@ class TestBackward:
     def test_backward_deterministic(self):
         # a tape is swept once: two recordings of the same forward give the same bits
         rng = np.random.default_rng(3)
-        a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        projections = _projections(rng, 4, 6, 2)
 
         def grads():
             with Tape() as tape:
-                loss = weighted_sum(ad.swiglu(a, b), 1.0)
+                loss = weighted_sum(ad.swiglu_mlp(x, np.ones(4), *projections), 1.0)
             return backward(loss, tape)
 
         g1, g2 = grads(), grads()
-        assert g1[a].tobytes() == g2[a].tobytes()
-        assert g1[b].tobytes() == g2[b].tobytes()
+        for p in (x, *_adapters(projections)):
+            assert g1[p].tobytes() == g2[p].tobytes()
 
 
 class TestSingleUseTape:
@@ -545,19 +637,19 @@ class TestFiniteDifference:
 
 
 def test_two_layer_mlp_matches_finite_differences():
-    # independent float64 oracle of the same tiny MLP: two adapted projections,
-    # a SwiGLU between them and a cross entropy loss
+    # independent float64 oracle of the same tiny net: an adapted projection,
+    # a pre-norm SwiGLU MLP on its output and a cross entropy loss
     rng = np.random.default_rng(11)
     x = rng.standard_normal((5, 4)).astype(np.float32)
-    targets = rng.integers(0, 3, size=5)
-    w1, w2 = ((rng.standard_normal(shape) * 0.5).astype(np.float32) for shape in ((4, 6), (6, 3)))
-    a1, b1, a2, b2 = (Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
-                      for shape in ((2, 4), (6, 2), (2, 6), (3, 2)))
+    targets = rng.integers(0, 6, size=5)
+    w1 = (rng.standard_normal((4, 6)) * 0.5).astype(np.float32)
+    a1, b1 = (Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True) for shape in ((2, 4), (6, 2)))
+    gain = rng.uniform(0.5, 1.5, 6).astype(np.float32)
+    projections = _projections(rng, 6, 8, 2)
 
     with Tape() as tape:
         hidden = ad.lora_linear(Tensor(x), a1, b1, 0.5, base=lambda: w1)
-        hidden = ad.swiglu(hidden, Tensor(np.ones((5, 6))))
-        logits = ad.lora_linear(hidden, a2, b2, 0.5, base=lambda: w2)
+        logits = ad.swiglu_mlp(hidden, gain, *projections)
         loss = ad.cross_entropy_logits(logits, targets)
     grads = backward(loss, tape)
 
@@ -565,11 +657,13 @@ def test_two_layer_mlp_matches_finite_differences():
         def linear(h, w, a, b):
             return h @ w.astype(np.float64) + 0.5 * (h @ a.data.T.astype(np.float64)) @ b.data.T
         h = linear(x.astype(np.float64), w1, a1, b1)
-        z = linear(h / (1.0 + np.exp(-h)), w2, a2, b2)
+        n = h / np.sqrt(np.mean(h * h, axis=-1, keepdims=True) + 1e-5) * gain
+        gate, up, down = ((p.weight, p.a, p.b) for p in projections)
+        z = linear(linear(n, *gate) / (1.0 + np.exp(-linear(n, *gate))) * linear(n, *up), *down)
         lse = np.log(np.sum(np.exp(z), axis=-1))
         return float(np.mean(lse - z[np.arange(5), targets]))
 
-    for p in (a1, b1, a2, b2):
+    for p in (a1, b1, *_adapters(projections)):
         fd = finite_difference_grad(oracle, p)
         assert np.max(np.abs(grads[p] - fd)) / (np.max(np.abs(fd)) + 1e-12) < GRAD_TOL
 

@@ -54,6 +54,12 @@ def test_all_attached_tape_size_and_retained_bytes():
     trainer = harness.Trainer(harness.WORKLOADS["attach_all"], 0, harness.token_stream(0))
     tokens, targets, plan = trainer.batch(0)
     trainer.model.forward(tokens)  # builds the causal mask, which every later step shares
-    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 218
-    # 5.78 MiB; 7.71 while the projections kept the norm and SwiGLU outputs
-    assert harness.retained_mib(trainer.model, plan, tokens) < 6.2
+    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 186
+    # 3.64 MiB; 5.78 while the MLP was five nodes that kept gate and up, and
+    # 7.71 while the projections kept the norm and SwiGLU outputs
+    assert harness.retained_mib(trainer.model, plan, tokens) < 3.9
+
+
+def test_all_attached_peak_memory():
+    # 10.80 MiB; 12.71 while the MLP was five nodes that kept gate and up
+    assert harness.peak_and_init_mib(harness.WORKLOADS["attach_all"], 0)[0] < 11.2

@@ -105,11 +105,11 @@ def test_lora_params_by_layer_splits_trainable_params_in_order():
 
 
 def test_tape_node_counts():
-    # an attached layer above another: 13 op nodes and a leaf per LoRA matrix (2 x 7 sites)
-    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 27
+    # an attached layer above another: 9 op nodes and a leaf per LoRA matrix (2 x 7 sites)
+    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 23
     # the lowest layer's input is a constant, so its first norm records nothing;
     # the output norm, the head and the loss add 3
-    assert _tape_nodes([ATTACHED, ATTACHED]) == 26 + 27 + 3
+    assert _tape_nodes([ATTACHED, ATTACHED]) == 22 + 23 + 3
     assert _tape_nodes([DETACHED, DETACHED]) == 0
 
 
@@ -302,8 +302,10 @@ def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
     monkeypatch.setattr(lm, "dequantize", counting_dequantize)
     tokens = np.arange(QCFG.seq_len + 1) % QCFG.vocab_size
     # q, k and v of the lowest attached layer read a constant (the frozen
-    # embedding, or the output of detached blocks), so their dx is not needed
-    for modes, in_backward in (([ATTACHED, ATTACHED], 4 + 7), ([DETACHED, ATTACHED], 4),
+    # embedding, or the output of detached blocks), so their dx is not needed.
+    # The fused MLP decompresses five times: gate and up to re-form them, and
+    # gate, up and down for dx.
+    for modes, in_backward in (([ATTACHED, ATTACHED], 6 + 9), ([DETACHED, ATTACHED], 6),
                                ([DETACHED, DETACHED], 0)):
         calls.clear()
         with ad.Tape() as tape:
@@ -368,7 +370,7 @@ def test_backward_frees_the_tape_as_it_sweeps():
     assert peak - end_forward < lora_bytes
     held_by_tape = after - before - sum(g.nbytes for g in grads.values())
     assert held_by_tape < 0.1 * retained
-    assert len(tape.nodes) == 26 + 27 * 7 + 3  # the recorded count, kept after the sweep
+    assert len(tape.nodes) == 22 + 23 * 7 + 3  # the recorded count, kept after the sweep
 
 
 @pytest.fixture(scope="module")
@@ -392,9 +394,10 @@ def test_attached_layer_keeps_no_norm_or_swiglu_output(default_model):
         finally:
             tracemalloc.stop()
 
-    # 0.70 MiB; keeping the two normalized inputs and the SwiGLU output for
-    # the projections' dA, rather than their rebuilds, took 0.95 MiB
-    assert retained(2) - retained(1) < 0.75 * 2 ** 20
+    # 0.43 MiB; 0.70 while the MLP was five nodes that kept gate and up, and
+    # 0.95 while the projections kept the normalized inputs and the SwiGLU
+    # output for dA, rather than their rebuilds
+    assert retained(2) - retained(1) < 0.5 * 2 ** 20
 
 
 def test_detached_block_releases_its_intermediates(default_model):
@@ -440,11 +443,15 @@ def _without(arrays, name):
     return {k: a for k, a in arrays.items() if k != name}
 
 
+def _with_last(array, value):
+    out = array.copy()
+    out.flat[-1] = value
+    return out
+
+
 def _beyond_float32(arrays, name):
     """``arrays`` with the last value of ``name`` a float64 1e39, which is inf in float32."""
-    big = arrays[name].astype(np.float64)
-    big.flat[-1] = 1e39
-    return {**arrays, name: big}
+    return {**arrays, name: _with_last(arrays[name].astype(np.float64), 1e39)}
 
 
 CORRUPTIONS = {
@@ -463,6 +470,11 @@ CORRUPTIONS = {
             "layers.0.q.lora_a"),
     "inf_scale": (lambda a: {**a, "layers.1.o.q4_scales": a["layers.1.o.q4_scales"] / np.float32(0)},
                   "layers.1.o.q4_scales"),
+    # quantize_weights writes only positive scales; these decompressed to a zero or negated base
+    "zero_scales": (lambda a: {**a, "layers.0.q.q4_scales": np.zeros_like(a["layers.0.q.q4_scales"])},
+                    "layers.0.q.q4_scales"),
+    "negative_scale": (lambda a: {**a, "layers.1.down.q4_scales": _with_last(
+        a["layers.1.down.q4_scales"], -3.0)}, "layers.1.down.q4_scales"),
     "integer_floats": (lambda a: {**a, "norm_out.gain": a["norm_out.gain"].astype(np.int64)},
                        "norm_out.gain"),
     # finite in float64 but inf in float32, so the cast is checked before any key is written
