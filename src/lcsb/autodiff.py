@@ -2,55 +2,43 @@
 
 The engine records one node per primitive onto an explicit :class:`Tape`
 (entered as a context manager) and replays them in reverse to accumulate
-gradients.  Its seven primitives are exactly those a training step of
-:mod:`lcsb.model` records.  Three are fused so that a layer records few
-nodes and its tape keeps little: :func:`lora_linear` (a frozen projection
-plus its LoRA delta), :func:`causal_attention` (all heads of scaled,
-causally masked softmax attention, keeping q, k, v and two row statistics)
-and :func:`swiglu_mlp` (a whole pre-norm SwiGLU MLP, keeping only its input
-and two small arrays), each with a hand-written backward.  Where a node
-keeps less than its backward reads, the backward recomputes the rest with
-the forward's own operations, bit for bit: attention rebuilds its softmax
-probabilities from q, k and each query's max and sum, as FlashAttention's
-backward does, and the MLP re-forms its normalized input, gate, up and
-SwiGLU output once.  It shares private helpers for the array math of a
-norm and a projection with :func:`rms_norm` and :func:`lora_linear`, so
-its values and gradients are those of the chain of these primitives and
-a SwiGLU, bit for bit.
+gradients.  Its six primitives are exactly those a training step of
+:mod:`lcsb.model` records.  Two are fused so that a layer records few
+nodes and its tape keeps little: :func:`self_attention` (a whole pre-norm
+causal multi-head attention with its q, k, v and o projections) and
+:func:`swiglu_mlp` (a whole pre-norm SwiGLU MLP), each with a hand-written
+backward.  Each keeps its input and a few small arrays, and its backward
+re-forms the rest once with the forward's own operations, bit for bit:
+the normalized input, each projection's output (LoRA delta included),
+and the attention's softmax probabilities, rebuilt from q, k and each
+query's max and sum as FlashAttention's backward does, or the SwiGLU
+output.  This is selective activation recomputation (Korthikanti et al.
+2022) inside one node, so nothing is re-formed twice.  The fused nodes
+share private helpers for the array math of a norm, a projection and
+attention, so their values and gradients are those of the chain of a
+norm, LoRA projections and an attention or a SwiGLU, bit for bit.
 
 What each node keeps for its backward:
 
-* ``rms_norm``: its input, each row's inverse norm and the gain;
+* ``self_attention``: the adapters, its input, each row's inverse norm,
+  the gain, each query's softmax max and sum and o's (n, rank) product
+  ``s * heads @ a.T``;
 * ``swiglu_mlp``: the adapters, its input, each row's inverse norm, the
   gain and the down projection's (n, rank) product ``s * hidden @ a.T``;
-* ``causal_attention``: the scaled q, k, v and each query's softmax max and sum;
-* ``lora_linear``: the adapters, the (n, rank) product ``s * x @ a.T`` and
-  the means to form ``x`` for dA (see below);
+* ``rms_norm`` (the model's output norm): its input, each row's inverse
+  norm and the gain;
 * ``frozen_linear`` (the model's output head): its weight, the embedding's
   transposed view;
 * ``cross_entropy_logits``: its softmax probabilities;
 * ``add``: nothing.
 
-One rule decides how ``lora_linear`` holds ``x``.  An output of
-``rms_norm`` that a tape recorded carries a rebuild: a zero-argument
-function that repeats the forward's float32 operations on arrays its node
-keeps anyway, so it costs no matmul and returns the same bits.
-``lora_linear`` keeps that rebuild if its input offers one, and the input
-array otherwise, and calls the rebuild in the backward only for dA.  In
-the model this serves the attention's norm, read by q, k and v; the MLP's
-norm lives inside :func:`swiglu_mlp`.  An attached layer thus holds no
-normalized input, gate, up or SwiGLU output through the step; this is
-selective activation recomputation (Korthikanti et al. 2022) where it
-needs few or no matmuls.  An output made under :func:`paused` carries no
-rebuild.
-
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 is a plain float32 array.  :func:`rms_norm` and :func:`frozen_linear`
-take their gain and weight as arrays, and :func:`lora_linear` and
-:func:`swiglu_mlp` fetch a frozen base on each use, in the forward and
-again in the backward, so a compressed base stays compressed.
-:func:`paused` stops recording for a block of code; it is the one way to
-cut a gradient, since what is computed inside is a constant to every tape.
+take their gain and weight as arrays, and the fused nodes fetch each
+frozen base on each use, in the forward and again in the backward, so a
+compressed base stays compressed.  :func:`paused` stops recording for a
+block of code; it is the one way to cut a gradient, since what is
+computed inside is a constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -124,11 +112,7 @@ class Tensor:
     marks trainable leaves; a recorded output has it set too.  A tensor
     without it is a constant activation, such as a model's input.  ``_tape``
     and ``_node`` name the tape that recorded this tensor and its node
-    there; they stay ``None`` on every tensor no tape produced.  ``_rebuild``
-    is ``None`` too, unless the recorded node can form ``data`` again from
-    the arrays it keeps anyway: then it is a zero-argument function that
-    returns a fresh array equal to ``data`` bit for bit.  So the ``data``
-    of a recorded output is not to be written in place.
+    there; they stay ``None`` on every tensor no tape produced.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -139,7 +123,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._tape: Tape | None = None
         self._node: int | None = None
-        self._rebuild: Callable[[], Array] | None = None
 
     @property
     def shape(self) -> tuple:
@@ -197,15 +180,12 @@ class Tape:
         return len(self.nodes) - 1
 
 
-def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable,
-            rebuild: Callable[[], Array] | None = None) -> Tensor:
+def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     """Wrap a forward result, recording a node if any input is tracked.
 
     ``backward_fn(g, needs)`` maps the output gradient to one gradient per
     input; ``needs[i]`` is False when input ``i`` has no node on the tape,
-    and its gradient may then be ``None``.  ``rebuild`` re-forms
-    ``out_data`` from what ``backward_fn`` keeps; it is attached to the
-    output only when the node is recorded.
+    and its gradient may then be ``None``.
     """
     out = Tensor(out_data)
     tape = _active_tape()
@@ -214,7 +194,6 @@ def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable,
         out.requires_grad = True
         out._tape = tape
         out._node = tape._record(handles, backward_fn)
-        out._rebuild = rebuild
     return out
 
 
@@ -338,7 +317,7 @@ def rms_norm(x: Tensor, gain: Array) -> Tensor:
 
     ``gain`` is a frozen (d,) array, not a tensor, and is read as float32:
     only ``x`` gets a gradient, and the node keeps ``x``, each row's inverse
-    norm and the gain.  A recorded output carries a rebuild from those three.
+    norm and the gain.
     """
     gain = _norm_gain(x, gain, "rms_norm")
     x_data = x.data
@@ -347,10 +326,7 @@ def rms_norm(x: Tensor, gain: Array) -> Tensor:
     def bw(g, needs):
         return (_rms_norm_backward(g, x_data, inv, gain),)
 
-    def normalized():
-        return _rms_normalized(x_data, inv, gain)
-
-    return _finish(normalized(), (x,), bw, normalized)
+    return _finish(_rms_normalized(x_data, inv, gain), (x,), bw)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -370,9 +346,8 @@ def _sigmoid(x: Array) -> Array:
 def frozen_linear(x: Tensor, w: Array) -> Tensor:
     """``x @ w`` with a frozen float32 ``w`` of shape (d_in, d_out), as one node.
 
-    Like :func:`lora_linear` without an adapter; the model's weight-tied
-    head, which is never compressed, is its one user.  The node keeps ``w``
-    for dx.
+    A projection without an adapter; the model's weight-tied head, which
+    is never compressed, is its one user.  The node keeps ``w`` for dx.
     """
     if x.data.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
         raise DimensionError(f"frozen_linear shapes incompatible: x {x.shape}, base {w.shape}")
@@ -420,8 +395,8 @@ def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array
                 s: float, xas: Array) -> tuple:
     """``(dx, gxa, dB)`` of a projection, each only where ``needs`` (x, a, b) asks.
 
-    ``dA`` is ``gxa.T @ x``, formed by the caller, which holds ``x`` or its
-    means.  ``base()`` is called only for dx.
+    ``dA`` is ``gxa.T @ x``, formed by the caller, which re-forms ``x``.
+    ``base()`` is called only for dx.
     """
     gxa = None
     if needs[0] or needs[1]:
@@ -434,39 +409,15 @@ def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array
     return gx, gxa, (g.T @ xas if needs[2] else None)
 
 
-def lora_linear(x: Tensor, a: Tensor, b: Tensor, s: float, *, base: Callable[[], Array]) -> Tensor:
-    """``x @ w + s * (x @ a.T) @ b.T``, a frozen base projection plus a LoRA delta, as one node.
-
-    ``base()`` returns the (d_in, d_out) float32 base ``w``; ``x`` is
-    (n, d_in), ``a`` is (rank, d_in) and ``b`` is (d_out, rank).  The base is
-    frozen, so it gets no gradient and the node keeps no reference to it:
-    ``base`` is called once in the forward and once more in the backward,
-    and only when dx is needed.  A compressed base is therefore decompressed
-    on each use and never held in float by the tape.  The backward works
-    through the (n, rank) intermediate and never forms the dense
-    ``w + s * (b @ a).T``; it returns dx, dA and dB, each only when that
-    input has a node.  Only dA reads ``x``: the node keeps ``x``'s rebuild
-    when its producer offers one, and ``x`` itself otherwise.
-    """
-    x_data, a_data, b_data = x.data, a.data, b.data
-    x_values = x._rebuild or (lambda: x_data)
-    out, xas = _lora_forward(x_data, base, a_data, b_data, s, "lora_linear")
-
-    def bw(g, needs):
-        gx, gxa, gb = _lora_grads(g, needs, base, a_data, b_data, s, xas)
-        return (gx, gxa.T @ x_values() if needs[1] else None, gb)
-
-    return _finish(out, (x, a, b), bw)
-
-
 def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x, gain)``, a pre-norm SwiGLU MLP, as one node.
 
     ``silu(z) = z * sigmoid(z)``.  ``gate``, ``up`` and ``down`` are
     projections such as :class:`lcsb.model.Linear`: each has LoRA tensors
     ``a`` and ``b``, a ``scale`` and a ``base()`` that returns its float32
-    (d_in, d_out) base, and is applied as :func:`lora_linear` applies one.
-    ``x`` is (n, d) and ``gain`` a frozen (d,) array, read as float32.  The
+    (d_in, d_out) base ``w``, and is applied as ``x @ w + scale * (x @ a.T)
+    @ b.T``, through the (n, rank) product and never the dense
+    ``w + scale * (b @ a).T``.  ``x`` is (n, d) and ``gain`` a frozen (d,) array, read as float32.  The
     node's inputs are ``x`` and the six LoRA matrices, in the order gate's
     ``a``, ``b``, up's, down's.
 
@@ -474,9 +425,8 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     (n, rank) product: nothing of width ``d_ff``.  Its backward re-forms the
     normalized input, ``gate``, ``up`` and the SwiGLU output once, with the
     forward's own operations, so the gradients are those of the unfused
-    chain bit for bit.  Each base is fetched on each use, as in
-    :func:`lora_linear`: a compressed one is decompressed once per
-    projection in the forward, and in the backward once for each of gate
+    chain bit for bit.  Each base is fetched on each use and never kept, so
+    a compressed one is decompressed once per projection in the forward, and in the backward once for each of gate
     and up to re-form them and once per projection for dx.
     """
     gain = _norm_gain(x, gain, "swiglu_mlp")
@@ -556,81 +506,142 @@ def _causal_mask(t: int) -> Array:
     return mask
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal scaled dot-product attention of (T, d) inputs, as one node.
+def _split_heads(m: Array, n_heads: int) -> Array:
+    """The (n_heads, T, d_h) view of a (T, d) array: head ``i`` is its column block ``i``."""
+    t, d = m.shape
+    return m.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
 
-    Head ``i`` is the column block ``i * d_h : (i + 1) * d_h`` with
-    ``d_h = d / n_heads``; the heads run as batched matmuls on
-    (n_heads, T, d_h) views.  Position ``i`` attends to positions ``<= i``:
-    -1e9 is added to the scores of later positions before the softmax.  The
-    output and dq, dk, dv of the backward are in the (T, d) layout of the
-    inputs.
 
-    The node keeps q (scaled), k, v and each query's softmax max and sum,
-    (n_heads, 1, T) each, but not the (n_heads, T, T) probabilities: the
-    backward rebuilds them from the same inputs with the same operations in
-    the same order, so they are bit-identical to the forward's.
+def _merge_heads(m: Array) -> Array:
+    """The (T, d) array whose column block ``i`` is head ``i`` of ``m``."""
+    n_heads, t, d_h = m.shape
+    return m.transpose(1, 0, 2).reshape(t, n_heads * d_h)
+
+
+def _attention_probs(qh: Array, kh: Array, row_max: Array | None = None,
+                     row_sum: Array | None = None) -> tuple:
+    """Each head's causal softmax probabilities and each query's max and sum, (n_heads, 1, T) each.
+
+    The scores are laid out (head, key, query), so the softmax reduces
+    across rows, which numpy does faster than along them.  Given the
+    forward's max and sum, the probabilities are rebuilt with the same
+    operations in the same order, bit for bit.  They are formed in one
+    buffer updated in place: at T=128 it is 256 KiB, and allocating a fresh
+    one per operation cost about 175 page faults per call and twice the
+    time (2-vCPU x86-64, one BLAS thread).
     """
-    if (q.data.ndim != 2 or q.shape[0] == 0 or q.shape[1] == 0
-            or k.shape != q.shape or v.shape != q.shape):
-        raise DimensionError(
-            f"causal_attention expects equal (T, d) inputs with T >= 1 and d >= 1, "
-            f"got {q.shape}, {k.shape}, {v.shape}"
-        )
-    t, d = q.shape
-    if not isinstance(n_heads, numbers.Integral) or isinstance(n_heads, bool):
-        raise DimensionError(f"causal_attention: n_heads must be an int, got {n_heads!r}")
-    if n_heads <= 0 or d % n_heads != 0:
-        raise DimensionError(f"causal_attention: {n_heads} heads do not divide d={d}")
-    d_h = d // n_heads
-    c = np.float32(1.0 / np.sqrt(d_h))
-
-    def split(m):
-        return m.reshape(t, n_heads, d_h).transpose(1, 0, 2)
-
-    def merge(m):
-        return m.transpose(1, 0, 2).reshape(t, d)
-
-    # 1/sqrt(d_h) scales the (T, d) queries rather than the (n_heads, T, T)
-    # scores.  The scores are laid out (head, key, query), so the softmax
-    # reduces across rows, which numpy does faster than along them.  These
-    # buffers are updated in place: at T=128 each is 256 KiB, and allocating a
-    # fresh one per operation cost about 175 page faults per call and twice
-    # the time (2-vCPU x86-64, one BLAS thread).
-    qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
-
-    def scores():
-        s = kh @ qh.transpose(0, 2, 1)
-        s += _causal_mask(t)
-        return s
-
-    probs = scores()
-    row_max = np.max(probs, axis=1, keepdims=True)
+    probs = kh @ qh.transpose(0, 2, 1)
+    probs += _causal_mask(qh.shape[1])
+    if row_max is None:
+        row_max = np.max(probs, axis=1, keepdims=True)
     probs -= row_max
     np.exp(probs, out=probs)
-    row_sum = np.sum(probs, axis=1, keepdims=True)
+    if row_sum is None:
+        row_sum = np.sum(probs, axis=1, keepdims=True)
     probs /= row_sum
+    return probs, row_max, row_sum
+
+
+def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
+    """``o(attention(q(n), k(n), v(n)))`` with ``n = rms_norm(x, gain)``, pre-norm causal attention, as one node.
+
+    ``q``, ``k``, ``v`` and ``o`` are projections as in :func:`swiglu_mlp`.
+    ``x`` is (T, d) with T >= 1 and ``gain`` a frozen (d,) array, read as
+    float32.  q, k and v must have one width, which ``n_heads`` splits into
+    heads of width ``d_h``: head ``i`` is the column block ``i * d_h :
+    (i + 1) * d_h``, and the heads run as batched matmuls.  q is scaled by
+    ``1 / sqrt(d_h)``, and position ``i`` attends to positions ``<= i``:
+    -1e9 is added to the scores of later positions before the softmax.  The
+    node's inputs are ``x`` and the eight LoRA matrices, in the order q's
+    ``a``, ``b``, k's, v's, o's.
+
+    The node keeps ``x``, each row's inverse norm, each query's softmax max
+    and sum and o's (T, rank) product: no q, k, v, heads or (n_heads, T, T)
+    array.  Its backward re-forms the normalized input once, then q, k and
+    v, rebuilds the probabilities from the row statistics and re-forms the
+    heads for o's dA, all with the forward's own operations, so the
+    gradients are those of the unfused chain bit for bit.  Each base is
+    fetched on each use: a compressed one is decompressed once per
+    projection in the forward, and in the backward once for each of q, k
+    and v to re-form them and once per projection for dx.
+    """
+    if x.data.ndim != 2 or x.shape[0] == 0:
+        raise DimensionError(f"self_attention expects a (T, d) input with T >= 1, got {x.shape}")
+    if not isinstance(n_heads, numbers.Integral) or isinstance(n_heads, bool):
+        raise DimensionError(f"self_attention: n_heads must be an int, got {n_heads!r}")
+    gain = _norm_gain(x, gain, "self_attention")
+    x_data = x.data
+    inv = _rms_inv(x_data)
+    projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (q, k, v, o)]
+
+    def heads_of(n):
+        """The scaled q, k and v as heads, the scale and their (T, rank) products."""
+        (q_out, xas_q), (k_out, xas_k), (v_out, xas_v) = (
+            _lora_forward(n, *projections[i], f"self_attention {name}") for i, name in enumerate("qkv"))
+        width = q_out.shape[1]
+        if k_out.shape != q_out.shape or v_out.shape != q_out.shape:
+            raise DimensionError(f"self_attention q, k and v outputs differ: "
+                                 f"{q_out.shape}, {k_out.shape}, {v_out.shape}")
+        if n_heads <= 0 or width == 0 or width % n_heads != 0:
+            raise DimensionError(f"self_attention: {n_heads} heads do not divide d={width}")
+        c = np.float32(1.0 / np.sqrt(width // n_heads))
+        # 1/sqrt(d_h) scales the (T, d) queries rather than the (n_heads, T, T) scores
+        q_out *= c
+        qkv = tuple(_split_heads(m, n_heads) for m in (q_out, k_out, v_out))
+        return qkv, c, (xas_q, xas_k, xas_v)
+
+    n = _rms_normalized(x_data, inv, gain)
+    (qh, kh, vh), _, _ = heads_of(n)
+    del n
+    probs, row_max, row_sum = _attention_probs(qh, kh)
+    heads = _merge_heads(probs.transpose(0, 2, 1) @ vh)
+    del probs, qh, kh, vh
+    out, xas_o = _lora_forward(heads, *projections[3], "self_attention o")
+    del heads
 
     def bw(g, needs):
-        probs = scores()  # the forward's probabilities, rebuilt bit for bit
-        probs -= row_max
-        np.exp(probs, out=probs)
-        probs /= row_sum
-        gh = split(g)
-        gv = merge(probs @ gh)
+        # g is shared with the residual add, so it is only read
+        g_heads, gxa_o, gb_o = _lora_grads(g, (True, *needs[7:]), *projections[3], xas_o)
+        n = _rms_normalized(x_data, inv, gain)
+        (qh, kh, vh), c, xas = heads_of(n)
+        probs, _, _ = _attention_probs(qh, kh, row_max, row_sum)
+        ga_o = None
+        if needs[7]:  # the heads, re-formed for o's dA
+            ga_o = gxa_o.T @ _merge_heads(probs.transpose(0, 2, 1) @ vh)
         # the scores' gradient probs * (gs - sum(gs * probs)), formed as
-        # gs * probs - probs * sum(gs * probs): the second product overwrites
-        # the rebuilt probs, which are needed no more
+        # gs * probs - probs * sum(gs * probs); each array is dropped after
+        # its last use, and the second product overwrites probs
+        gh = _split_heads(g_heads, n_heads)
+        gv = _merge_heads(probs @ gh)
         gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs
+        del gh, g_heads, vh
         gs *= probs
         gs -= np.multiply(probs, np.sum(gs, axis=1, keepdims=True), out=probs)
-        gq = merge(gs.transpose(0, 2, 1) @ kh)
+        del probs
+        gq = _merge_heads(gs.transpose(0, 2, 1) @ kh)
         gq *= c
-        return (gq, merge(gs @ qh), gv)
+        del kh
+        g_qkv = [gq, _merge_heads(gs @ qh), gv]
+        del gs, qh, gq, gv
+        adapter_grads = [None] * 6
+        gx = None
+        for i in (2, 1, 0):  # v, k, q: the unfused chain's sweep sums (v + k) + q
+            gx_i, gxa, adapter_grads[2 * i + 1] = _lora_grads(
+                g_qkv[i], (needs[0], *needs[2 * i + 1:2 * i + 3]), *projections[i], xas[i])
+            g_qkv[i] = None
+            if needs[2 * i + 1]:
+                adapter_grads[2 * i] = gxa.T @ n
+            if gx is None:
+                gx = gx_i
+            else:
+                gx += gx_i
+        del n
+        if needs[0]:
+            gx = _rms_norm_backward(gx, x_data, inv, gain)
+        return (gx, *adapter_grads, ga_o, gb_o)
 
-    out = merge(probs.transpose(0, 2, 1) @ vh)
-    del probs  # the node keeps only the row statistics
-    return _finish(out, (q, k, v), bw)
+    inputs = (x, q.a, q.b, k.a, k.b, v.a, v.b, o.a, o.b)
+    return _finish(out, inputs, bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:

@@ -82,6 +82,13 @@ def _ref_swiglu_mlp(x, gain, gate, up, down):
     return _ref_lora_linear(_ref_silu(_ref_lora_linear(n, *gate)) * _ref_lora_linear(n, *up), *down)
 
 
+def _ref_self_attention(x, gain, q, k, v, o, n_heads):
+    """Pre-norm causal attention; each projection is ``_ref_lora_linear``'s (w, a, b, s)."""
+    n = _ref_rms_norm(x, gain)
+    heads = _ref_causal_attention(*(_ref_lora_linear(n, *p) for p in (q, k, v)), n_heads)
+    return _ref_lora_linear(heads, *o)
+
+
 def _ref_dequantize(q):
     """The (d_in, d_out) matrix of 4-bit codes times their group scales, in float64.
 
@@ -134,26 +141,16 @@ def _primitive_cases(rng: np.random.Generator):
         lambda d: _ref_rms_norm(d[0], gain.astype(np.float64))
     )
 
-    n, d_in, d_out, rank = rng.integers(1, 7, size=4)
-    s = float(rng.uniform(0.5, 2.0))
+    n, d_in, d_out = rng.integers(1, 7, size=3)
     w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32)
     yield ad.frozen_linear, [t((n, d_in))], {"w": w}, (
         lambda d: d[0] @ w.astype(np.float64)
     )
-    for x_tracked in (True, False):  # a constant x is the first layer's input
-        x = t((n, d_in), requires_grad=x_tracked)
-        yield ad.lora_linear, [x, t((rank, d_in)), t((d_out, rank))], {"s": s, "base": lambda: w}, (
-            lambda d: _ref_lora_linear(d[0], w.astype(np.float64), d[1], d[2], s)
-        )
 
     for quantize in (False, True):
-        yield _swiglu_mlp_case(rng, t, quantize)
-
-    seq, n_heads, head_dim = rng.integers(1, 6), rng.integers(1, 4), rng.integers(1, 4)
-    qkv = [t((seq, n_heads * head_dim), lo=-2.0, hi=2.0) for _ in range(3)]
-    yield ad.causal_attention, qkv, {"n_heads": n_heads}, (
-        lambda d: _ref_causal_attention(*d, n_heads)
-    )
+        yield _fused_case(rng, t, ad.swiglu_mlp, quantize)
+        for x_tracked in (True, False):  # a constant x is the lowest attached layer's input
+            yield _fused_case(rng, t, ad.self_attention, quantize, x_tracked)
 
     targets = rng.integers(0, 8, size=5)
     yield ad.cross_entropy_logits, [t((5, 8), lo=-2.0, hi=2.0)], {"targets": targets}, (
@@ -161,35 +158,43 @@ def _primitive_cases(rng: np.random.Generator):
     )
 
 
-def _swiglu_mlp_case(rng: np.random.Generator, t: Callable, quantize: bool) -> tuple:
-    """A :func:`~lcsb.autodiff.swiglu_mlp` case with a random gain and nonzero adapters.
+def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize: bool,
+                x_tracked: bool = True) -> tuple:
+    """A case of the fused node ``fused``, with a random gain and nonzero adapters.
 
-    Its inputs are x and the six LoRA matrices; the bases are float, or 4-bit
-    in groups of 2, which the reference decompresses with
-    :func:`_ref_dequantize`.
+    Its inputs are x, tracked or a constant, and the LoRA matrices of the
+    node's projections: gate and up from width d to an even width and down
+    back, or q, k and v from d to ``n_heads`` heads and o back.  The bases
+    are float, or 4-bit in groups of 2, which the reference decompresses
+    with :func:`_ref_dequantize`.
     """
     n, rank = rng.integers(1, 6), rng.integers(1, 4)
-    d, d_ff = 2 * rng.integers(1, 4), 2 * rng.integers(1, 5)
+    if fused is ad.self_attention:
+        n_heads = rng.integers(1, 4)
+        d, width = 2 * rng.integers(1, 4), 2 * n_heads * rng.integers(1, 3)
+        dims, ref, heads = ((d, width),) * 3 + ((width, d),), _ref_self_attention, (n_heads,)
+    else:
+        d, width = 2 * rng.integers(1, 4), 2 * rng.integers(1, 5)
+        dims, ref, heads = ((d, width), (d, width), (width, d)), _ref_swiglu_mlp, ()
     gain = rng.uniform(0.5, 1.5, size=d).astype(np.float32)
-    scales = rng.uniform(0.5, 2.0, size=3)
-    bases = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
-             for shape in ((d, d_ff), (d, d_ff), (d_ff, d))]
+    scales = rng.uniform(0.5, 2.0, size=len(dims))
+    bases = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32) for shape in dims]
     if quantize:
         bases = [quantize_weights(w, 2) for w in bases]
     ref_bases = [_ref_dequantize(w) if quantize else w.astype(np.float64) for w in bases]
-    inputs = [t((n, d))] + [t(shape) for d_in, d_out in ((d, d_ff), (d, d_ff), (d_ff, d))
-                            for shape in ((rank, d_in), (d_out, rank))]
+    inputs = [t((n, d), requires_grad=x_tracked)] + [
+        t(shape) for d_in, d_out in dims for shape in ((rank, d_in), (d_out, rank))]
 
-    def swiglu_mlp(x, *adapters):
-        gate, up, down = (Linear(w, a, b, float(s)) for w, a, b, s
-                          in zip(bases, adapters[0::2], adapters[1::2], scales))
-        return ad.swiglu_mlp(x, gain, gate, up, down)
+    def node(x, *adapters):
+        projections = (Linear(w, a, b, float(s)) for w, a, b, s
+                       in zip(bases, adapters[0::2], adapters[1::2], scales))
+        return fused(x, gain, *projections, *heads)
 
     def reference(v):
-        return _ref_swiglu_mlp(v[0], gain.astype(np.float64),
-                               *zip(ref_bases, v[1::2], v[2::2], scales))
+        return ref(v[0], gain.astype(np.float64), *zip(ref_bases, v[1::2], v[2::2], scales), *heads)
 
-    return swiglu_mlp, inputs, {}, reference
+    node.__name__ = fused.__name__
+    return node, inputs, {}, reference
 
 
 def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> tuple:
@@ -257,14 +262,11 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
         w = lin.weight if isinstance(lin.weight, np.ndarray) else _ref_dequantize(lin.weight)
         return (w.astype(np.float64), *(m.data.astype(np.float64) for m in (lin.a, lin.b)), s)
 
-    def linear(x, lin):
-        return _ref_lora_linear(x, *operands(lin))
-
     h = model.embed.astype(np.float64)[tokens] + model.pos.astype(np.float64)[:len(tokens)]
     for block in model.blocks:
-        x = _ref_rms_norm(h, block.norm_attn.astype(np.float64))
-        q, k, v = (linear(x, block.linears[site]) for site in ("q", "k", "v"))
-        a = h + linear(_ref_causal_attention(q, k, v, cfg.n_heads), block.linears["o"])
+        a = h + _ref_self_attention(h, block.norm_attn.astype(np.float64),
+                                    *(operands(block.linears[site]) for site in ("q", "k", "v", "o")),
+                                    cfg.n_heads)
         h = a + _ref_swiglu_mlp(a, block.norm_mlp.astype(np.float64),
                                 *(operands(block.linears[site]) for site in ("gate", "up", "down")))
     logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ model.embed.astype(np.float64).T

@@ -10,28 +10,25 @@ The base projections can be 4-bit quantized at init.  A quantized base is
 then held only as codes packed two to a byte (4 bits per weight, in the
 flat-halves layout of :mod:`lcsb.quant`) and scales, and decompressed on
 each use: once in the forward, and again in an attached layer's
-backward, once where dx needs it and, for the MLP's gate and up, once
-more to re-form their outputs.  A detached layer decompresses only in the
-forward.  This is the memory and time trade of fine-tuning on compressed
-weights.
+backward, once per projection where dx needs it and once more for q, k,
+v, gate and up to re-form their outputs.  A detached layer decompresses
+only in the forward.  This is the memory and time trade of fine-tuning on
+compressed weights.
 
 Each of a layer's seven projections (q, k, v, o, gate, up, down) is one
-:class:`Linear`: a frozen base and its LoRA matrices.  The forward is
-built from fused primitives so that an attached layer records few tape
-nodes: q, k, v and o are one ``lora_linear`` node each (base matmul plus
-the scaled low-rank delta), all heads of attention (scale, causal mask,
-softmax, ``probs @ v``) are one ``causal_attention`` node, and the whole
-MLP (norm, gate and up, ``silu(gate) * up``, down) is one ``swiglu_mlp``
-node.  An attached layer records at most 9 op nodes, plus one leaf per
-LoRA matrix.  What it retains for its backward is a few (T, d)
-activations (the inputs of its two norms and of its attention, and the
-attention's output), each query's softmax max and sum and each row's
-inverse norms, never a (heads, T, T) array or one of width d_ff: about
-0.43 MiB at the default T=128.  The projections that read the attention's
-norm keep a rebuild of it instead of the array, and the MLP re-forms its
-intermediates in its backward.  The output head, the model's one
-``frozen_linear`` node, reads the embedding in place, through a
-transposed view.
+:class:`Linear`: a frozen base and its LoRA matrices.  Each half of a
+block is one fused tape node: the whole attention (norm, q, k and v, all
+heads' scaled, causally masked softmax, ``probs @ v``, o) is one
+``self_attention`` node, and the whole MLP (norm, gate and up,
+``silu(gate) * up``, down) is one ``swiglu_mlp`` node.  An attached layer
+records 4 op nodes (the two halves and their residual adds), plus one
+leaf per LoRA matrix.  What it retains for its backward is the (T, d)
+input of each half, each row's inverse norms, each query's softmax max
+and sum and the (T, rank) products of o and down, never a (heads, T, T)
+array or one of width d_ff: about 0.15 MiB at the default T=128.  Each
+node re-forms its intermediates in its backward.  The output head, the
+model's one ``frozen_linear`` node, reads the embedding in place, through
+a transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -130,10 +127,11 @@ class Linear:
     a float32 array or, for a 4-bit base, only a :class:`QuantizedLinear`;
     :meth:`base` returns it in float, decompressing on every call.  ``a``
     (rank, d_in) and ``b`` (d_out, rank; zero at init) are used in place, and
-    ``scale`` is the config's ``lora_alpha / lora_rank``.  A call is one
-    ``lora_linear`` node, which never forms the dense ``W + BA`` and calls
-    :meth:`base` again in the backward only when dx is needed; the MLP's
-    gate, up and down are handed to ``swiglu_mlp`` whole instead.
+    ``scale`` is the config's ``lora_alpha / lora_rank``.  A block hands
+    its q, k, v and o to ``self_attention`` and its gate, up and down to
+    ``swiglu_mlp`` whole.  Neither forms the dense ``W + BA``; each calls
+    :meth:`base` again in the backward, for dx and to re-form the outputs
+    of q, k, v, gate and up.
     """
 
     weight: np.ndarray | QuantizedLinear
@@ -145,9 +143,6 @@ class Linear:
         if isinstance(self.weight, QuantizedLinear):
             return dequantize(self.weight)
         return self.weight
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.lora_linear(x, self.a, self.b, self.scale, base=self.base)
 
 
 @dataclass(eq=False)
@@ -256,20 +251,6 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    # The attention branch drops each intermediate after its last use, as
-    # swiglu_mlp does inside.  In a detached block nothing else holds them,
-    # and in an attached one the tape keeps only what its backward needs, so
-    # neither holds an array longer than the branch must.
-
-    def _attention(self, h: Tensor, block: _Block) -> Tensor:
-        lin = block.linears
-        x = ad.rms_norm(h, block.norm_attn)
-        q, k, v = lin["q"](x), lin["k"](x), lin["v"](x)
-        del x
-        heads = ad.causal_attention(q, k, v, self.config.n_heads)
-        del q, k, v
-        return lin["o"](heads)
-
     def block_forward(self, h: Tensor, layer_index: int, mode: BlockMode) -> Tensor:
         """One residual block in the requested gradient mode; layer_index is in [0, n_layers)."""
         n_layers = len(self.blocks)
@@ -280,11 +261,12 @@ class Model:
         if mode is BlockMode.DROPPED:
             return h
         block = self.blocks[layer_index]
+        lin = block.linears
         branch = ad.paused if mode is BlockMode.DETACHED else nullcontext
         with branch():
-            attn = self._attention(h, block)
+            attn = ad.self_attention(h, block.norm_attn, lin["q"], lin["k"], lin["v"], lin["o"],
+                                     self.config.n_heads)
         a = ad.add(h, attn)
-        lin = block.linears
         with branch():
             mlp = ad.swiglu_mlp(a, block.norm_mlp, lin["gate"], lin["up"], lin["down"])
         return ad.add(a, mlp)

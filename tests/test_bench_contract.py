@@ -54,12 +54,14 @@ def test_all_attached_tape_size_and_retained_bytes():
     trainer = harness.Trainer(harness.WORKLOADS["attach_all"], 0, harness.token_stream(0))
     tokens, targets, plan = trainer.batch(0)
     trainer.model.forward(tokens)  # builds the causal mask, which every later step shares
-    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 186
-    # 3.64 MiB; 5.78 while the MLP was five nodes that kept gate and up, and
+    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 147
+    # 1.41 MiB; 3.64 while the attention was six nodes that kept q, k, v and
+    # the heads, 5.78 while the MLP was five nodes that kept gate and up, and
     # 7.71 while the projections kept the norm and SwiGLU outputs
-    assert harness.retained_mib(trainer.model, plan, tokens) < 3.9
+    assert harness.retained_mib(trainer.model, plan, tokens) < 1.6
 
 
 def test_all_attached_peak_memory():
-    # 10.80 MiB; 12.71 while the MLP was five nodes that kept gate and up
-    assert harness.peak_and_init_mib(harness.WORKLOADS["attach_all"], 0)[0] < 11.2
+    # 8.73 MiB; 10.80 while the attention was six nodes that kept q, k, v and
+    # the heads, and 12.71 while the MLP was five nodes that kept gate and up
+    assert harness.peak_and_init_mib(harness.WORKLOADS["attach_all"], 0)[0] < 9.0

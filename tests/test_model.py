@@ -105,30 +105,40 @@ def test_lora_params_by_layer_splits_trainable_params_in_order():
 
 
 def test_tape_node_counts():
-    # an attached layer above another: 9 op nodes and a leaf per LoRA matrix (2 x 7 sites)
-    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 23
-    # the lowest layer's input is a constant, so its first norm records nothing;
-    # the output norm, the head and the loss add 3
-    assert _tape_nodes([ATTACHED, ATTACHED]) == 22 + 23 + 3
+    # an attached layer: 4 op nodes (the fused attention and MLP and their
+    # residual adds) and a leaf per LoRA matrix (2 x 7 sites)
+    assert _tape_nodes([ATTACHED, ATTACHED]) - _tape_nodes([DETACHED, ATTACHED]) == 18
+    # the lowest layer too, though its input is a constant; the output norm,
+    # the head and the loss add 3
+    assert _tape_nodes([ATTACHED, ATTACHED]) == 18 + 18 + 3
     assert _tape_nodes([DETACHED, DETACHED]) == 0
 
 
 def test_causal_attention_single_position_matches_reference():
     rng = np.random.default_rng(0)
-    q, k, v = (ad.Tensor(rng.standard_normal((1, CFG.d_model)), requires_grad=True)
-               for _ in range(3))
+    block = MODEL.blocks[0]
+    q, k, v, o = (block.linears[site] for site in ("q", "k", "v", "o"))
+    x = ad.Tensor(rng.standard_normal((1, CFG.d_model)), requires_grad=True)
     weights = rng.standard_normal((1, CFG.d_model)).astype(np.float32)
     with ad.Tape() as tape:
-        out = ad.causal_attention(q, k, v, CFG.n_heads)
+        out = ad.self_attention(x, block.norm_attn, q, k, v, o, CFG.n_heads)
         loss = weighted_sum(out, weights)
-    reference = gradcheck._ref_causal_attention(
-        *(t.data.astype(np.float64) for t in (q, k, v)), CFG.n_heads)
-    np.testing.assert_allclose(out.data, reference, rtol=1e-6)
-    # one position attends only to itself: the output is v, and q and k get no gradient
+
+    def operands(lin):
+        return (lin.weight.astype(np.float64), lin.a.data.astype(np.float64),
+                lin.b.data.astype(np.float64), lin.scale)
+
+    reference = gradcheck._ref_self_attention(
+        x.data.astype(np.float64), block.norm_attn.astype(np.float64),
+        *(operands(lin) for lin in (q, k, v, o)), CFG.n_heads)
+    np.testing.assert_allclose(out.data, reference, rtol=1e-5, atol=1e-7)
+    # one position attends only to itself: the heads are v, and q and k get no gradient
+    n = ad.rms_norm(x, block.norm_attn).data
+    heads, _ = ad._lora_forward(n, v.base, v.a.data, v.b.data, v.scale, "v")
+    assert np.array_equal(out.data, ad._lora_forward(heads, o.base, o.a.data, o.b.data, o.scale, "o")[0])
     grads = ad.backward(loss, tape)
-    assert np.array_equal(out.data, v.data)
-    assert np.array_equal(grads[v], weights)
-    assert not grads[q].any() and not grads[k].any()
+    assert all(grads[lin.a].any() and grads[lin.b].any() for lin in (v, o))
+    assert not any(grads[m].any() for m in (q.a, q.b, k.a, k.b))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -158,7 +168,8 @@ def test_quantized_lora_forward_frees_its_base_before_the_delta():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = linear(x)
+            out, _ = ad._lora_forward(x.data, linear.base, linear.a.data, linear.b.data,
+                                      linear.scale, "q")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,11 +312,13 @@ def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
 
     monkeypatch.setattr(lm, "dequantize", counting_dequantize)
     tokens = np.arange(QCFG.seq_len + 1) % QCFG.vocab_size
-    # q, k and v of the lowest attached layer read a constant (the frozen
-    # embedding, or the output of detached blocks), so their dx is not needed.
-    # The fused MLP decompresses five times: gate and up to re-form them, and
-    # gate, up and down for dx.
-    for modes, in_backward in (([ATTACHED, ATTACHED], 6 + 9), ([DETACHED, ATTACHED], 6),
+    # The fused attention decompresses q, k and v to re-form them and o for
+    # dx; the lowest attached layer reads a constant (the frozen embedding, or
+    # the output of detached blocks), so its q, k and v need no dx, and a
+    # layer above it decompresses three more times.  The fused MLP
+    # decompresses five times: gate and up to re-form them, and gate, up and
+    # down for dx.
+    for modes, in_backward in (([ATTACHED, ATTACHED], 9 + 12), ([DETACHED, ATTACHED], 9),
                                ([DETACHED, DETACHED], 0)):
         calls.clear()
         with ad.Tape() as tape:
@@ -364,13 +377,15 @@ def test_backward_frees_the_tape_as_it_sweeps():
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    retained = end_forward - before  # about 1.5 MiB of activations on the tape
     # a tape that kept every node until the sweep ended rose 1165 KiB above the
     # forward's level, and still held 2216 KiB besides the gradients afterwards
+    # (this tape rises about 890 KiB: the LoRA gradients, less the 0.4 MiB of
+    # activations it frees)
     assert peak - end_forward < lora_bytes
+    # about 65 KiB of Python objects stay; the activations are gone
     held_by_tape = after - before - sum(g.nbytes for g in grads.values())
-    assert held_by_tape < 0.1 * retained
-    assert len(tape.nodes) == 22 + 23 * 7 + 3  # the recorded count, kept after the sweep
+    assert held_by_tape < 96 * 1024
+    assert len(tape.nodes) == 18 * 8 + 3  # the recorded count, kept after the sweep
 
 
 @pytest.fixture(scope="module")
@@ -394,10 +409,10 @@ def test_attached_layer_keeps_no_norm_or_swiglu_output(default_model):
         finally:
             tracemalloc.stop()
 
-    # 0.43 MiB; 0.70 while the MLP was five nodes that kept gate and up, and
-    # 0.95 while the projections kept the normalized inputs and the SwiGLU
-    # output for dA, rather than their rebuilds
-    assert retained(2) - retained(1) < 0.5 * 2 ** 20
+    # 156 KiB; 0.43 MiB while q, k, v and the heads were kept, 0.70 while the
+    # MLP was five nodes that kept gate and up, and 0.95 while the
+    # projections kept the normalized inputs and the SwiGLU output for dA
+    assert retained(2) - retained(1) < 0.2 * 2 ** 20
 
 
 def test_detached_block_releases_its_intermediates(default_model):
@@ -411,8 +426,9 @@ def test_detached_block_releases_its_intermediates(default_model):
     finally:
         tracemalloc.stop()
     assert out.shape == h.shape
-    # 649 KiB; holding the normalized input through the attention, and gate
-    # and up through the down projection, rose to 725 KiB
+    # 613 KiB (649 before q was scaled in place); holding the normalized input
+    # through the attention, and gate and up through the down projection,
+    # rose to 725 KiB
     assert peak - before < 700 * 1024
 
 
