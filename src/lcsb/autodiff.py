@@ -13,10 +13,12 @@ the normalized input, each projection's output (LoRA delta included),
 and the attention's softmax probabilities, rebuilt from q, k and each
 query's max and sum as FlashAttention's backward does, or the SwiGLU
 output.  This is selective activation recomputation (Korthikanti et al.
-2022) inside one node, so nothing is re-formed twice.  The fused nodes
-share private helpers for the array math of a norm, a projection and
-attention, so their values and gradients are those of the chain of a
-norm, LoRA projections and an attention or a SwiGLU, bit for bit.
+2022) inside one node.  Only the normalized input is re-formed twice,
+once for the projections and again where their dA reads it, so that no
+backward holds it across the node.  The fused nodes share private helpers
+for the array math of a norm, a projection and attention, so their values
+and gradients are those of the chain of a norm, LoRA projections and an
+attention or a SwiGLU, bit for bit.
 
 What each node keeps for its backward:
 
@@ -31,6 +33,25 @@ What each node keeps for its backward:
   transposed view;
 * ``cross_entropy_logits``: its softmax probabilities;
 * ``add``: nothing.
+
+What each node's pass holds at most beyond its inputs, what it keeps and
+what it returns, for a (T, d) input and an MLP width of ``d_ff``:
+
+* ``self_attention``: q, k and v, (T, d) each, and one block of heads'
+  (heads, T, T) scores, plus in the backward the heads' gradient and the
+  scores' gradient; a block has ``max(1, d // T)`` heads, so its scores
+  are no larger than the input (with 4 heads and d=128, every head at
+  once up to T=32 and one at a time from T=128);
+* ``swiglu_mlp``: in the forward the normalized input, gate and up and
+  one (T, d_ff) temporary; in the backward gate, up and the SwiGLU
+  output's gradient, (T, d_ff) each, and one more (T, d_ff) array, for
+  down's dx or for the SwiGLU derivative, which runs in blocks of rows;
+* ``rms_norm``: two (T, d) temporaries in the backward;
+* ``frozen_linear``, ``cross_entropy_logits`` and ``add``: nothing.
+
+At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
+included, at 356 and 483 KiB for the attention's forward and backward and
+482 and 537 KiB for the MLP's, on float or 4-bit bases (``tracemalloc``).
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 is a plain float32 array.  :func:`rms_norm` and :func:`frozen_linear`
@@ -409,6 +430,12 @@ def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array
     return gx, gxa, (g.T @ xas if needs[2] else None)
 
 
+# Elements in a block of rows of the SwiGLU backward's (T, d_ff) arrays:
+# 32 KiB of float32, so its three temporaries stay small beside gate, up and
+# their gradient, and T=128 at d_ff=256 takes four blocks.
+_SWIGLU_BLOCK = 8192
+
+
 def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x, gain)``, a pre-norm SwiGLU MLP, as one node.
 
@@ -422,12 +449,16 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     ``a``, ``b``, up's, down's.
 
     The node keeps ``x``, each row's inverse norm and the down projection's
-    (n, rank) product: nothing of width ``d_ff``.  Its backward re-forms the
-    normalized input, ``gate``, ``up`` and the SwiGLU output once, with the
-    forward's own operations, so the gradients are those of the unfused
-    chain bit for bit.  Each base is fetched on each use and never kept, so
-    a compressed one is decompressed once per projection in the forward, and in the backward once for each of gate
-    and up to re-form them and once per projection for dx.
+    (n, rank) product: nothing of width ``d_ff``.  Its backward re-forms
+    ``gate`` and ``up`` with the forward's own operations before down's dx,
+    then runs the SwiGLU derivative in blocks of rows.  It writes the
+    gradient of ``gate``'s output over ``up``, that of ``up``'s over the
+    gradient of the SwiGLU output, and the SwiGLU output over ``gate``,
+    where down's dA reads it whole.  So the gradients are those of the
+    unfused chain bit for bit.  Each base is fetched on each use and never
+    kept, so a compressed one is decompressed once per projection in the
+    forward, and in the backward once for each of gate and up to re-form
+    them and once per projection for dx.
     """
     gain = _norm_gain(x, gain, "swiglu_mlp")
     x_data = x.data
@@ -455,35 +486,44 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     del hidden
 
     def bw(g, needs):
-        # g is shared with the residual add, so it is only read
-        g_hidden, gxa_down, gb_down = _lora_grads(g, (True, *needs[5:]), *projections[2], xas_down)
+        # gate and up are re-formed first, so the normalized input is gone
+        # before down's dx; g is shared with the residual add, so it is only read
         n = _rms_normalized(x_data, inv, gain)
         gate_out, xas_gate, up_out, xas_up = gate_and_up(n)
-        sig = _sigmoid(gate_out)
-        buf = np.multiply(sig, gate_out)  # silu(gate)
-        ga_down = None
-        if needs[5]:
-            buf *= up_out  # the SwiGLU output, for dA of down
-            ga_down = gxa_down.T @ buf
-            np.multiply(sig, gate_out, out=buf)
-        # silu(gate) * g_hidden for up; g_hidden * up * silu'(gate) for gate,
-        # with silu'(z) = sig * (1 + z * (1 - sig)), in g_hidden's buffer
-        g_up = buf
-        g_up *= g_hidden
-        g_gate = np.multiply(g_hidden, up_out, out=g_hidden)
-        del up_out
-        g_gate *= sig
-        np.subtract(np.float32(1.0), sig, out=sig)
-        sig *= gate_out
-        sig += np.float32(1.0)
-        g_gate *= sig
-        del sig, gate_out
+        del n
+        g_hidden, gxa_down, gb_down = _lora_grads(g, (True, *needs[5:]), *projections[2], xas_down)
+        # the SwiGLU derivative in blocks of rows, which are contiguous
+        rows = max(1, _SWIGLU_BLOCK // gate_out.shape[1])
+        for lo in range(0, gate_out.shape[0], rows):
+            gate_b, up_b, g_b = (m[lo:lo + rows] for m in (gate_out, up_out, g_hidden))
+            sig = _sigmoid(gate_b)
+            silu = np.multiply(sig, gate_b)
+            hidden = np.multiply(silu, up_b) if needs[5] else None  # the SwiGLU output
+            # g_hidden * up * silu'(gate) for gate, over up, with silu'(z) =
+            # sig * (1 + z * (1 - sig)); silu(gate) * g_hidden for up, over
+            # g_hidden (each product's operands commute exactly)
+            up_b *= g_b
+            g_b *= silu
+            up_b *= sig
+            np.subtract(np.float32(1.0), sig, out=sig)
+            sig *= gate_b
+            sig += np.float32(1.0)
+            up_b *= sig
+            if needs[5]:
+                gate_b[...] = hidden  # over gate, for down's dA
+            del gate_b, up_b, g_b, sig, silu, hidden
+        ga_down = gxa_down.T @ gate_out if needs[5] else None
+        del gate_out
+        g_gate, g_up = up_out, g_hidden
+        del up_out, g_hidden
         gx, gxa_up, gb_up = _lora_grads(g_up, (needs[0], *needs[3:5]), *projections[1], xas_up)
-        ga_up = gxa_up.T @ n if needs[3] else None
         del g_up
         gx_gate, gxa_gate, gb_gate = _lora_grads(g_gate, needs[:3], *projections[0], xas_gate)
+        del g_gate
+        n = _rms_normalized(x_data, inv, gain)  # re-formed where dA reads it
+        ga_up = gxa_up.T @ n if needs[3] else None
         ga_gate = gxa_gate.T @ n if needs[1] else None
-        del g_gate, n
+        del n
         if needs[0]:
             gx += gx_gate  # the normalized input's gradient, up's term first
             gx = _rms_norm_backward(gx, x_data, inv, gain)
@@ -512,34 +552,36 @@ def _split_heads(m: Array, n_heads: int) -> Array:
     return m.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
-def _merge_heads(m: Array) -> Array:
-    """The (T, d) array whose column block ``i`` is head ``i`` of ``m``."""
-    n_heads, t, d_h = m.shape
-    return m.transpose(1, 0, 2).reshape(t, n_heads * d_h)
+def _head_blocks(n_heads: int, t: int, d: int) -> list:
+    """Slices of at most ``max(1, d // t)`` heads: a block's (heads, T, T) scores are at most a (T, d) array."""
+    size = max(1, d // t)
+    return [slice(i, min(i + size, n_heads)) for i in range(0, n_heads, size)]
 
 
-def _attention_probs(qh: Array, kh: Array, row_max: Array | None = None,
-                     row_sum: Array | None = None) -> tuple:
-    """Each head's causal softmax probabilities and each query's max and sum, (n_heads, 1, T) each.
+def _attention_probs(qh: Array, kh: Array, probs: Array, row_max: Array, row_sum: Array,
+                     rebuild: bool = False) -> Array:
+    """A block of heads' causal softmax probabilities, formed in the (heads, T, T) buffer ``probs``.
 
     The scores are laid out (head, key, query), so the softmax reduces
-    across rows, which numpy does faster than along them.  Given the
-    forward's max and sum, the probabilities are rebuilt with the same
-    operations in the same order, bit for bit.  They are formed in one
-    buffer updated in place: at T=128 it is 256 KiB, and allocating a fresh
-    one per operation cost about 175 page faults per call and twice the
-    time (2-vCPU x86-64, one BLAS thread).
+    across rows, which numpy does faster than along them.  Each query's max
+    and sum, (heads, 1, T), are written to ``row_max`` and ``row_sum``; to
+    ``rebuild``, they are read from them instead, and the probabilities are
+    formed with the same operations in the same order, bit for bit.  One
+    buffer is updated in place: allocating a fresh one per operation cost
+    about 175 page faults per call and twice the time at T=128, when all
+    four heads' 256 KiB of scores were formed at once (2-vCPU x86-64, one
+    BLAS thread).
     """
-    probs = kh @ qh.transpose(0, 2, 1)
+    np.matmul(kh, qh.transpose(0, 2, 1), out=probs)
     probs += _causal_mask(qh.shape[1])
-    if row_max is None:
-        row_max = np.max(probs, axis=1, keepdims=True)
+    if not rebuild:
+        np.max(probs, axis=1, keepdims=True, out=row_max)
     probs -= row_max
     np.exp(probs, out=probs)
-    if row_sum is None:
-        row_sum = np.sum(probs, axis=1, keepdims=True)
+    if not rebuild:
+        np.sum(probs, axis=1, keepdims=True, out=row_sum)
     probs /= row_sum
-    return probs, row_max, row_sum
+    return probs
 
 
 def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
@@ -549,21 +591,26 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
     ``x`` is (T, d) with T >= 1 and ``gain`` a frozen (d,) array, read as
     float32.  q, k and v must have one width, which ``n_heads`` splits into
     heads of width ``d_h``: head ``i`` is the column block ``i * d_h :
-    (i + 1) * d_h``, and the heads run as batched matmuls.  q is scaled by
-    ``1 / sqrt(d_h)``, and position ``i`` attends to positions ``<= i``:
-    -1e9 is added to the scores of later positions before the softmax.  The
-    node's inputs are ``x`` and the eight LoRA matrices, in the order q's
-    ``a``, ``b``, k's, v's, o's.
+    (i + 1) * d_h``.  q is scaled by ``1 / sqrt(d_h)``, and position ``i``
+    attends to positions ``<= i``: -1e9 is added to the scores of later
+    positions before the softmax.  The node's inputs are ``x`` and the
+    eight LoRA matrices, in the order q's ``a``, ``b``, k's, v's, o's.
+
+    The heads run as batched matmuls in blocks of ``max(1, d // T)``, so no
+    block's scores are larger than ``x``.  Each block writes its outputs
+    through (n_heads, T, d_h) views into (T, d) arrays it has finished
+    reading: the heads over q in the forward, and dv, dk and dq over the
+    re-formed v, k and q in the backward.
 
     The node keeps ``x``, each row's inverse norm, each query's softmax max
     and sum and o's (T, rank) product: no q, k, v, heads or (n_heads, T, T)
-    array.  Its backward re-forms the normalized input once, then q, k and
-    v, rebuilds the probabilities from the row statistics and re-forms the
-    heads for o's dA, all with the forward's own operations, so the
-    gradients are those of the unfused chain bit for bit.  Each base is
-    fetched on each use: a compressed one is decompressed once per
-    projection in the forward, and in the backward once for each of q, k
-    and v to re-form them and once per projection for dx.
+    array.  Its backward re-forms the normalized input, q, k and v, rebuilds
+    the probabilities from the row statistics and re-forms the heads for
+    o's dA, all with the forward's own operations, so the gradients are
+    those of the unfused chain bit for bit.  Each base is fetched on each
+    use: a compressed one is decompressed once per projection in the
+    forward, and in the backward once for each of q, k and v to re-form
+    them and once per projection for dx.
     """
     if x.data.ndim != 2 or x.shape[0] == 0:
         raise DimensionError(f"self_attention expects a (T, d) input with T >= 1, got {x.shape}")
@@ -571,11 +618,12 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
         raise DimensionError(f"self_attention: n_heads must be an int, got {n_heads!r}")
     gain = _norm_gain(x, gain, "self_attention")
     x_data = x.data
+    t = x_data.shape[0]
     inv = _rms_inv(x_data)
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (q, k, v, o)]
 
-    def heads_of(n):
-        """The scaled q, k and v as heads, the scale and their (T, rank) products."""
+    def qkv_of(n):
+        """The scaled q, k and v, (T, width) each, the scale and their (T, rank) products."""
         (q_out, xas_q), (k_out, xas_k), (v_out, xas_v) = (
             _lora_forward(n, *projections[i], f"self_attention {name}") for i, name in enumerate("qkv"))
         width = q_out.shape[1]
@@ -587,15 +635,21 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
         c = np.float32(1.0 / np.sqrt(width // n_heads))
         # 1/sqrt(d_h) scales the (T, d) queries rather than the (n_heads, T, T) scores
         q_out *= c
-        qkv = tuple(_split_heads(m, n_heads) for m in (q_out, k_out, v_out))
-        return qkv, c, (xas_q, xas_k, xas_v)
+        return [q_out, k_out, v_out], c, (xas_q, xas_k, xas_v)
 
     n = _rms_normalized(x_data, inv, gain)
-    (qh, kh, vh), _, _ = heads_of(n)
+    qkv, _, _ = qkv_of(n)
     del n
-    probs, row_max, row_sum = _attention_probs(qh, kh)
-    heads = _merge_heads(probs.transpose(0, 2, 1) @ vh)
-    del probs, qh, kh, vh
+    qh, kh, vh = (_split_heads(m, n_heads) for m in qkv)
+    row_max = np.empty((n_heads, 1, t), dtype=np.float32)
+    row_sum = np.empty_like(row_max)
+    blocks = _head_blocks(n_heads, t, x_data.shape[1])
+    scores = np.empty((blocks[0].stop, t, t), dtype=np.float32)
+    for hs in blocks:
+        probs = _attention_probs(qh[hs], kh[hs], scores[:hs.stop - hs.start], row_max[hs], row_sum[hs])
+        np.matmul(probs.transpose(0, 2, 1), vh[hs], out=qh[hs])  # the heads, over q
+    heads = qkv[0]
+    del qkv, qh, kh, vh, scores, probs
     out, xas_o = _lora_forward(heads, *projections[3], "self_attention o")
     del heads
 
@@ -603,26 +657,34 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
         # g is shared with the residual add, so it is only read
         g_heads, gxa_o, gb_o = _lora_grads(g, (True, *needs[7:]), *projections[3], xas_o)
         n = _rms_normalized(x_data, inv, gain)
-        (qh, kh, vh), c, xas = heads_of(n)
-        probs, _, _ = _attention_probs(qh, kh, row_max, row_sum)
-        ga_o = None
-        if needs[7]:  # the heads, re-formed for o's dA
-            ga_o = gxa_o.T @ _merge_heads(probs.transpose(0, 2, 1) @ vh)
-        # the scores' gradient probs * (gs - sum(gs * probs)), formed as
-        # gs * probs - probs * sum(gs * probs); each array is dropped after
-        # its last use, and the second product overwrites probs
+        g_qkv, c, xas = qkv_of(n)
+        del n
+        qh, kh, vh = (_split_heads(m, n_heads) for m in g_qkv)
         gh = _split_heads(g_heads, n_heads)
-        gv = _merge_heads(probs @ gh)
-        gs = vh @ gh.transpose(0, 2, 1)  # gradient of probs
-        del gh, g_heads, vh
-        gs *= probs
-        gs -= np.multiply(probs, np.sum(gs, axis=1, keepdims=True), out=probs)
-        del probs
-        gq = _merge_heads(gs.transpose(0, 2, 1) @ kh)
-        gq *= c
-        del kh
-        g_qkv = [gq, _merge_heads(gs @ qh), gv]
-        del gs, qh, gq, gv
+        blocks = _head_blocks(n_heads, t, x_data.shape[1])
+        scores = np.empty((blocks[0].stop, t, t), dtype=np.float32)
+        grad_scores = np.empty_like(scores)
+        out_block = np.empty(scores.shape[:2] + qh.shape[2:], dtype=np.float32)
+        for hs in blocks:
+            m = hs.stop - hs.start
+            probs = _attention_probs(qh[hs], kh[hs], scores[:m], row_max[hs], row_sum[hs],
+                                     rebuild=True)
+            gs = np.matmul(vh[hs], gh[hs].transpose(0, 2, 1), out=grad_scores[:m])  # of probs
+            if needs[7]:  # the heads, for o's dA
+                np.matmul(probs.transpose(0, 2, 1), vh[hs], out=out_block[:m])
+            np.matmul(probs, gh[hs], out=vh[hs])  # dv, over v
+            if needs[7]:  # over g's block, which dv has read, so o's dA reads them whole
+                gh[hs] = out_block[:m]
+            # the scores' gradient probs * (gs - sum(gs * probs)), formed as
+            # gs * probs - probs * sum(gs * probs); the product overwrites probs
+            gs *= probs
+            gs -= np.multiply(probs, np.sum(gs, axis=1, keepdims=True), out=probs)
+            np.matmul(gs.transpose(0, 2, 1), kh[hs], out=out_block[:m])
+            np.matmul(gs, qh[hs], out=kh[hs])  # dk, over k
+            np.multiply(out_block[:m], c, out=qh[hs])  # dq, over q
+        ga_o = gxa_o.T @ g_heads if needs[7] else None
+        del qh, kh, vh, gh, g_heads, scores, grad_scores, out_block, probs, gs
+        n = _rms_normalized(x_data, inv, gain)  # re-formed where dA reads it
         adapter_grads = [None] * 6
         gx = None
         for i in (2, 1, 0):  # v, k, q: the unfused chain's sweep sums (v + k) + q

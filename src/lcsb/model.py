@@ -26,9 +26,11 @@ leaf per LoRA matrix.  What it retains for its backward is the (T, d)
 input of each half, each row's inverse norms, each query's softmax max
 and sum and the (T, rank) products of o and down, never a (heads, T, T)
 array or one of width d_ff: about 0.15 MiB at the default T=128.  Each
-node re-forms its intermediates in its backward.  The output head, the
-model's one ``frozen_linear`` node, reads the embedding in place, through
-a transposed view.
+node re-forms its intermediates in its backward.  Nor does either pass of
+the attention form scores larger than its (T, d) input: it runs the heads
+in blocks of ``max(1, d // T)``, so at the default T=128 one at a time.
+The output head, the model's one ``frozen_linear`` node, reads the
+embedding in place, through a transposed view.
 
 Every residual block exposes three forward modes:
 

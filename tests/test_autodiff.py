@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +11,10 @@ import lcsb.autodiff as ad
 from lcsb.autodiff import Tape, Tensor, backward, paused
 from lcsb.errors import DimensionError, DivergenceError, TapeError
 from lcsb.gradcheck import GRAD_TOL, _ref_rms_norm, finite_difference_grad, micro_config
-from lcsb.model import Linear, init_model
+from lcsb.model import Linear, ModelConfig, init_model
 from lcsb.quant import quantize_weights
 from scalar_loss import weighted_sum
+from traced import traced
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab():
@@ -148,13 +148,7 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
     x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     gain = np.ones(128, dtype=np.float32)
     with Tape() as tape:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ad.swiglu_mlp(x, gain, *projections)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, kept, _ = traced(ad.swiglu_mlp, x, gain, *projections)
     assert len(tape.nodes) == 8  # x, the six LoRA matrices and the fused node
     small = 128 * 4 + 128 * 16 * 4  # the inverse norms and down's (T, rank) product
     # the output (64 KiB), those 8.5 KiB and a few KiB of Python objects
@@ -193,10 +187,13 @@ def _swiglu_node(gate, up):
     return ad._finish(out, (gate, up), bw)
 
 
-@pytest.mark.parametrize("t", [1, 7, 128])
-def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t):
+@pytest.mark.parametrize("t, d_ff", [(1, 48), (7, 48), (128, 48), (128, 200)],
+                         ids=["1", "7", "128", "128-200"])
+def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
+    # the backward runs in blocks of 8192 elements: 170 rows of width 48,
+    # 40 of width 200, so T=128 ends in a partial block of 8 rows
     rng = np.random.default_rng(t)
-    projections = _projections(rng, 32, 48, 4)
+    projections = _projections(rng, 32, d_ff, 4)
     gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
     x = Tensor(rng.standard_normal((t, 32)), requires_grad=True)
     g = rng.standard_normal((t, 32))
@@ -243,16 +240,10 @@ def test_rms_norm_backward_works_in_two_buffers():
     with Tape() as tape:
         ad.rms_norm(x, gain)
     _, bw = tape.nodes[-1]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        (grad_x,) = bw(g, (True,))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (grad_x,), _, peak = traced(bw, g, (True,))
     # grad_x and one (T, d) temporary at a time; forming inv * gp - (inv ** 3)
     # * x * (s / dim) out of place held four such arrays at once
-    assert peak - before < 3 * grad_x.nbytes
+    assert peak < 3 * grad_x.nbytes
 
 
 def _split_heads(m, n_heads):
@@ -288,18 +279,26 @@ def _attention_keeping_probs(q, k, v, n_heads):
     return _merge_heads(probs.transpose(0, 2, 1) @ vh), grads
 
 
-@pytest.mark.parametrize("t", [1, 7, 128])
+@pytest.mark.parametrize("t", [1, 7, 40, 128])
 def test_causal_attention_rebuilds_its_probabilities_bit_for_bit(t):
     # self_attention keeps only each query's max and sum, and its backward
-    # rebuilds the probabilities from them
+    # rebuilds the probabilities from them, a block of heads at a time
+    # (at T=40, 3 heads and then 1)
     rng = np.random.default_rng(t)
     q, k, v = (rng.standard_normal((t, 128)).astype(np.float32) for _ in range(3))
     qh, kh, vh = (ad._split_heads(m, 4) for m in (q * np.float32(1.0 / np.sqrt(32)), k, v))
-    probs, row_max, row_sum = ad._attention_probs(qh, kh)
-    rebuilt, _, _ = ad._attention_probs(qh, kh, row_max, row_sum)
-    assert rebuilt.tobytes() == probs.tobytes()
-    want, _ = _attention_keeping_probs(q, k, v, 4)
-    assert ad._merge_heads(rebuilt.transpose(0, 2, 1) @ vh).tobytes() == want.tobytes()
+    row_max, row_sum = np.empty((4, 1, t), np.float32), np.empty((4, 1, t), np.float32)
+    heads = np.empty((t, 128), np.float32)
+    for hs in ad._head_blocks(4, t, 128):
+        shape = (hs.stop - hs.start, t, t)
+        probs = ad._attention_probs(qh[hs], kh[hs], np.empty(shape, np.float32), row_max[hs],
+                                    row_sum[hs])
+        rebuilt = ad._attention_probs(qh[hs], kh[hs], np.empty(shape, np.float32), row_max[hs],
+                                      row_sum[hs], rebuild=True)
+        assert rebuilt.tobytes() == probs.tobytes()
+        np.matmul(rebuilt.transpose(0, 2, 1), vh[hs], out=_split_heads(heads, 4)[hs])
+    want, _ = _attention_keeping_probs(q, k, v, 4)  # every head at once
+    assert heads.tobytes() == want.tobytes()
 
 
 def _attention_node(q, k, v, n_heads):
@@ -310,13 +309,14 @@ def _attention_node(q, k, v, n_heads):
 
 @pytest.mark.parametrize("x_tracked", [True, False], ids=["tracked", "constant"])
 @pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
-@pytest.mark.parametrize("t", [1, 7, 128])
+@pytest.mark.parametrize("t", [1, 7, 40, 128])
 def test_self_attention_matches_the_unfused_chain_bit_for_bit(t, quantize, x_tracked):
+    # 4 heads of 32: in blocks of 4 heads up to T=32, of 3 and 1 at T=40, one at a time at T=128
     rng = np.random.default_rng(t)
-    projections = _attention_projections(rng, 32, 4, quantize)
-    gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
-    x = Tensor(rng.standard_normal((t, 32)), requires_grad=x_tracked)
-    g = rng.standard_normal((t, 32))
+    projections = _attention_projections(rng, 128, 4, quantize)
+    gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)
+    x = Tensor(rng.standard_normal((t, 128)), requires_grad=x_tracked)
+    g = rng.standard_normal((t, 128))
     q, k, v, o = projections
 
     def unfused():
@@ -348,19 +348,43 @@ def test_causal_attention_tape_keeps_no_probabilities():
     projections = _attention_projections(rng, d, rank)
     x = Tensor(rng.standard_normal((t, d)), requires_grad=True)
     gain = np.ones(d, dtype=np.float32)
-    ad._causal_mask(t)  # the cached mask is shared, not the node's
+    # the cached mask is shared, not the node's, and so are numpy's caches of
+    # small blocks, which a first call fills
+    ad.self_attention(x, gain, *projections, n_heads)
     with Tape() as tape:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ad.self_attention(x, gain, *projections, n_heads)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, kept, _ = traced(ad.self_attention, x, gain, *projections, n_heads)
     assert len(tape.nodes) == 10  # x, the eight LoRA matrices and the fused node
     small = t * 4 + 2 * n_heads * t * 4 + t * rank * 4  # 16.5 KiB
     # the output (64 KiB), those small arrays and a few KiB of Python objects
     assert out.data.nbytes + small <= kept < out.data.nbytes + small + 4096
+
+
+@pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
+def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
+    # the default model's shapes at T=128 (d=128, 4 heads, d_ff=256, rank
+    # 16); each pass's peak above its start counts what it returns too
+    block = init_model(ModelConfig(quantize_base=quantize), 0).blocks[0]
+    lin = block.linears
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
+    g = rng.standard_normal((128, 128)).astype(np.float32)
+    ad._causal_mask(128)
+    peaks = {}
+    for node, args in ((ad.self_attention, (lin["q"], lin["k"], lin["v"], lin["o"], 4)),
+                       (ad.swiglu_mlp, (lin["gate"], lin["up"], lin["down"]))):
+        with Tape() as tape:
+            _, _, forward = traced(node, x, block.norm_attn, *args)
+        inputs, bw = tape.nodes[-1]
+        _, _, backward = traced(bw, g, (True,) * len(inputs))
+        peaks[node.__name__] = forward, backward
+    mib = 2 ** 20
+    # 356 and 483 KiB; 607 and 947 KiB while every head's (4, T, T) scores,
+    # and in the backward their gradient, were formed at once and the heads
+    # were merged into copies
+    assert max(peaks["self_attention"]) < 0.5 * mib
+    # 537 KiB; 754 KiB while the SwiGLU derivative ran on whole (T, d_ff)
+    # arrays with the normalized input held across the node
+    assert peaks["swiglu_mlp"][1] < 0.6 * mib
 
 
 def test_causal_mask_is_cached_read_only():

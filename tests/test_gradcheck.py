@@ -8,7 +8,7 @@ import pytest
 
 import lcsb.autodiff as ad
 from lcsb import gradcheck
-from lcsb.model import BlockMode, ModelConfig, init_model
+from lcsb.model import BlockMode, Linear, ModelConfig, init_model
 
 PUBLIC = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
           if fn.__module__ == ad.__name__ and not name.startswith("_")}
@@ -33,6 +33,31 @@ def test_a_forward_off_by_1e_4_fails_on_value_only():
     x = ad.Tensor(rng.uniform(-1.0, 1.0, size=(4, 5)), requires_grad=True)
     value_err, grad_err = gradcheck.check_primitive(off_identity, [x], {}, lambda d: d[0], rng)
     assert value_err > gradcheck.VALUE_TOL
+    assert grad_err < gradcheck.GRAD_TOL
+
+
+def test_a_row_of_small_norm_is_judged_right():
+    # a norm's curvature grows as its row's norm shrinks: with a half step of
+    # 1e-3 this correct swiglu_mlp gradient read an error of 1.5e-3, over
+    # GRAD_TOL; with 3e-5 it reads 1.1e-6
+    rng = np.random.default_rng(7)
+    gain = rng.uniform(0.5, 1.5, size=2).astype(np.float32)
+    scales = rng.uniform(0.5, 2.0, size=3)
+    bases = [rng.uniform(-1.0, 1.0, size=(2, 2)).astype(np.float32) for _ in range(3)]
+    x = ad.Tensor([[0.0895, -0.0626]], requires_grad=True)
+    adapters = [ad.Tensor(rng.uniform(-1.0, 1.0, size=(2, 2)), requires_grad=True) for _ in range(6)]
+
+    def node(x, *adapters):
+        return ad.swiglu_mlp(x, gain, *(Linear(w, a, b, float(s)) for w, a, b, s
+                                        in zip(bases, adapters[0::2], adapters[1::2], scales)))
+
+    def reference(v):
+        return gradcheck._ref_swiglu_mlp(v[0], gain.astype(np.float64),
+                                         *zip([w.astype(np.float64) for w in bases],
+                                              v[1::2], v[2::2], scales))
+
+    _, grad_err = gradcheck.check_primitive(node, [x, *adapters], {}, reference,
+                                            np.random.default_rng(7))
     assert grad_err < gradcheck.GRAD_TOL
 
 

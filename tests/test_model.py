@@ -19,6 +19,7 @@ from lcsb.gradcheck import micro_config, micro_q4_config
 from lcsb.model import BlockMode, Linear, ModelConfig, init_model
 from lcsb.quant import dequantize, quantize_weights
 from scalar_loss import weighted_sum
+from traced import traced
 
 CFG = micro_config()
 ATTACHED, DETACHED, DROPPED = BlockMode.ATTACHED, BlockMode.DETACHED, BlockMode.DROPPED
@@ -165,17 +166,11 @@ def test_quantized_lora_forward_frees_its_base_before_the_delta():
                     b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True), scale=2.0)
     x = ad.Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     with ad.Tape():
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out, _ = ad._lora_forward(x.data, linear.base, linear.a.data, linear.b.data,
-                                      linear.scale, "q")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (out, _), _, peak = traced(ad._lora_forward, x.data, linear.base, linear.a.data,
+                                   linear.b.data, linear.scale, "q")
     # the output and the (T, d_out) delta, plus the adapters' small copies;
     # the 128 KiB decompressed base alongside them made it 3.2 outputs
-    assert peak - before < 2.5 * out.data.nbytes
+    assert peak < 2.5 * out.data.nbytes
 
 
 def test_wrong_length_plan_raises():
@@ -330,13 +325,8 @@ def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
 
 
 def _init_bytes(config):
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        model = init_model(config, 0)
-        return model, tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    model, kept, _ = traced(init_model, config, 0)
+    return model, kept
 
 
 def test_quantized_bases_take_less_than_half_the_bytes():
@@ -365,25 +355,24 @@ def test_backward_frees_the_tape_as_it_sweeps():
     model = init_model(lm.ModelConfig(seq_len=32), 0)
     lora_bytes = sum(p.data.nbytes for p in model.trainable_params().values())  # 1088 KiB
     tokens = np.arange(33) * 7 % model.config.vocab_size
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def step():
+        start = tracemalloc.get_traced_memory()[0]
         with ad.Tape() as tape:
             loss = ad.cross_entropy_logits(model.forward(tokens[:-1]), tokens[1:])
-        end_forward = tracemalloc.get_traced_memory()[0]
+        end_forward = tracemalloc.get_traced_memory()[0] - start
         tracemalloc.reset_peak()
-        grads = ad.backward(loss, tape)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return tape, ad.backward(loss, tape), end_forward
+
+    gc.collect()
+    (tape, grads, end_forward), kept, peak = traced(step)
     # a tape that kept every node until the sweep ended rose 1165 KiB above the
     # forward's level, and still held 2216 KiB besides the gradients afterwards
     # (this tape rises about 890 KiB: the LoRA gradients, less the 0.4 MiB of
     # activations it frees)
     assert peak - end_forward < lora_bytes
     # about 65 KiB of Python objects stay; the activations are gone
-    held_by_tape = after - before - sum(g.nbytes for g in grads.values())
+    held_by_tape = kept - sum(g.nbytes for g in grads.values())
     assert held_by_tape < 96 * 1024
     assert len(tape.nodes) == 18 * 8 + 3  # the recorded count, kept after the sweep
 
@@ -400,14 +389,10 @@ def test_attached_layer_keeps_no_norm_or_swiglu_output(default_model):
 
     def retained(k):
         gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            with ad.Tape():
-                logits = default_model.forward(tokens, _plan([DETACHED] * (n - k) + [ATTACHED] * k))
-                return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        with ad.Tape():
+            _, kept, _ = traced(default_model.forward, tokens,
+                                _plan([DETACHED] * (n - k) + [ATTACHED] * k))
+        return kept
 
     # 156 KiB; 0.43 MiB while q, k, v and the heads were kept, 0.70 while the
     # MLP was five nodes that kept gate and up, and 0.95 while the
@@ -418,18 +403,12 @@ def test_attached_layer_keeps_no_norm_or_swiglu_output(default_model):
 def test_detached_block_releases_its_intermediates(default_model):
     h = ad.Tensor(np.random.default_rng(0).standard_normal((128, default_model.config.d_model)))
     gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = default_model.block_forward(h, 0, DETACHED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, _, peak = traced(default_model.block_forward, h, 0, DETACHED)
     assert out.shape == h.shape
     # 613 KiB (649 before q was scaled in place); holding the normalized input
     # through the attention, and gate and up through the down projection,
     # rose to 725 KiB
-    assert peak - before < 700 * 1024
+    assert peak < 700 * 1024
 
 
 def test_models_loaded_from_one_state_share_no_buffers():
