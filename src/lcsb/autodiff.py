@@ -15,10 +15,13 @@ query's max and sum as FlashAttention's backward does, or the SwiGLU
 output.  This is selective activation recomputation (Korthikanti et al.
 2022) inside one node.  Only the normalized input is re-formed twice,
 once for the projections and again where their dA reads it, so that no
-backward holds it across the node.  The fused nodes share private helpers
-for the array math of a norm, a projection and attention, so their values
-and gradients are those of the chain of a norm, LoRA projections and an
-attention or a SwiGLU, bit for bit.
+backward holds it across the node.  The MLP takes a byte budget,
+``spare``: when gate, up and their (n, rank) products fit in it, it keeps
+them, and its backward re-forms the normalized input only for dA.
+The fused nodes share private helpers for the array math of a norm, a
+projection and attention, so their values and gradients are those of the
+chain of a norm, LoRA projections and an attention or a SwiGLU, bit for
+bit.
 
 What each node keeps for its backward:
 
@@ -26,7 +29,9 @@ What each node keeps for its backward:
   the gain, each query's softmax max and sum and o's (n, rank) product
   ``s * heads @ a.T``;
 * ``swiglu_mlp``: the adapters, its input, each row's inverse norm, the
-  gain and the down projection's (n, rank) product ``s * hidden @ a.T``;
+  gain and the down projection's (n, rank) product ``s * hidden @ a.T``,
+  and, when its ``spare`` budget covers them, gate's and up's outputs and
+  (n, rank) products;
 * ``rms_norm`` (the model's output norm): its input, each row's inverse
   norm and the gain;
 * ``frozen_linear`` (the model's output head): its weight, the embedding's
@@ -43,15 +48,17 @@ what it returns, for a (T, d) input and an MLP width of ``d_ff``:
   are no larger than the input (with 4 heads and d=128, every head at
   once up to T=32 and one at a time from T=128);
 * ``swiglu_mlp``: in the forward the normalized input, gate and up and
-  one (T, d_ff) temporary; in the backward gate, up and the SwiGLU
-  output's gradient, (T, d_ff) each, and one more (T, d_ff) array, for
-  down's dx or for the SwiGLU derivative, which runs in blocks of rows;
+  one (T, d_ff) temporary; in the backward gate and up, re-formed unless
+  kept, the SwiGLU output's gradient, (T, d_ff) each, and one more
+  (T, d_ff) array, for down's dx or for the SwiGLU derivative, which runs
+  in blocks of rows;
 * ``rms_norm``: two (T, d) temporaries in the backward;
 * ``frozen_linear``, ``cross_entropy_logits`` and ``add``: nothing.
 
 At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
 included, at 356 and 483 KiB for the attention's forward and backward and
-482 and 537 KiB for the MLP's, on float or 4-bit bases (``tracemalloc``).
+482 and 537 KiB for the MLP's re-forming gate and up, on float or 4-bit
+bases (``tracemalloc``).
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 is a plain float32 array.  :func:`rms_norm` and :func:`frozen_linear`
@@ -436,7 +443,7 @@ def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array
 _SWIGLU_BLOCK = 8192
 
 
-def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
+def swiglu_mlp(x: Tensor, gain: Array, gate, up, down, spare: int = 0) -> Tensor:
     """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x, gain)``, a pre-norm SwiGLU MLP, as one node.
 
     ``silu(z) = z * sigmoid(z)``.  ``gate``, ``up`` and ``down`` are
@@ -449,21 +456,29 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     ``a``, ``b``, up's, down's.
 
     The node keeps ``x``, each row's inverse norm and the down projection's
-    (n, rank) product: nothing of width ``d_ff``.  Its backward re-forms
-    ``gate`` and ``up`` with the forward's own operations before down's dx,
-    then runs the SwiGLU derivative in blocks of rows.  It writes the
-    gradient of ``gate``'s output over ``up``, that of ``up``'s over the
-    gradient of the SwiGLU output, and the SwiGLU output over ``gate``,
-    where down's dA reads it whole.  So the gradients are those of the
-    unfused chain bit for bit.  Each base is fetched on each use and never
-    kept, so a compressed one is decompressed once per projection in the
-    forward, and in the backward once for each of gate and up to re-form
-    them and once per projection for dx.
+    (n, rank) product.  ``spare`` is a byte budget for more: when gate's and
+    up's outputs and their (n, rank) products fit in it, the node keeps
+    them too, and its backward runs neither projection again, nor the norm
+    they read, which it then re-forms only for dA.  The choice is made from
+    shapes before the forward runs.  Otherwise, as with the default budget
+    of 0, the node keeps nothing of width ``d_ff`` and its backward re-forms
+    ``gate`` and ``up`` with the forward's own operations before down's
+    dx.  Either way the backward then runs the SwiGLU derivative in blocks
+    of rows.  It writes the gradient of ``gate``'s output over ``up``, that
+    of ``up``'s over the gradient of the SwiGLU output, and the SwiGLU
+    output over ``gate``, where down's dA reads it whole.  So the gradients are those of the
+    unfused chain bit for bit, on both paths.  Each base is fetched on each
+    use and never kept, so a compressed one is decompressed once per
+    projection in the forward, and in the backward once per projection for
+    dx and, unless gate and up are kept, once more for each of them.
     """
     gain = _norm_gain(x, gain, "swiglu_mlp")
     x_data = x.data
     inv = _rms_inv(x_data)
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (gate, up, down)]
+    # float32 gate, up and their (n, rank) products
+    keep = spare > 0 and spare >= 4 * x_data.shape[0] * sum(
+        p.a.shape[0] + p.b.shape[0] for p in (gate, up))
 
     def gate_and_up(n):
         """``gate(n)``, ``up(n)`` and their (n, rank) products."""
@@ -476,7 +491,12 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
         return gate_out, xas_gate, up_out, xas_up
 
     n = _rms_normalized(x_data, inv, gain)
-    gate_out, _, up_out, _ = gate_and_up(n)
+    if keep:
+        kept = gate_and_up(n)
+        gate_out, _, up_out, _ = kept
+    else:
+        kept = None
+        gate_out, _, up_out, _ = gate_and_up(n)
     del n
     hidden = _sigmoid(gate_out)
     hidden *= gate_out  # silu(gate)
@@ -486,11 +506,16 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     del hidden
 
     def bw(g, needs):
-        # gate and up are re-formed first, so the normalized input is gone
-        # before down's dx; g is shared with the residual add, so it is only read
-        n = _rms_normalized(x_data, inv, gain)
-        gate_out, xas_gate, up_out, xas_up = gate_and_up(n)
-        del n
+        nonlocal kept
+        if kept is None:
+            # gate and up are re-formed first, so the normalized input is gone before down's dx
+            n = _rms_normalized(x_data, inv, gain)
+            gate_out, xas_gate, up_out, xas_up = gate_and_up(n)
+            del n
+        else:
+            gate_out, xas_gate, up_out, xas_up = kept
+            kept = None  # so that each is freed after its last use, as a re-formed one is
+        # g is shared with the residual add, so it is only read
         g_hidden, gxa_down, gb_down = _lora_grads(g, (True, *needs[5:]), *projections[2], xas_down)
         # the SwiGLU derivative in blocks of rows, which are contiguous
         rows = max(1, _SWIGLU_BLOCK // gate_out.shape[1])

@@ -155,6 +155,30 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
     assert out.data.nbytes + small <= kept < out.data.nbytes + small + 4096
 
 
+def test_swiglu_mlp_keeps_gate_and_up_only_when_the_budget_covers_them():
+    rng = np.random.default_rng(4)
+    projections = _projections(rng, 128, 256, 16)
+    x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
+    gain = np.ones(128, dtype=np.float32)
+    small = 128 * 4 + 128 * 16 * 4  # the inverse norms and down's (T, rank) product
+    gate_and_up = 4 * 128 * 2 * (256 + 16)  # 272 KiB: gate, up and their (T, rank) products
+    for spare, extra in ((gate_and_up - 1, 0), (gate_and_up, gate_and_up)):
+        with Tape():
+            out, kept, _ = traced(ad.swiglu_mlp, x, gain, *projections, spare)
+        assert out.data.nbytes + small + extra <= kept < out.data.nbytes + small + extra + 4096
+
+    def after_backward(spare):
+        """The node's backward function, once it has run: what the sweep holds until the next node."""
+        with Tape() as tape:
+            ad.swiglu_mlp(x, gain, *projections, spare)
+        inputs, bw = tape.nodes[-1]
+        bw(np.ones((128, 128), dtype=np.float32), (True,) * len(inputs))
+        return bw
+
+    # the backward lets go of the kept arrays, as of re-formed ones, after their last use
+    assert traced(after_backward, gate_and_up)[1] < traced(after_backward, 0)[1] + 1024
+
+
 def _projection_node(x, lin):
     """``x @ w + s * (x @ a.T) @ b.T`` as one node that keeps ``x``: the unfused chain's projection."""
     a, b = lin.a.data, lin.b.data
@@ -191,7 +215,9 @@ def _swiglu_node(gate, up):
                          ids=["1", "7", "128", "128-200"])
 def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
     # the backward runs in blocks of 8192 elements: 170 rows of width 48,
-    # 40 of width 200, so T=128 ends in a partial block of 8 rows
+    # 40 of width 200, so T=128 ends in a partial block of 8 rows.  Each
+    # shape runs with no budget, re-forming gate and up, and with a budget of
+    # exactly their bytes and their (T, rank) products', keeping them
     rng = np.random.default_rng(t)
     projections = _projections(rng, 32, d_ff, 4)
     gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
@@ -212,10 +238,12 @@ def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
             loss = weighted_sum(ad.add(x, out), g)
         return out.data, backward(loss, tape)
 
-    (got, got_grads), (want, want_grads) = run(lambda: ad.swiglu_mlp(x, gain, *projections)), run(unfused)
-    assert got.tobytes() == want.tobytes()
-    for p in (x, *_adapters(projections)):
-        assert got_grads[p].tobytes() == want_grads[p].tobytes()
+    want, want_grads = run(unfused)
+    for spare in (0, 4 * t * 2 * (d_ff + 4)):
+        got, got_grads = run(lambda: ad.swiglu_mlp(x, gain, *projections, spare))
+        assert got.tobytes() == want.tobytes()
+        for p in (x, *_adapters(projections)):
+            assert got_grads[p].tobytes() == want_grads[p].tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -297,8 +297,8 @@ def test_decompress_on_use_changes_no_number():
         assert all(np.array_equal(q_grads[name], f_grads[name]) for name in q_grads)
 
 
-def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
-    model = _model(QCFG)
+def _backward_decompressions(monkeypatch, model, modes, n_tokens) -> int:
+    """The bases decompressed by the backward of a step on ``n_tokens`` tokens."""
     calls = []
 
     def counting_dequantize(q):
@@ -306,22 +306,38 @@ def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
         return dequantize(q)
 
     monkeypatch.setattr(lm, "dequantize", counting_dequantize)
-    tokens = np.arange(QCFG.seq_len + 1) % QCFG.vocab_size
+    tokens = np.arange(n_tokens + 1) % model.config.vocab_size
+    with ad.Tape() as tape:
+        loss = ad.cross_entropy_logits(model.forward(tokens[:-1], _plan(modes)), tokens[1:])
+    assert len(calls) == len(modes) * 7  # every base once in the forward
+    calls.clear()
+    ad.backward(loss, tape)
+    return len(calls)
+
+
+def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
     # The fused attention decompresses q, k and v to re-form them and o for
     # dx; the lowest attached layer reads a constant (the frozen embedding, or
     # the output of detached blocks), so its q, k and v need no dx, and a
     # layer above it decompresses three more times.  The fused MLP
-    # decompresses five times: gate and up to re-form them, and gate, up and
-    # down for dx.
-    for modes, in_backward in (([ATTACHED, ATTACHED], 9 + 12), ([DETACHED, ATTACHED], 9),
-                               ([DETACHED, DETACHED], 0)):
-        calls.clear()
-        with ad.Tape() as tape:
-            loss = ad.cross_entropy_logits(model.forward(tokens[:-1], _plan(modes)), tokens[1:])
-        assert len(calls) == 2 * 7  # every base once in the forward
-        calls.clear()
-        ad.backward(loss, tape)
-        assert len(calls) == in_backward
+    # decompresses gate, up and down for dx, and at 16 tokens gate and up
+    # again to re-form them; at 8 its layer's LoRA bytes cover keeping them.
+    for seq_len, mlp in ((8, 3), (16, 5)):
+        model = _model(replace(QCFG, seq_len=seq_len))
+        for modes, in_backward in (([ATTACHED, ATTACHED], 4 + mlp + 7 + mlp),
+                                   ([DETACHED, ATTACHED], 4 + mlp), ([DETACHED, DETACHED], 0)):
+            assert _backward_decompressions(monkeypatch, model, modes, seq_len) == in_backward
+
+
+@pytest.mark.parametrize("t, keeps", [(32, True), (43, True), (44, False), (64, False),
+                                      (128, False)])
+def test_attached_mlp_keeps_gate_and_up_while_its_lora_bytes_cover_them(monkeypatch, t, keeps):
+    # At the default shapes a layer's 14 LoRA matrices take 136 KiB, and
+    # gate, up and their (T, rank) products 2176 bytes per token: they fit
+    # beside the two (T, d) inputs up to T=43.  The lone attached layer's
+    # attention decompresses 4 bases, its MLP 3 or, re-forming, 5.
+    model = init_model(ModelConfig(n_layers=1, quantize_base=True), 0)
+    assert _backward_decompressions(monkeypatch, model, [ATTACHED], t) == (7 if keeps else 9)
 
 
 def _init_bytes(config):
