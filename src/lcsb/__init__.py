@@ -20,10 +20,7 @@ A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
 (byte i holds code i and code i + ceil(n / 2), the flat-halves layout),
 plus one scale per group.  It is decompressed on each use: in the forward,
 and again in an attached layer's backward where an input gradient needs
-it or a fused node re-forms q, k, v, gate or up.  The MLP re-forms gate
-and up only when keeping them would take more than the layer's LoRA
-gradients, less its two (T, d) inputs (at the default shapes, above
-T=43).  An attached layer
+it or a fused node re-forms q, k, v, gate or up.  An attached layer
 records 4 op nodes, one per half of the block and one per residual add,
 plus one leaf per LoRA matrix.
 

@@ -15,13 +15,13 @@ query's max and sum as FlashAttention's backward does, or the SwiGLU
 output.  This is selective activation recomputation (Korthikanti et al.
 2022) inside one node.  Only the normalized input is re-formed twice,
 once for the projections and again where their dA reads it, so that no
-backward holds it across the node.  The MLP takes a byte budget,
-``spare``: when gate, up and their (n, rank) products fit in it, it keeps
-them, and its backward re-forms the normalized input only for dA.
-The fused nodes share private helpers for the array math of a norm, a
-projection and attention, so their values and gradients are those of the
-chain of a norm, LoRA projections and an attention or a SwiGLU, bit for
-bit.
+backward holds it across the node.  The MLP keeps gate and up instead
+when its shapes make them small beside the gradients it returns (see
+:func:`swiglu_mlp`).  The fused nodes share one path for the norm and
+the projections that read it, forward and backward, and private helpers
+for the array math of attention, so their values and gradients are those
+of the chain of a norm, LoRA projections and an attention or a SwiGLU,
+bit for bit.
 
 What each node keeps for its backward:
 
@@ -30,8 +30,8 @@ What each node keeps for its backward:
   ``s * heads @ a.T``;
 * ``swiglu_mlp``: the adapters, its input, each row's inverse norm, the
   gain and the down projection's (n, rank) product ``s * hidden @ a.T``,
-  and, when its ``spare`` budget covers them, gate's and up's outputs and
-  (n, rank) products;
+  and, when its shapes let it, gate's and up's outputs and (n, rank)
+  products;
 * ``rms_norm`` (the model's output norm): its input, each row's inverse
   norm and the gain;
 * ``frozen_linear`` (the model's output head): its weight, the embedding's
@@ -56,7 +56,7 @@ what it returns, for a (T, d) input and an MLP width of ``d_ff``:
 * ``frozen_linear``, ``cross_entropy_logits`` and ``add``: nothing.
 
 At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
-included, at 356 and 483 KiB for the attention's forward and backward and
+included, at 356 and 477 KiB for the attention's forward and backward and
 482 and 537 KiB for the MLP's re-forming gate and up, on float or 4-bit
 bases (``tracemalloc``).
 
@@ -437,13 +437,67 @@ def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array
     return gx, gxa, (g.T @ xas if needs[2] else None)
 
 
+def _project(norm: tuple, projections: Sequence, op: str, names: Sequence[str]) -> tuple:
+    """The projections of the normalized input: a list of their outputs and one of their (n, rank) products.
+
+    ``norm`` is ``(x, inv, gain)`` as :func:`_rms_normalized` takes it;
+    the normalized input is formed here and freed before the return.  Each
+    projection is ``_lora_forward``'s ``(base, a, b, s)``, named in errors
+    by ``names``, and all outputs must have one shape.
+    """
+    n = _rms_normalized(*norm)
+    outs, xas = [], []
+    for p, name in zip(projections, names):
+        out, xa = _lora_forward(n, *p, f"{op} {name}")
+        outs.append(out)
+        xas.append(xa)
+    del n
+    if any(out.shape != outs[0].shape for out in outs):
+        raise DimensionError(f"{op} {', '.join(names)} outputs differ: "
+                             f"{', '.join(str(out.shape) for out in outs)}")
+    return outs, xas
+
+
+def _prenorm_grads(grads: list, needs: tuple, projections: Sequence, xas: Sequence,
+                   norm: tuple) -> list:
+    """``[dx, dA, dB, dA, dB, ...]`` of a pre-norm node's input and the projections :func:`_project` formed.
+
+    ``grads[i]`` is the gradient of projection ``i``'s output; each entry
+    is dropped once read, so an array no one else holds is freed.
+    ``needs`` is the node's: ``x`` first, then each projection's ``a`` and
+    ``b``.  The projections run from last to first, so dx sums in the
+    order of the unfused chain's sweep, and the normalized input is
+    re-formed once, after them, for the dA.
+    """
+    out = [None] * (1 + 2 * len(grads))
+    gxa = [None] * len(grads)
+    gx = None
+    for i in reversed(range(len(grads))):
+        gx_i, gxa[i], out[2 + 2 * i] = _lora_grads(
+            grads[i], (needs[0], *needs[1 + 2 * i:3 + 2 * i]), *projections[i], xas[i])
+        grads[i] = None
+        if gx is None:
+            gx = gx_i
+        else:
+            gx += gx_i
+        del gx_i
+    n = _rms_normalized(*norm)  # re-formed where dA reads it
+    for i in range(len(grads)):
+        if needs[1 + 2 * i]:
+            out[1 + 2 * i] = gxa[i].T @ n
+    del n
+    if needs[0]:
+        out[0] = _rms_norm_backward(gx, *norm)
+    return out
+
+
 # Elements in a block of rows of the SwiGLU backward's (T, d_ff) arrays:
 # 32 KiB of float32, so its three temporaries stay small beside gate, up and
 # their gradient, and T=128 at d_ff=256 takes four blocks.
 _SWIGLU_BLOCK = 8192
 
 
-def swiglu_mlp(x: Tensor, gain: Array, gate, up, down, spare: int = 0) -> Tensor:
+def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x, gain)``, a pre-norm SwiGLU MLP, as one node.
 
     ``silu(z) = z * sigmoid(z)``.  ``gate``, ``up`` and ``down`` are
@@ -456,48 +510,41 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down, spare: int = 0) -> Tensor
     ``a``, ``b``, up's, down's.
 
     The node keeps ``x``, each row's inverse norm and the down projection's
-    (n, rank) product.  ``spare`` is a byte budget for more: when gate's and
-    up's outputs and their (n, rank) products fit in it, the node keeps
-    them too, and its backward runs neither projection again, nor the norm
-    they read, which it then re-forms only for dA.  The choice is made from
-    shapes before the forward runs.  Otherwise, as with the default budget
-    of 0, the node keeps nothing of width ``d_ff`` and its backward re-forms
-    ``gate`` and ``up`` with the forward's own operations before down's
-    dx.  Either way the backward then runs the SwiGLU derivative in blocks
-    of rows.  It writes the gradient of ``gate``'s output over ``up``, that
-    of ``up``'s over the gradient of the SwiGLU output, and the SwiGLU
-    output over ``gate``, where down's dA reads it whole.  So the gradients are those of the
-    unfused chain bit for bit, on both paths.  Each base is fetched on each
-    use and never kept, so a compressed one is decompressed once per
-    projection in the forward, and in the backward once per projection for
-    dx and, unless gate and up are kept, once more for each of them.
+    (n, rank) product.  It keeps gate's and up's outputs and their (n, rank)
+    products too when they take no more bytes than the gradients its
+    backward returns, those of ``x`` and the six LoRA matrices:
+    ``4 * n * sum(a.rows + b.rows)`` over gate and up against ``x.nbytes``
+    plus the six matrices' bytes.  So keeping never holds more before the
+    backward than the backward's results hold after it.  At d=128,
+    d_ff=256 and rank 16 that is up to n=44.  The choice is made from shapes
+    alone.  A node that keeps them runs neither projection again in its
+    backward, nor the norm they read, which it then re-forms only for dA;
+    otherwise its backward re-forms ``gate`` and ``up`` with the forward's
+    own operations before down's dx.  Either way the backward then runs the
+    SwiGLU derivative in blocks of rows.  It writes the gradient of
+    ``gate``'s output over ``up``, that of ``up``'s over the gradient of the
+    SwiGLU output, and the SwiGLU output over ``gate``, where down's dA reads
+    it whole.  So the gradients are those of the unfused chain bit for bit,
+    on both paths.  Each base is fetched on each use and never kept, so a
+    compressed one is decompressed once per projection in the forward, and
+    in the backward once per projection for dx and, unless gate and up are
+    kept, once more for each of them.
     """
     gain = _norm_gain(x, gain, "swiglu_mlp")
     x_data = x.data
-    inv = _rms_inv(x_data)
+    norm = (x_data, _rms_inv(x_data), gain)
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (gate, up, down)]
-    # float32 gate, up and their (n, rank) products
-    keep = spare > 0 and spare >= 4 * x_data.shape[0] * sum(
-        p.a.shape[0] + p.b.shape[0] for p in (gate, up))
+    # float32 gate, up and their (n, rank) products, against the gradients returned
+    keep = 4 * x_data.shape[0] * sum(p.a.shape[0] + p.b.shape[0] for p in (gate, up)) <= (
+        x_data.nbytes + sum(p.a.data.nbytes + p.b.data.nbytes for p in (gate, up, down)))
 
-    def gate_and_up(n):
-        """``gate(n)``, ``up(n)`` and their (n, rank) products."""
-        gate_out, xas_gate = _lora_forward(n, *projections[0], "swiglu_mlp gate")
-        up_out, xas_up = _lora_forward(n, *projections[1], "swiglu_mlp up")
-        if gate_out.shape != up_out.shape:
-            raise DimensionError(
-                f"swiglu_mlp gate and up outputs differ: {gate_out.shape} vs {up_out.shape}"
-            )
-        return gate_out, xas_gate, up_out, xas_up
+    def gate_and_up():
+        return _project(norm, projections[:2], "swiglu_mlp", ("gate", "up"))
 
-    n = _rms_normalized(x_data, inv, gain)
-    if keep:
-        kept = gate_and_up(n)
-        gate_out, _, up_out, _ = kept
-    else:
+    kept = gate_and_up()
+    gate_out, up_out = kept[0]
+    if not keep:
         kept = None
-        gate_out, _, up_out, _ = gate_and_up(n)
-    del n
     hidden = _sigmoid(gate_out)
     hidden *= gate_out  # silu(gate)
     hidden *= up_out
@@ -507,14 +554,9 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down, spare: int = 0) -> Tensor
 
     def bw(g, needs):
         nonlocal kept
-        if kept is None:
-            # gate and up are re-formed first, so the normalized input is gone before down's dx
-            n = _rms_normalized(x_data, inv, gain)
-            gate_out, xas_gate, up_out, xas_up = gate_and_up(n)
-            del n
-        else:
-            gate_out, xas_gate, up_out, xas_up = kept
-            kept = None  # so that each is freed after its last use, as a re-formed one is
+        # unless kept, re-formed first, so the normalized input is gone before down's dx
+        (gate_out, up_out), xas = kept or gate_and_up()
+        kept = None  # so that each is freed after its last use, as a re-formed one is
         # g is shared with the residual add, so it is only read
         g_hidden, gxa_down, gb_down = _lora_grads(g, (True, *needs[5:]), *projections[2], xas_down)
         # the SwiGLU derivative in blocks of rows, which are contiguous
@@ -539,20 +581,9 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down, spare: int = 0) -> Tensor
             del gate_b, up_b, g_b, sig, silu, hidden
         ga_down = gxa_down.T @ gate_out if needs[5] else None
         del gate_out
-        g_gate, g_up = up_out, g_hidden
+        grads = [up_out, g_hidden]  # of gate's and up's outputs
         del up_out, g_hidden
-        gx, gxa_up, gb_up = _lora_grads(g_up, (needs[0], *needs[3:5]), *projections[1], xas_up)
-        del g_up
-        gx_gate, gxa_gate, gb_gate = _lora_grads(g_gate, needs[:3], *projections[0], xas_gate)
-        del g_gate
-        n = _rms_normalized(x_data, inv, gain)  # re-formed where dA reads it
-        ga_up = gxa_up.T @ n if needs[3] else None
-        ga_gate = gxa_gate.T @ n if needs[1] else None
-        del n
-        if needs[0]:
-            gx += gx_gate  # the normalized input's gradient, up's term first
-            gx = _rms_norm_backward(gx, x_data, inv, gain)
-        return (gx, ga_gate, gb_gate, ga_up, gb_up, ga_down, gb_down)
+        return (*_prenorm_grads(grads, needs, projections, xas, norm), ga_down, gb_down)
 
     inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
     return _finish(out, inputs, bw)
@@ -644,27 +675,21 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
     gain = _norm_gain(x, gain, "self_attention")
     x_data = x.data
     t = x_data.shape[0]
-    inv = _rms_inv(x_data)
+    norm = (x_data, _rms_inv(x_data), gain)
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (q, k, v, o)]
 
-    def qkv_of(n):
+    def qkv_of():
         """The scaled q, k and v, (T, width) each, the scale and their (T, rank) products."""
-        (q_out, xas_q), (k_out, xas_k), (v_out, xas_v) = (
-            _lora_forward(n, *projections[i], f"self_attention {name}") for i, name in enumerate("qkv"))
-        width = q_out.shape[1]
-        if k_out.shape != q_out.shape or v_out.shape != q_out.shape:
-            raise DimensionError(f"self_attention q, k and v outputs differ: "
-                                 f"{q_out.shape}, {k_out.shape}, {v_out.shape}")
+        qkv, xas = _project(norm, projections[:3], "self_attention", "qkv")
+        width = qkv[0].shape[1]
         if n_heads <= 0 or width == 0 or width % n_heads != 0:
             raise DimensionError(f"self_attention: {n_heads} heads do not divide d={width}")
         c = np.float32(1.0 / np.sqrt(width // n_heads))
         # 1/sqrt(d_h) scales the (T, d) queries rather than the (n_heads, T, T) scores
-        q_out *= c
-        return [q_out, k_out, v_out], c, (xas_q, xas_k, xas_v)
+        qkv[0] *= c
+        return qkv, c, xas
 
-    n = _rms_normalized(x_data, inv, gain)
-    qkv, _, _ = qkv_of(n)
-    del n
+    qkv, _, _ = qkv_of()
     qh, kh, vh = (_split_heads(m, n_heads) for m in qkv)
     row_max = np.empty((n_heads, 1, t), dtype=np.float32)
     row_sum = np.empty_like(row_max)
@@ -681,9 +706,7 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
     def bw(g, needs):
         # g is shared with the residual add, so it is only read
         g_heads, gxa_o, gb_o = _lora_grads(g, (True, *needs[7:]), *projections[3], xas_o)
-        n = _rms_normalized(x_data, inv, gain)
-        g_qkv, c, xas = qkv_of(n)
-        del n
+        g_qkv, c, xas = qkv_of()
         qh, kh, vh = (_split_heads(m, n_heads) for m in g_qkv)
         gh = _split_heads(g_heads, n_heads)
         blocks = _head_blocks(n_heads, t, x_data.shape[1])
@@ -709,23 +732,7 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
             np.multiply(out_block[:m], c, out=qh[hs])  # dq, over q
         ga_o = gxa_o.T @ g_heads if needs[7] else None
         del qh, kh, vh, gh, g_heads, scores, grad_scores, out_block, probs, gs
-        n = _rms_normalized(x_data, inv, gain)  # re-formed where dA reads it
-        adapter_grads = [None] * 6
-        gx = None
-        for i in (2, 1, 0):  # v, k, q: the unfused chain's sweep sums (v + k) + q
-            gx_i, gxa, adapter_grads[2 * i + 1] = _lora_grads(
-                g_qkv[i], (needs[0], *needs[2 * i + 1:2 * i + 3]), *projections[i], xas[i])
-            g_qkv[i] = None
-            if needs[2 * i + 1]:
-                adapter_grads[2 * i] = gxa.T @ n
-            if gx is None:
-                gx = gx_i
-            else:
-                gx += gx_i
-        del n
-        if needs[0]:
-            gx = _rms_norm_backward(gx, x_data, inv, gain)
-        return (gx, *adapter_grads, ga_o, gb_o)
+        return (*_prenorm_grads(g_qkv, needs, projections, xas, norm), ga_o, gb_o)
 
     inputs = (x, q.a, q.b, k.a, k.b, v.a, v.b, o.a, o.b)
     return _finish(out, inputs, bw)

@@ -161,34 +161,38 @@ def _primitive_cases(rng: np.random.Generator):
         lambda d: _ref_cross_entropy(d[0], targets)
     )
 
-    # the MLP's other backward, which keeps gate and up instead of re-forming
-    # them; drawn last, so that the cases above keep their draws
+    # the MLP on each of its paths, forced by shape; drawn last, so that the
+    # cases above keep their draws
     for quantize in (False, True):
-        yield _fused_case(rng, t, ad.swiglu_mlp, quantize, keep=True)
+        for keep in (True, False):
+            yield _fused_case(rng, t, ad.swiglu_mlp, quantize, keep=keep)
 
 
 def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize: bool,
-                x_tracked: bool = True, keep: bool = False) -> tuple:
+                x_tracked: bool = True, keep: bool | None = None) -> tuple:
     """A case of the fused node ``fused``, with a random gain and nonzero adapters.
 
     Its inputs are x, tracked or a constant, and the LoRA matrices of the
     node's projections: gate and up from width d to an even width and down
     back, or q, k and v from d to ``n_heads`` heads and o back.  The bases
     are float, or 4-bit in groups of 2, which the reference decompresses
-    with :func:`_ref_dequantize`.  With ``keep``, the MLP gets a ``spare``
-    budget of exactly the bytes of gate, up and their (n, rank) products,
-    so it keeps them for its backward instead of re-forming them.
+    with :func:`_ref_dequantize`.  A ``keep`` of True or False forces the
+    MLP's path by its shape: one row always keeps gate and up, and five
+    rows of width 8 at rank 1 never do, since gate, up and their products
+    take 90 floats against the 8d + 24 of the gradients returned, d <= 6.
     """
     n, rank = rng.integers(1, 6), rng.integers(1, 4)
-    budget = {}
     if fused is ad.self_attention:
         n_heads = rng.integers(1, 4)
         d, width = 2 * rng.integers(1, 4), 2 * n_heads * rng.integers(1, 3)
         dims, ref, heads = ((d, width),) * 3 + ((width, d),), _ref_self_attention, (n_heads,)
     else:
         d, width = 2 * rng.integers(1, 4), 2 * rng.integers(1, 5)
+        if keep:
+            n = 1
+        elif keep is not None:
+            n, width, rank = 5, 8, 1
         dims, ref, heads = ((d, width), (d, width), (width, d)), _ref_swiglu_mlp, ()
-        budget = {"spare": 4 * int(n) * 2 * int(width + rank) if keep else 0}  # float32 bytes
     gain = rng.uniform(0.5, 1.5, size=d).astype(np.float32)
     scales = rng.uniform(0.5, 2.0, size=len(dims))
     bases = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32) for shape in dims]
@@ -201,7 +205,7 @@ def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize
     def node(x, *adapters):
         projections = (Linear(w, a, b, float(s)) for w, a, b, s
                        in zip(bases, adapters[0::2], adapters[1::2], scales))
-        return fused(x, gain, *projections, *heads, **budget)
+        return fused(x, gain, *projections, *heads)
 
     def reference(v):
         return ref(v[0], gain.astype(np.float64), *zip(ref_bases, v[1::2], v[2::2], scales), *heads)

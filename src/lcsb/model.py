@@ -26,17 +26,12 @@ leaf per LoRA matrix.  What it retains for its backward is the (T, d)
 input of each half, each row's inverse norms, each query's softmax max
 and sum and the (T, rank) products of o and down, never a (heads, T, T)
 array: about 0.15 MiB at the default T=128.  Each node re-forms its
-intermediates in its backward, except that the MLP keeps gate and up,
-(T, d_ff) each, and their (T, rank) products when they fit in the bytes
-of the layer's 14 LoRA matrices less the two (T, d) inputs.  Those
-matrices' gradients are all returned at once after the sweep, so a layer
-then holds no more before its sweep than its gradients hold after it.  At
-the default shapes that is up to T=43, and at T=32 a layer retains
-113 KiB against its gradients' 136 KiB.  Nor does either pass of the
-attention form scores larger than its (T, d) input: it runs the heads in
-blocks of ``max(1, d // T)``, so at the default T=128 one at a time.  The
-output head, the model's one ``frozen_linear`` node, reads the embedding
-in place, through a transposed view.
+intermediates in its backward, except that the MLP keeps gate and up
+when its shapes let it (see :func:`lcsb.autodiff.swiglu_mlp`).  Nor does
+either pass of the attention form scores larger than its (T, d) input:
+it runs the heads in blocks of ``max(1, d // T)``, so at the default
+T=128 one at a time.  The output head, the model's one ``frozen_linear``
+node, reads the embedding in place, through a transposed view.
 
 Every residual block exposes three forward modes:
 
@@ -271,17 +266,12 @@ class Model:
         block = self.blocks[layer_index]
         lin = block.linears
         branch = ad.paused if mode is BlockMode.DETACHED else nullcontext
-        spare = 0
-        if mode is BlockMode.ATTACHED:
-            # the bytes of the layer's LoRA gradients, which backward returns
-            # all at once, less the (T, d) inputs of its two nodes
-            spare = sum(p.a.data.nbytes + p.b.data.nbytes for p in lin.values()) - 2 * h.data.nbytes
         with branch():
             attn = ad.self_attention(h, block.norm_attn, lin["q"], lin["k"], lin["v"], lin["o"],
                                      self.config.n_heads)
         a = ad.add(h, attn)
         with branch():
-            mlp = ad.swiglu_mlp(a, block.norm_mlp, lin["gate"], lin["up"], lin["down"], spare)
+            mlp = ad.swiglu_mlp(a, block.norm_mlp, lin["gate"], lin["up"], lin["down"])
         return ad.add(a, mlp)
 
     def forward(self, tokens, plan=None) -> Tensor:

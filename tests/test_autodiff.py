@@ -155,28 +155,30 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
     assert out.data.nbytes + small <= kept < out.data.nbytes + small + 4096
 
 
-def test_swiglu_mlp_keeps_gate_and_up_only_when_the_budget_covers_them():
+def test_swiglu_mlp_keeps_gate_and_up_only_while_its_gradients_cover_them():
+    # At d=128, d_ff=256 and rank 16, gate, up and their (T, rank) products
+    # take 2176 bytes a token, and the gradients the node returns, of x and
+    # the six LoRA matrices, 512 bytes a token and 72 KiB: they fit up to T=44
     rng = np.random.default_rng(4)
     projections = _projections(rng, 128, 256, 16)
-    x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     gain = np.ones(128, dtype=np.float32)
-    small = 128 * 4 + 128 * 16 * 4  # the inverse norms and down's (T, rank) product
-    gate_and_up = 4 * 128 * 2 * (256 + 16)  # 272 KiB: gate, up and their (T, rank) products
-    for spare, extra in ((gate_and_up - 1, 0), (gate_and_up, gate_and_up)):
+    xs = {t: Tensor(rng.standard_normal((t, 128)), requires_grad=True) for t in (44, 45)}
+    for t, extra in ((44, 2176 * 44), (45, 0)):
+        small = t * 4 + t * 16 * 4  # the inverse norms and down's (T, rank) product
         with Tape():
-            out, kept, _ = traced(ad.swiglu_mlp, x, gain, *projections, spare)
+            out, kept, _ = traced(ad.swiglu_mlp, xs[t], gain, *projections)
         assert out.data.nbytes + small + extra <= kept < out.data.nbytes + small + extra + 4096
 
-    def after_backward(spare):
+    def after_backward(t):
         """The node's backward function, once it has run: what the sweep holds until the next node."""
         with Tape() as tape:
-            ad.swiglu_mlp(x, gain, *projections, spare)
+            ad.swiglu_mlp(xs[t], gain, *projections)
         inputs, bw = tape.nodes[-1]
-        bw(np.ones((128, 128), dtype=np.float32), (True,) * len(inputs))
+        bw(np.ones((t, 128), dtype=np.float32), (True,) * len(inputs))
         return bw
 
     # the backward lets go of the kept arrays, as of re-formed ones, after their last use
-    assert traced(after_backward, gate_and_up)[1] < traced(after_backward, 0)[1] + 1024
+    assert traced(after_backward, 44)[1] < traced(after_backward, 45)[1] + 1024
 
 
 def _projection_node(x, lin):
@@ -211,13 +213,14 @@ def _swiglu_node(gate, up):
     return ad._finish(out, (gate, up), bw)
 
 
-@pytest.mark.parametrize("t, d_ff", [(1, 48), (7, 48), (128, 48), (128, 200)],
-                         ids=["1", "7", "128", "128-200"])
+@pytest.mark.parametrize("t, d_ff", [(1, 48), (7, 48), (128, 48), (128, 200), (5, 4096)],
+                         ids=["1", "7", "128", "128-200", "5-4096"])
 def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
     # the backward runs in blocks of 8192 elements: 170 rows of width 48,
-    # 40 of width 200, so T=128 ends in a partial block of 8 rows.  Each
-    # shape runs with no budget, re-forming gate and up, and with a budget of
-    # exactly their bytes and their (T, rank) products', keeping them
+    # 40 of width 200 and 2 of width 4096, so T=128 ends in a partial block
+    # of 8 rows and T=5 in one of 1.  The shape picks the path: at width 48
+    # the node keeps gate and up up to T=13, so T=1 and T=7 keep, both T=128
+    # re-form, and T=5 at width 4096 keeps
     rng = np.random.default_rng(t)
     projections = _projections(rng, 32, d_ff, 4)
     gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
@@ -239,11 +242,10 @@ def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
         return out.data, backward(loss, tape)
 
     want, want_grads = run(unfused)
-    for spare in (0, 4 * t * 2 * (d_ff + 4)):
-        got, got_grads = run(lambda: ad.swiglu_mlp(x, gain, *projections, spare))
-        assert got.tobytes() == want.tobytes()
-        for p in (x, *_adapters(projections)):
-            assert got_grads[p].tobytes() == want_grads[p].tobytes()
+    got, got_grads = run(lambda: ad.swiglu_mlp(x, gain, *projections))
+    assert got.tobytes() == want.tobytes()
+    for p in (x, *_adapters(projections)):
+        assert got_grads[p].tobytes() == want_grads[p].tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -406,9 +408,10 @@ def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
         _, _, backward = traced(bw, g, (True,) * len(inputs))
         peaks[node.__name__] = forward, backward
     mib = 2 ** 20
-    # 356 and 483 KiB; 607 and 947 KiB while every head's (4, T, T) scores,
-    # and in the backward their gradient, were formed at once and the heads
-    # were merged into copies
+    # 356 and 477 KiB (483 while the backward re-formed the normalized
+    # input before q's, k's and v's gradients); 607 and 947 KiB while every
+    # head's (4, T, T) scores, and in the backward their gradient, were
+    # formed at once and the heads were merged into copies
     assert max(peaks["self_attention"]) < 0.5 * mib
     # 537 KiB; 754 KiB while the SwiGLU derivative ran on whole (T, d_ff)
     # arrays with the normalized input held across the node

@@ -78,6 +78,6 @@ def test_paper_regime_peak_memory():
 
 def test_short_sequence_peak_memory():
     # 7.61 MiB, as when every attached MLP re-formed gate and up in its
-    # backward: at T=32 a layer keeps them (68 KiB) within the bytes its
-    # LoRA gradients take after the sweep
+    # backward: at T=32 an MLP keeps them (68 KiB), fewer bytes than the
+    # gradients it returns (88 KiB)
     assert harness.peak_and_init_mib(harness.WORKLOADS["attach_all_t32"], 0)[0] < 7.65

@@ -24,6 +24,24 @@ def test_every_primitive_matches_finite_differences():
         assert gradients[kind] < gradcheck.GRAD_TOL, f"{kind}: gradient error {gradients[kind]:.2e}"
 
 
+def test_the_last_cases_run_the_mlp_on_each_path(monkeypatch):
+    # the suite's last four cases force the MLP's path by shape, on float and
+    # then 4-bit bases: a node that keeps gate and up projects the normalized
+    # input once, in its forward, and one that re-forms them again in its
+    # backward
+    calls = []
+    project = ad._project
+    monkeypatch.setattr(ad, "_project", lambda *args: calls.append(args[2]) or project(*args))
+    for seed in range(20):
+        cases = list(gradcheck._primitive_cases(np.random.default_rng(seed)))[-4:]
+        for (fn, inputs, kwargs, _), projections in zip(cases, (1, 2, 1, 2)):
+            calls.clear()
+            with ad.Tape() as tape:
+                out = fn(*inputs, **kwargs)
+            tape.nodes[-1][1](np.ones(out.shape, dtype=np.float32), (True,) * len(inputs))
+            assert calls == ["swiglu_mlp"] * projections
+
+
 def test_a_forward_off_by_1e_4_fails_on_value_only():
     # an identity whose forward scales by 1.0001, with the identity's exact backward
     def off_identity(x):

@@ -321,7 +321,7 @@ def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
     # the output of detached blocks), so its q, k and v need no dx, and a
     # layer above it decompresses three more times.  The fused MLP
     # decompresses gate, up and down for dx, and at 16 tokens gate and up
-    # again to re-form them; at 8 its layer's LoRA bytes cover keeping them.
+    # again to re-form them; at 8 the gradients it returns cover keeping them.
     for seq_len, mlp in ((8, 3), (16, 5)):
         model = _model(replace(QCFG, seq_len=seq_len))
         for modes, in_backward in (([ATTACHED, ATTACHED], 4 + mlp + 7 + mlp),
@@ -329,13 +329,14 @@ def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
             assert _backward_decompressions(monkeypatch, model, modes, seq_len) == in_backward
 
 
-@pytest.mark.parametrize("t, keeps", [(32, True), (43, True), (44, False), (64, False),
-                                      (128, False)])
+@pytest.mark.parametrize("t, keeps", [(32, True), (43, True), (44, True), (45, False),
+                                      (64, False), (128, False)])
 def test_attached_mlp_keeps_gate_and_up_while_its_lora_bytes_cover_them(monkeypatch, t, keeps):
-    # At the default shapes a layer's 14 LoRA matrices take 136 KiB, and
-    # gate, up and their (T, rank) products 2176 bytes per token: they fit
-    # beside the two (T, d) inputs up to T=43.  The lone attached layer's
-    # attention decompresses 4 bases, its MLP 3 or, re-forming, 5.
+    # At the default shapes gate, up and their (T, rank) products take 2176
+    # bytes per token, and the gradients the MLP returns, of its input and
+    # its six LoRA matrices, 512 bytes per token and 72 KiB: they fit up to
+    # T=44.  The lone attached layer's attention decompresses 4 bases, its
+    # MLP 3 or, re-forming, 5.
     model = init_model(ModelConfig(n_layers=1, quantize_base=True), 0)
     assert _backward_decompressions(monkeypatch, model, [ATTACHED], t) == (7 if keeps else 9)
 
