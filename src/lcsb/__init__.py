@@ -16,18 +16,11 @@ gains) is a plain float32 array, or packed codes for a 4-bit base.  Each
 projection is one ``model.Linear``: its frozen ``weight`` and its LoRA
 matrices ``a`` and ``b`` with their ``scale``.
 
-A 4-bit base is held at 4 bits per weight, as codes packed two to a byte
-(byte i holds code i and code i + ceil(n / 2), the flat-halves layout),
-plus one scale per group.  It is decompressed on each use: in the forward,
-and again in an attached layer's backward where an input gradient needs
-it or a fused node re-forms q, k, v, gate or up.  An attached layer
-records 4 op nodes, one per half of the block and one per residual add,
-plus one leaf per LoRA matrix.
-
-A tape is single-use: ``backward`` sweeps it once and frees each node's
-saved arrays as it passes, so a step's memory peaks at the parameters
-plus the forward's activations.  Sweeping a tape again, or recording onto
-a swept one, raises ``TapeError``; record the forward on a new ``Tape``.
+A 4-bit base is held at 4 bits per weight (``lcsb.quant``) and
+decompressed on each use.  A tape is single-use: ``backward`` sweeps it
+once, and sweeping it again or recording onto it raises ``TapeError``
+(``lcsb.autodiff``).  What each node and layer records and keeps is
+stated in ``lcsb.autodiff`` and ``lcsb.model``.
 """
 
 from .autodiff import Tape, Tensor, backward, paused

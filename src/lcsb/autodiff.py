@@ -2,42 +2,41 @@
 
 The engine records one node per primitive onto an explicit :class:`Tape`
 (entered as a context manager) and replays them in reverse to accumulate
-gradients.  Its six primitives are exactly those a training step of
-:mod:`lcsb.model` records.  Two are fused so that a layer records few
-nodes and its tape keeps little: :func:`self_attention` (a whole pre-norm
-causal multi-head attention with its q, k, v and o projections) and
-:func:`swiglu_mlp` (a whole pre-norm SwiGLU MLP), each with a hand-written
-backward.  Each keeps its input and a few small arrays, and its backward
-re-forms the rest once with the forward's own operations, bit for bit:
-the normalized input, each projection's output (LoRA delta included),
-and the attention's softmax probabilities, rebuilt from q, k and each
-query's max and sum as FlashAttention's backward does, or the SwiGLU
-output.  This is selective activation recomputation (Korthikanti et al.
-2022) inside one node.  Only the normalized input is re-formed twice,
-once for the projections and again where their dA reads it, so that no
-backward holds it across the node.  The MLP keeps gate and up instead
-when its shapes make them small beside the gradients it returns (see
-:func:`swiglu_mlp`).  The fused nodes share one path for the norm and
-the projections that read it, forward and backward, and private helpers
-for the array math of attention, so their values and gradients are those
-of the chain of a norm, LoRA projections and an attention or a SwiGLU,
-bit for bit.
+gradients.  Its five primitives are exactly those a training step of
+:mod:`lcsb.model` records.  With ``rms_norm(x, gain)`` for ``x /
+sqrt(mean(x ** 2) + RMS_EPS) * gain`` over the last axis, each keeps for
+its backward:
 
-What each node keeps for its backward:
-
-* ``self_attention``: the adapters, its input, each row's inverse norm,
-  the gain, each query's softmax max and sum and o's (n, rank) product
-  ``s * heads @ a.T``;
-* ``swiglu_mlp``: the adapters, its input, each row's inverse norm, the
-  gain and the down projection's (n, rank) product ``s * hidden @ a.T``,
-  and, when its shapes let it, gate's and up's outputs and (n, rank)
-  products;
-* ``rms_norm`` (the model's output norm): its input, each row's inverse
-  norm and the gain;
-* ``frozen_linear`` (the model's output head): its weight, the embedding's
+* :func:`self_attention`, a whole pre-norm causal multi-head attention
+  with its q, k, v and o projections: the adapters, its input, each row's
+  inverse norm, the gain, each query's softmax max and sum and o's
+  (n, rank) product ``s * heads @ a.T``;
+* :func:`swiglu_mlp`, a whole pre-norm SwiGLU MLP: the adapters, its
+  input, each row's inverse norm, the gain and the down projection's
+  (n, rank) product ``s * hidden @ a.T``, and, when it is recorded and its
+  shapes let it, gate's and up's outputs and (n, rank) products;
+* :func:`norm_head`, the model's output norm and frozen head: its input,
+  each row's inverse norm, the gain and its weight, the embedding's
   transposed view;
-* ``cross_entropy_logits``: its softmax probabilities;
-* ``add``: nothing.
+* :func:`cross_entropy_logits`: its softmax probabilities;
+* :func:`add`: nothing.
+
+The first two are fused, each with a hand-written backward, so that a
+layer records few nodes and its tape keeps little.  Each backward
+re-forms what its node did not keep once, with the forward's own
+operations, bit for bit: the normalized input, each projection's output
+(LoRA delta included), and the attention's softmax probabilities, rebuilt
+from q, k and each query's max and sum as FlashAttention's backward does,
+or the SwiGLU output.  This is selective activation recomputation
+(Korthikanti et al. 2022) inside one node.  Only the normalized input is
+re-formed twice, once for the projections and again where their dA reads
+it, so that no backward holds it across the node.  The MLP keeps gate and
+up instead when its shapes make them small beside the gradients it
+returns (see :func:`swiglu_mlp`).  The fused nodes share one path for the
+norm and the projections that read it, forward and backward, and private
+helpers for the array math of attention, so their values and gradients
+are those of the chain of a norm, LoRA projections and an attention or a
+SwiGLU, bit for bit.
 
 What each node's pass holds at most beyond its inputs, what it keeps and
 what it returns, for a (T, d) input and an MLP width of ``d_ff``:
@@ -52,8 +51,9 @@ what it returns, for a (T, d) input and an MLP width of ``d_ff``:
   kept, the SwiGLU output's gradient, (T, d_ff) each, and one more
   (T, d_ff) array, for down's dx or for the SwiGLU derivative, which runs
   in blocks of rows;
-* ``rms_norm``: two (T, d) temporaries in the backward;
-* ``frozen_linear``, ``cross_entropy_logits`` and ``add``: nothing.
+* ``norm_head``: the normalized input in the forward, and two (T, d)
+  temporaries in the backward;
+* ``cross_entropy_logits`` and ``add``: nothing.
 
 At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
 included, at 356 and 477 KiB for the attention's forward and backward and
@@ -61,12 +61,12 @@ included, at 356 and 477 KiB for the attention's forward and backward and
 bases (``tracemalloc``).
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
-is a plain float32 array.  :func:`rms_norm` and :func:`frozen_linear`
-take their gain and weight as arrays, and the fused nodes fetch each
-frozen base on each use, in the forward and again in the backward, so a
-compressed base stays compressed.  :func:`paused` stops recording for a
-block of code; it is the one way to cut a gradient, since what is
-computed inside is a constant to every tape.
+is a plain float32 array.  Every primitive takes its gains and frozen
+weights as arrays, and the fused nodes fetch each frozen base on each
+use, in the forward and again in the backward, so a compressed base
+stays compressed.  :func:`paused` stops recording for a block of code;
+it is the one way to cut a gradient, since what is computed inside is a
+constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -102,7 +102,7 @@ from .errors import DimensionError, DivergenceError, TapeError
 Array = np.ndarray
 
 _local = threading.local()
-RMS_EPS = np.float32(1e-5)  # added to each row's mean square in rms_norm
+RMS_EPS = np.float32(1e-5)  # added to each row's mean square in every norm
 
 
 def _tape_stack() -> list:
@@ -208,6 +208,12 @@ class Tape:
         return len(self.nodes) - 1
 
 
+def _recorder(inputs: Sequence[Tensor]) -> "Tape | None":
+    """The tape that records a node of ``inputs``: the active one, if any input is tracked."""
+    tape = _active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     """Wrap a forward result, recording a node if any input is tracked.
 
@@ -216,8 +222,8 @@ def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) ->
     and its gradient may then be ``None``.
     """
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recorder(inputs)
+    if tape is not None:
         handles = tuple(tape.handle(t) for t in inputs)
         out.requires_grad = True
         out._tape = tape
@@ -340,21 +346,27 @@ def _rms_norm_backward(g: Array, x_data: Array, inv: Array, gain: Array) -> Arra
     return grad_x
 
 
-def rms_norm(x: Tensor, gain: Array) -> Tensor:
-    """``x / sqrt(mean(x ** 2) + RMS_EPS) * gain`` over the last axis, as one node.
+def norm_head(x: Tensor, gain: Array, w: Array) -> Tensor:
+    """``rms_norm(x, gain) @ w`` for a frozen float32 ``w`` of shape (d, d_out), as one node.
 
-    ``gain`` is a frozen (d,) array, not a tensor, and is read as float32:
-    only ``x`` gets a gradient, and the node keeps ``x``, each row's inverse
-    norm and the gain.
+    The model's output norm and weight-tied head, which is never
+    compressed.  ``gain`` is a frozen (d,) array, read as float32, and only
+    ``x`` gets a gradient.  The backward is ``rms_norm``'s applied to ``g @
+    w.T``, with the same float32 operations as the norm and the projection
+    taken apart.
     """
-    gain = _norm_gain(x, gain, "rms_norm")
+    gain = _norm_gain(x, gain, "norm_head")
+    if x.data.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
+        raise DimensionError(f"norm_head shapes incompatible: x {x.shape}, base {w.shape}")
+    if w.dtype != np.float32:
+        raise DimensionError(f"norm_head base must be float32, got {w.dtype}")
     x_data = x.data
     inv = _rms_inv(x_data)
 
     def bw(g, needs):
-        return (_rms_norm_backward(g, x_data, inv, gain),)
+        return (_rms_norm_backward(g @ w.T, x_data, inv, gain),)
 
-    return _finish(_rms_normalized(x_data, inv, gain), (x,), bw)
+    return _finish(_rms_normalized(x_data, inv, gain) @ w, (x,), bw)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -369,23 +381,6 @@ def _sigmoid(x: Array) -> Array:
     sig += np.float32(1.0)
     np.divide(np.float32(1.0), sig, out=sig)
     return sig
-
-
-def frozen_linear(x: Tensor, w: Array) -> Tensor:
-    """``x @ w`` with a frozen float32 ``w`` of shape (d_in, d_out), as one node.
-
-    A projection without an adapter; the model's weight-tied head, which
-    is never compressed, is its one user.  The node keeps ``w`` for dx.
-    """
-    if x.data.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
-        raise DimensionError(f"frozen_linear shapes incompatible: x {x.shape}, base {w.shape}")
-    if w.dtype != np.float32:
-        raise DimensionError(f"frozen_linear base must be float32, got {w.dtype}")
-
-    def bw(g, needs):
-        return (g @ w.T,)
-
-    return _finish(x.data @ w, (x,), bw)
 
 
 def _lora_forward(x_data: Array, base: Callable[[], Array], a_data: Array, b_data: Array,
@@ -510,33 +505,36 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     ``a``, ``b``, up's, down's.
 
     The node keeps ``x``, each row's inverse norm and the down projection's
-    (n, rank) product.  It keeps gate's and up's outputs and their (n, rank)
-    products too when they take no more bytes than the gradients its
-    backward returns, those of ``x`` and the six LoRA matrices:
-    ``4 * n * sum(a.rows + b.rows)`` over gate and up against ``x.nbytes``
-    plus the six matrices' bytes.  So keeping never holds more before the
-    backward than the backward's results hold after it.  At d=128,
-    d_ff=256 and rank 16 that is up to n=44.  The choice is made from shapes
-    alone.  A node that keeps them runs neither projection again in its
-    backward, nor the norm they read, which it then re-forms only for dA;
-    otherwise its backward re-forms ``gate`` and ``up`` with the forward's
-    own operations before down's dx.  Either way the backward then runs the
-    SwiGLU derivative in blocks of rows.  It writes the gradient of
-    ``gate``'s output over ``up``, that of ``up``'s over the gradient of the
-    SwiGLU output, and the SwiGLU output over ``gate``, where down's dA reads
-    it whole.  So the gradients are those of the unfused chain bit for bit,
-    on both paths.  Each base is fetched on each use and never kept, so a
-    compressed one is decompressed once per projection in the forward, and
-    in the backward once per projection for dx and, unless gate and up are
-    kept, once more for each of them.
+    (n, rank) product.  When a tape records it, it keeps gate's and up's
+    outputs and their (n, rank) products too if they take no more bytes than
+    the gradients its backward returns, those of ``x`` and the six LoRA
+    matrices: ``4 * n * sum(a.rows + b.rows)`` over gate and up against
+    ``x.nbytes`` plus the six matrices' bytes.  So keeping never holds more
+    before the backward than the backward's results hold after it.  At
+    d=128, d_ff=256 and rank 16 that is up to n=44.  The choice reads no
+    values, and an unrecorded node keeps nothing.  A node that keeps them
+    runs neither projection again in its backward, nor the norm they read,
+    which it then re-forms only for dA; otherwise its backward re-forms
+    ``gate`` and ``up`` with the forward's own operations before down's dx.
+    Either way the backward then runs the SwiGLU derivative in blocks of
+    rows.  It writes the gradient of ``gate``'s output over ``up``, that of
+    ``up``'s over the gradient of the SwiGLU output, and the SwiGLU output
+    over ``gate``, where down's dA reads it whole.  So the gradients are
+    those of the unfused chain bit for bit, on both paths.  Each base is
+    fetched on each use and never kept, so a compressed one is decompressed
+    once per projection in the forward, and in the backward once per
+    projection for dx and, unless gate and up are kept, once more for each
+    of them.
     """
     gain = _norm_gain(x, gain, "swiglu_mlp")
     x_data = x.data
     norm = (x_data, _rms_inv(x_data), gain)
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (gate, up, down)]
-    # float32 gate, up and their (n, rank) products, against the gradients returned
-    keep = 4 * x_data.shape[0] * sum(p.a.shape[0] + p.b.shape[0] for p in (gate, up)) <= (
-        x_data.nbytes + sum(p.a.data.nbytes + p.b.data.nbytes for p in (gate, up, down)))
+    inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
+    # if recorded: float32 gate, up and their (n, rank) products, against the gradients returned
+    keep = _recorder(inputs) is not None and (
+        4 * x_data.shape[0] * sum(p.a.shape[0] + p.b.shape[0] for p in (gate, up))
+        <= x_data.nbytes + sum(p.a.data.nbytes + p.b.data.nbytes for p in (gate, up, down)))
 
     def gate_and_up():
         return _project(norm, projections[:2], "swiglu_mlp", ("gate", "up"))
@@ -585,7 +583,6 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
         del up_out, g_hidden
         return (*_prenorm_grads(grads, needs, projections, xas, norm), ga_down, gb_down)
 
-    inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
     return _finish(out, inputs, bw)
 
 

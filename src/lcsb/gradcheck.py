@@ -140,15 +140,13 @@ def _primitive_cases(rng: np.random.Generator):
     shape = tuple(rng.integers(2, 8, size=2))
     yield ad.add, [t(shape), t(shape)], {}, lambda d: d[0] + d[1]
 
-    gain = rng.uniform(0.5, 1.5, size=6).astype(np.float32)  # frozen, as in the model
-    yield ad.rms_norm, [t((4, 6))], {"gain": gain}, (
-        lambda d: _ref_rms_norm(d[0], gain.astype(np.float64))
-    )
-
-    n, d_in, d_out = rng.integers(1, 7, size=3)
+    # rows of width 2 or more: one of width 1 normalizes to +-gain, so its
+    # gradient, about 1e-5 / x ** 3, is float32 rounding alone
+    n, d_in, d_out = rng.integers((1, 2, 1), 7)
+    gain = rng.uniform(0.5, 1.5, size=d_in).astype(np.float32)  # frozen, as in the model
     w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32)
-    yield ad.frozen_linear, [t((n, d_in))], {"w": w}, (
-        lambda d: d[0] @ w.astype(np.float64)
+    yield ad.norm_head, [t((n, d_in))], {"gain": gain, "w": w}, (
+        lambda d: _ref_rms_norm(d[0], gain.astype(np.float64)) @ w.astype(np.float64)
     )
 
     for quantize in (False, True):
@@ -221,6 +219,11 @@ def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> 
     random float32 cotangent ``w`` (in [0.5, 1.5] for a 0-d output); its
     gradient of each ``requires_grad`` input is compared with finite
     differences of ``sum(reference * w)``.  The other inputs are constants.
+    The first input, a node's ``x``, is judged alone, and the rest, a fused
+    node's adapters, as one unit: their largest error over the largest
+    reference gradient among them.  Judged one by one, a correct adapter
+    gradient that is tiny beside its node's others read errors up to 19.4
+    from float32 rounding alone, at seeds the suite does not run.
     """
     with Tape() as tape:
         out = fn(*inputs, **kwargs)
@@ -238,9 +241,12 @@ def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> 
 
     value_err = _rel_err(out.data, ref_value())
     grad_err = 0.0
-    for t, grad, tracked in zip(inputs, grads, needs):
+    for group in (range(1), range(1, len(inputs))):
+        tracked = [i for i in group if needs[i]]
         if tracked:
-            grad_err = max(grad_err, _rel_err(grad, finite_difference_grad(f, t)))
+            grad_err = max(grad_err, _rel_err(
+                np.concatenate([grads[i].ravel() for i in tracked]),
+                np.concatenate([finite_difference_grad(f, inputs[i]).ravel() for i in tracked])))
     return value_err, grad_err
 
 

@@ -22,16 +22,9 @@ heads' scaled, causally masked softmax, ``probs @ v``, o) is one
 ``self_attention`` node, and the whole MLP (norm, gate and up,
 ``silu(gate) * up``, down) is one ``swiglu_mlp`` node.  An attached layer
 records 4 op nodes (the two halves and their residual adds), plus one
-leaf per LoRA matrix.  What it retains for its backward is the (T, d)
-input of each half, each row's inverse norms, each query's softmax max
-and sum and the (T, rank) products of o and down, never a (heads, T, T)
-array: about 0.15 MiB at the default T=128.  Each node re-forms its
-intermediates in its backward, except that the MLP keeps gate and up
-when its shapes let it (see :func:`lcsb.autodiff.swiglu_mlp`).  Nor does
-either pass of the attention form scores larger than its (T, d) input:
-it runs the heads in blocks of ``max(1, d // T)``, so at the default
-T=128 one at a time.  The output head, the model's one ``frozen_linear``
-node, reads the embedding in place, through a transposed view.
+leaf per LoRA matrix.  What each node keeps for its backward and what
+it re-forms there is listed in :mod:`lcsb.autodiff`; an attached layer
+retains about 0.15 MiB at the default T=128.
 
 Every residual block exposes three forward modes:
 
@@ -313,7 +306,7 @@ class Model:
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
         # the weight-tied head reads the frozen embedding through a transposed view
-        return ad.frozen_linear(ad.rms_norm(h, self.norm_out), self.embed.T)
+        return ad.norm_head(h, self.norm_out, self.embed.T)
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:

@@ -39,18 +39,22 @@ def test_cross_entropy_rejects_an_empty_batch():
 
 
 def test_rms_norm_gradients_are_float32_with_unchanged_bits():
+    # the model's output norm, in norm_head, with its value
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((6, 16)), requires_grad=True)
     gain = rng.uniform(0.5, 1.5, 16).astype(np.float32)
-    w = rng.standard_normal((6, 16)).astype(np.float32)
+    head = rng.standard_normal((16, 24)).astype(np.float32)
+    w = rng.standard_normal((6, 24)).astype(np.float32)
     with Tape() as tape:
-        loss = weighted_sum(ad.rms_norm(x, gain), w)
+        out = ad.norm_head(x, gain, head)
+        loss = weighted_sum(out, w)
     grads = backward(loss, tape)
     # the same float32 arithmetic, cast to float32 at the end
     xd, gd = x.data, gain
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xd, xd)[..., None] / np.float32(16)
                         + np.float32(1e-5))
-    gp = w * gd
+    assert out.data.tobytes() == (xd * inv * gd @ head).tobytes()
+    gp = (w @ head.T) * gd
     s = np.sum(gp * xd, axis=-1, keepdims=True)
     want_x = (inv * gp - (inv ** 3) * xd * (s / 16)).astype(np.float32)
     assert grads[x].dtype == np.float32
@@ -73,15 +77,15 @@ def test_lora_linear_matches_the_transposed_products_bit_for_bit():
 
 
 def test_rms_norm_hand_value():
-    # x = (3, 4), unit gain: x / sqrt(mean(x^2) + 1e-5) = x / sqrt(12.50001)
-    out = ad.rms_norm(Tensor([3.0, 4.0]), np.ones(2, dtype=np.float32))
-    np.testing.assert_allclose(out.data, [0.84852780, 1.13137040], atol=1e-6)
+    # x = (3, 4), unit gain, identity head: x / sqrt(mean(x^2) + 1e-5) = x / sqrt(12.50001)
+    out = ad.norm_head(Tensor([[3.0, 4.0]]), np.ones(2, dtype=np.float32), np.eye(2, dtype=np.float32))
+    np.testing.assert_allclose(out.data, [[0.84852780, 1.13137040]], atol=1e-6)
 
 
 def test_matmul_shape_mismatch_reports_shapes():
     x, w = Tensor(np.ones((2, 3))), np.ones((2, 3), dtype=np.float32)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\)"):
-        ad.frozen_linear(x, w)
+        ad.norm_head(x, np.ones(3), w)
     q = Linear(w, Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), 0.5)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\), a \(1, 3\), b \(3, 1\)"):
         ad.self_attention(x, np.ones(3), q, q, q, q, 1)
@@ -193,6 +197,14 @@ def _projection_node(x, lin):
     return ad._finish(out, (x, lin.a, lin.b), bw)
 
 
+def _norm_node(x, gain):
+    """``rms_norm(x, gain)`` as one node that keeps ``x``: the unfused chain's norm."""
+    gain = np.asarray(gain, dtype=np.float32)
+    inv = ad._rms_inv(x.data)
+    return ad._finish(ad._rms_normalized(x.data, inv, gain), (x,),
+                      lambda g, needs: (ad._rms_norm_backward(g, x.data, inv, gain),))
+
+
 def _swiglu_node(gate, up):
     """``silu(gate) * up`` as one node, keeping its two inputs: the unfused chain's SwiGLU."""
     def bw(g, needs):
@@ -229,7 +241,7 @@ def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
     gate, up, down = projections
 
     def unfused():
-        n = ad.rms_norm(x, gain)
+        n = _norm_node(x, gain)
         hidden = _swiglu_node(_projection_node(n, gate), _projection_node(n, up))
         return _projection_node(hidden, down)
 
@@ -249,13 +261,13 @@ def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("op", ["rms_norm", "self_attention", "swiglu_mlp"])
+@pytest.mark.parametrize("op", ["norm_head", "self_attention", "swiglu_mlp"])
 def test_zero_width_inputs_raise(op):
     # each divided by zero, with inf or NaN out
     x = Tensor(np.ones((3, 0)), requires_grad=True)
     with Tape(), pytest.raises(DimensionError, match="d >= 1|width >= 1"):
-        if op == "rms_norm":
-            ad.rms_norm(x, np.ones(0))
+        if op == "norm_head":
+            ad.norm_head(x, np.ones(0), np.ones((0, 4), dtype=np.float32))
         elif op == "self_attention":
             ad.self_attention(x, np.ones(0), *_attention_projections(np.random.default_rng(0), 0, 1), 1)
         else:
@@ -263,14 +275,12 @@ def test_zero_width_inputs_raise(op):
 
 
 def test_rms_norm_backward_works_in_two_buffers():
+    # the norm's backward in every node that normalizes its input
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
+    x = rng.standard_normal((128, 128)).astype(np.float32)
     gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)  # frozen, as in the model
     g = rng.standard_normal((128, 128)).astype(np.float32)
-    with Tape() as tape:
-        ad.rms_norm(x, gain)
-    _, bw = tape.nodes[-1]
-    (grad_x,), _, peak = traced(bw, g, (True,))
+    grad_x, _, peak = traced(ad._rms_norm_backward, g, x, ad._rms_inv(x), gain)
     # grad_x and one (T, d) temporary at a time; forming inv * gp - (inv ** 3)
     # * x * (s / dim) out of place held four such arrays at once
     assert peak < 3 * grad_x.nbytes
@@ -350,7 +360,7 @@ def test_self_attention_matches_the_unfused_chain_bit_for_bit(t, quantize, x_tra
     q, k, v, o = projections
 
     def unfused():
-        n = ad.rms_norm(x, gain)
+        n = _norm_node(x, gain)
         heads = _attention_node(*(_projection_node(n, p) for p in (q, k, v)), 4)
         return _projection_node(heads, o)
 
@@ -452,7 +462,7 @@ def test_self_attention_rejects_heads_that_do_not_divide_its_width(n_heads):
         ad.self_attention(x, np.ones(8), *projections, n_heads)
 
 
-@pytest.mark.parametrize("op", ["self_attention", "frozen_linear"])
+@pytest.mark.parametrize("op", ["self_attention", "norm_head"])
 def test_linears_reject_a_base_that_is_not_float32(op):
     # a float64 base made a float64 dx
     x = Tensor(np.ones((2, 4)), requires_grad=True)
@@ -463,7 +473,7 @@ def test_linears_reject_a_base_that_is_not_float32(op):
                        Tensor(np.zeros((4, 2)), requires_grad=True), 1.0)
             ad.self_attention(x, np.ones(4), q, q, q, q, 1)
         else:
-            ad.frozen_linear(x, w)
+            ad.norm_head(x, np.ones(4), w)
 
 
 @pytest.mark.parametrize("as_given", [lambda gain: gain, lambda gain: gain.tolist()],
@@ -477,7 +487,7 @@ def test_rms_norm_reads_any_gain_as_float32(as_given):
 
     def value_and_grad(gain):
         with Tape() as tape:
-            out = ad.rms_norm(x, gain)
+            out = ad.norm_head(x, gain, np.eye(8, dtype=np.float32))
             loss = weighted_sum(out, w)
         return out.data, backward(loss, tape)[x]
 

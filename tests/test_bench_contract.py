@@ -51,10 +51,12 @@ def test_one_traced_step_opens_the_benchmark_spans(name):
 
 
 def test_all_attached_tape_size_and_retained_bytes():
-    trainer = harness.Trainer(harness.WORKLOADS["attach_all"], 0, harness.token_stream(0))
+    workload = harness.WORKLOADS["attach_all"]
+    trainer = harness.Trainer(workload, 0, harness.token_stream(0))
     tokens, targets, plan = trainer.batch(0)
     trainer.model.forward(tokens)  # builds the causal mask, which every later step shares
-    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 147
+    # 18 per attached layer (4 op nodes and 14 LoRA leaves), the head and the loss
+    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 18 * workload.attached + 2
     # 1.41 MiB; 3.64 while the attention was six nodes that kept q, k, v and
     # the heads, 5.78 while the MLP was five nodes that kept gate and up, and
     # 7.71 while the projections kept the norm and SwiGLU outputs

@@ -79,6 +79,51 @@ def test_a_row_of_small_norm_is_judged_right():
     assert grad_err < gradcheck.GRAD_TOL
 
 
+# Seeds beyond the suite's 0-19 at which a self_attention case, and at 313
+# an MLP case, has an adapter gradient far smaller than its node's others.
+# Judged tensor by tensor, float32 rounding alone read errors from 1.1e-3
+# to 19.4 at the second group of seeds, and from 1.0e-3 to 0.69 at the
+# first under the cases drawn before the model's head was one node.
+ROUNDING_SEEDS = [31, 37, 90, 93, 97, 138, 250, 256, 298, 383,
+                  32, 78, 80, 127, 156, 188, 189, 240, 248, 251, 313, 326]
+
+
+@pytest.mark.parametrize("seed", ROUNDING_SEEDS)
+def test_a_fused_nodes_adapters_are_judged_as_one_unit(seed):
+    rng = np.random.default_rng(seed)
+    for fn, inputs, kwargs, reference in gradcheck._primitive_cases(rng):
+        _, grad_err = gradcheck.check_primitive(fn, inputs, kwargs, reference, rng)
+        assert grad_err < gradcheck.GRAD_TOL, f"{fn.__name__}: gradient error {grad_err:.2e}"
+
+
+def test_a_q_gradient_one_percent_off_still_fails():
+    # q's dA is its node's largest gradient at some seed of the suite's, so
+    # judging the adapters as one unit still sees 1 % on it
+    def q_da_off(fn):
+        def node(*inputs, **kwargs):
+            out = fn(*inputs, **kwargs)
+            nodes = ad._active_tape().nodes
+            handles, bw = nodes[-1]
+
+            def off(g, needs):
+                grads = list(bw(g, needs))
+                grads[1] = grads[1] * np.float32(1.01)
+                return grads
+
+            nodes[-1] = (handles, off)
+            return out
+        return node
+
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for fn, inputs, kwargs, reference in gradcheck._primitive_cases(rng):
+            if fn.__name__ == "self_attention":
+                fn = q_da_off(fn)
+            worst = max(worst, gradcheck.check_primitive(fn, inputs, kwargs, reference, rng)[1])
+    assert worst > 5 * gradcheck.GRAD_TOL
+
+
 @pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
 def test_a_training_step_calls_every_public_function_of_the_engine(monkeypatch, quantize):
     # the engine holds nothing a step does not run
