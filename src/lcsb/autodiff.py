@@ -1,11 +1,11 @@
 """Tape-based reverse-mode autodiff over dense float32 tensors.
 
-The engine records one node per primitive onto an explicit :class:`Tape`
-(entered as a context manager) and replays them in reverse to accumulate
-gradients.  Its five primitives are exactly those a training step of
-:mod:`lcsb.model` records.  With ``rms_norm(x, gain)`` for ``x /
-sqrt(mean(x ** 2) + RMS_EPS) * gain`` over the last axis, each keeps for
-its backward:
+The engine records one node per primitive application onto an explicit
+:class:`Tape` (entered as a context manager) and replays them in reverse to
+accumulate gradients; the nodes are operations only.  Its five primitives
+are exactly those a training step of :mod:`lcsb.model` records.  With
+``rms_norm(x, gain)`` for ``x / sqrt(mean(x ** 2) + RMS_EPS) * gain`` over
+the last axis, each keeps for its backward:
 
 * :func:`self_attention`, a whole pre-norm causal multi-head attention
   with its q, k, v and o projections: the adapters, its input, each row's
@@ -80,9 +80,10 @@ second sweep of the same tape, or recording onto a swept tape, raises
 The tape owns its graph.  A tensor carries a tape handle only when it is
 an output that its own tape recorded.  Any other ``requires_grad`` tensor
 an op touches (a parameter, or an intermediate of another tape) is a leaf
-of the recording tape, which keeps it in its own map and never writes to
-it.  So tapes that share tensors, interleaved on one thread or running in
-separate threads, do not interact; the active-tape stack is thread-local.
+of the recording tape: not a node, but a tensor the tape keeps in its own
+map and never writes to.  So tapes that share tensors, interleaved on one
+thread or running in separate threads, do not interact; the active-tape
+stack is thread-local.
 
 Everything is float32 and single-threaded per tape.
 """
@@ -168,19 +169,21 @@ class Tensor:
 class Tape:
     """Append-only, single-use record of primitive applications.
 
-    Nodes are stored in topological order by construction: an operation
-    can only consume tensors that already exist.  A leaf (a ``requires_grad``
-    tensor this tape did not produce) gets a node ``((), None)`` the first
-    time an op on this tape touches it.  The tape holds a reference to each
-    leaf, so its ``id`` cannot be reused while the tape lives.  Once
-    :func:`backward` has swept the tape, every op node's backward function
-    is ``None`` too; the node count stays the recorded one, and recording
-    another node or sweeping again raises :class:`TapeError`.
+    ``nodes`` holds operations only, ``(handles, backward_fn)`` with one
+    handle per input, in topological order by construction: an operation
+    can only consume tensors that already exist.  A leaf (a
+    ``requires_grad`` tensor this tape did not produce) is not a node: the
+    tape keeps it in ``_leaves`` the first time an op on this tape touches
+    it, and it is its own handle.  The tape holds a reference to each leaf,
+    so its ``id`` cannot be reused while the tape lives.  Once
+    :func:`backward` has swept the tape, every node's backward function is
+    ``None``; the node count stays the recorded one, and recording another
+    node or sweeping again raises :class:`TapeError`.
     """
 
     def __init__(self):
         self.nodes: list[tuple[tuple, Callable | None]] = []
-        self._leaves: dict[int, tuple[int, Tensor]] = {}  # id(leaf) -> (node, leaf)
+        self._leaves: dict[int, Tensor] = {}  # id(leaf) -> leaf
         self._swept = False
 
     def __enter__(self) -> "Tape":
@@ -190,22 +193,13 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _tape_stack().pop()
 
-    def handle(self, t: Tensor) -> int | None:
-        """Node of ``t`` on this tape, registering it as a leaf if needed."""
+    def handle(self, t: Tensor) -> int | Tensor | None:
+        """``t``'s node on this tape, ``None`` if untracked, else ``t`` itself, kept as a leaf."""
         if not t.requires_grad:
             return None
         if t._tape is self:
             return t._node
-        leaf = self._leaves.get(id(t))
-        if leaf is None:
-            leaf = self._leaves[id(t)] = (self._record((), None), t)
-        return leaf[0]
-
-    def _record(self, inputs: tuple, backward_fn: Callable | None) -> int:
-        if self._swept:
-            raise TapeError("cannot record onto a tape that backward has swept; use a new Tape")
-        self.nodes.append((inputs, backward_fn))
-        return len(self.nodes) - 1
+        return self._leaves.setdefault(id(t), t)
 
 
 def _recorder(inputs: Sequence[Tensor]) -> "Tape | None":
@@ -218,37 +212,39 @@ def _finish(out_data: Array, inputs: Sequence[Tensor], backward_fn: Callable) ->
     """Wrap a forward result, recording a node if any input is tracked.
 
     ``backward_fn(g, needs)`` maps the output gradient to one gradient per
-    input; ``needs[i]`` is False when input ``i`` has no node on the tape,
-    and its gradient may then be ``None``.
+    input; ``needs[i]`` is False when input ``i`` has no handle on the
+    tape, and its gradient may then be ``None``.
     """
     out = Tensor(out_data)
     tape = _recorder(inputs)
     if tape is not None:
-        handles = tuple(tape.handle(t) for t in inputs)
+        if tape._swept:
+            raise TapeError("cannot record onto a tape that backward has swept; use a new Tape")
         out.requires_grad = True
         out._tape = tape
-        out._node = tape._record(handles, backward_fn)
+        out._node = len(tape.nodes)
+        tape.nodes.append((tuple(tape.handle(t) for t in inputs), backward_fn))
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> dict:
     """Reverse sweep from a scalar loss; returns {leaf Tensor: gradient}.
 
-    Every leaf registered on the tape gets an entry: the accumulated
-    gradient if it is reachable from the loss, an exact zero array
-    otherwise.  A loss this tape did not record but that requires a
-    gradient (a parameter, or another tape's output) is a leaf of this
-    tape with gradient 1; a constant loss reaches nothing.
+    Every leaf the tape keeps gets an entry: the accumulated gradient if it
+    is reachable from the loss, an exact zero array otherwise.  A loss this
+    tape did not record but that requires a gradient (a parameter, or
+    another tape's output) is a leaf of this tape with gradient 1; a
+    constant loss reaches nothing.
 
-    The sweep uses the tape up.  Each op node's backward function is
-    replaced by ``None`` as soon as the sweep has passed that node,
-    whether or not the loss reached it, which frees the arrays the node
-    saved for its backward.  A second call on the same tape raises
-    :class:`TapeError`; record the forward on a new tape to sweep again.
-    The arrays returned are the caller's: the engine writes only into the
-    gradient sums it allocated itself.  A non-scalar or non-finite loss is
-    rejected before the sweep and leaves the tape unused; a non-finite leaf
-    gradient raises :class:`DivergenceError` after it.
+    The sweep uses the tape up.  Each node's backward function is replaced
+    by ``None`` as soon as the sweep has passed that node, whether or not
+    the loss reached it, which frees the arrays the node saved for its
+    backward.  A second call on the same tape raises :class:`TapeError`;
+    record the forward on a new tape to sweep again.  Gradients that meet
+    are summed into a new array, so the engine never writes into an array
+    a backward returned.  A non-scalar or non-finite loss is rejected
+    before the sweep and leaves the tape unused; a non-finite leaf gradient
+    raises :class:`DivergenceError` after it.
     """
     if tape._swept:
         raise TapeError("this tape has already been swept; record the forward on a new Tape")
@@ -256,41 +252,30 @@ def backward(loss: Tensor, tape: Tape) -> dict:
         raise DimensionError(f"loss must be a scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data):
         raise DivergenceError(f"loss is non-finite: {float(loss.data)}")
-    grads: dict[int, Array] = {}
+    grads: dict = {}  # handle (node index or leaf) -> gradient
     start = tape.handle(loss)  # None for a constant loss
     if start is not None:
         grads[start] = np.ones((), dtype=np.float32)
     tape._swept = True
     nodes = tape.nodes
-    owned = set()  # nodes whose entry in grads is a sum this sweep allocated
     for node_id in range(len(nodes) - 1, -1, -1):
-        inputs, backward_fn = nodes[node_id]
-        if backward_fn is None:
-            continue  # a leaf keeps its gradient in grads
-        nodes[node_id] = (inputs, None)
+        handles, backward_fn = nodes[node_id]
+        nodes[node_id] = (handles, None)
         g = grads.pop(node_id, None)
         if g is None:
             continue
-        needs = tuple(in_id is not None for in_id in inputs)
-        for in_id, gin in zip(inputs, backward_fn(g, needs)):
-            if in_id is None:
-                continue
-            if in_id in owned:
-                grads[in_id] += gin
-            elif in_id in grads:
-                grads[in_id] = grads[in_id] + gin
-                owned.add(in_id)
-            else:
-                grads[in_id] = gin
+        needs = tuple(h is not None for h in handles)
+        for h, gin in zip(handles, backward_fn(g, needs)):
+            if h is not None:
+                prev = grads.get(h)
+                grads[h] = gin if prev is None else prev + gin
     out = {}
-    for node, t in tape._leaves.values():
-        g = grads.get(node)
+    for t in tape._leaves.values():
+        g = grads.get(t)
         if g is None:
             g = np.zeros_like(t.data)
         elif not np.isfinite(g).all():
-            raise DivergenceError(
-                f"gradient of the leaf of shape {t.shape} (tape node {node}) is non-finite"
-            )
+            raise DivergenceError(f"gradient of the leaf of shape {t.shape} is non-finite")
         out[t] = g
     return out
 
@@ -742,7 +727,11 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     raises :class:`DimensionError`.  The node keeps the softmax probabilities and
     turns them into the gradient in place.
     """
-    targets = np.asarray(targets)
+    try:
+        targets = np.asarray(targets)
+    except ValueError:  # a ragged nesting of sequences
+        raise DimensionError("cross_entropy targets must be integers in an (n,) sequence, "
+                             "got a ragged nesting") from None
     if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
         raise DimensionError(
             f"cross_entropy expects (n, vocab) logits and (n,) targets, "

@@ -217,7 +217,8 @@ def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> 
 
     The primitive is recorded alone and its node's backward called with a
     random float32 cotangent ``w`` (in [0.5, 1.5] for a 0-d output); its
-    gradient of each ``requires_grad`` input is compared with finite
+    gradient of each input the node tracks (a handle that is not ``None``,
+    as :func:`~lcsb.autodiff.backward` reads it) is compared with finite
     differences of ``sum(reference * w)``.  The other inputs are constants.
     The first input, a node's ``x``, is judged alone, and the rest, a fused
     node's adapters, as one unit: their largest error over the largest
@@ -227,10 +228,10 @@ def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> 
     """
     with Tape() as tape:
         out = fn(*inputs, **kwargs)
-    _, node_backward = tape.nodes[-1]
+    handles, node_backward = tape.nodes[-1]
     w = rng.uniform(0.5, 1.5) if out.data.ndim == 0 else rng.uniform(-1.0, 1.0, size=out.shape)
     w = np.asarray(w, dtype=np.float32)
-    needs = tuple(t.requires_grad for t in inputs)
+    needs = tuple(h is not None for h in handles)
     grads = node_backward(w, needs)
 
     def ref_value():

@@ -21,10 +21,10 @@ block is one fused tape node: the whole attention (norm, q, k and v, all
 heads' scaled, causally masked softmax, ``probs @ v``, o) is one
 ``self_attention`` node, and the whole MLP (norm, gate and up,
 ``silu(gate) * up``, down) is one ``swiglu_mlp`` node.  An attached layer
-records 4 op nodes (the two halves and their residual adds), plus one
-leaf per LoRA matrix.  What each node keeps for its backward and what
-it re-forms there is listed in :mod:`lcsb.autodiff`; an attached layer
-retains about 0.15 MiB at the default T=128.
+records 4 nodes (the two halves and their residual adds); its LoRA
+matrices are leaves the tape keeps, not nodes.  What each node keeps for
+its backward and what it re-forms there is listed in :mod:`lcsb.autodiff`;
+an attached layer retains about 0.15 MiB at the default T=128.
 
 Every residual block exposes three forward modes:
 
@@ -218,7 +218,10 @@ class Model:
         for name, current in expected.items():
             if name not in arrays:
                 raise CorruptionError(f"checkpoint is missing key {name!r}")
-            array = np.asarray(arrays[name])
+            try:
+                array = np.asarray(arrays[name])
+            except ValueError:  # a ragged nesting of sequences
+                raise CorruptionError(f"{name!r} is ragged, not an array") from None
             if name.endswith(".q4") and array.dtype != np.uint8:
                 raise CorruptionError(f"{name!r} holds {array.dtype}, not packed uint8 4-bit codes")
             if array.shape != current.shape:
@@ -271,8 +274,8 @@ class Model:
         """Logits of shape (len(tokens), vocab_size).
 
         ``tokens`` is a 1-d sequence of 1 to ``seq_len`` integer token ids in
-        ``[0, vocab_size)``; other shapes, non-integer ids and ids out of range
-        raise :class:`DimensionError`.
+        ``[0, vocab_size)``; other shapes, ragged nestings, non-integer ids
+        and ids out of range raise :class:`DimensionError`.
         ``plan`` is anything with a ``modes`` sequence, one block mode per
         layer; ``None`` runs every block attached.  A plan without such a
         sequence raises :class:`PlanError`.
@@ -288,7 +291,11 @@ class Model:
                             f"got {plan!r}") from None
         if len(modes) != cfg.n_layers:
             raise PlanError(f"plan covers {len(modes)} layers, model has {cfg.n_layers}")
-        tokens = np.asarray(tokens)
+        try:
+            tokens = np.asarray(tokens)
+        except ValueError:  # a ragged nesting of sequences
+            raise DimensionError("token ids must be integers in a 1-d sequence, "
+                                 "got a ragged nesting") from None
         if tokens.ndim != 1 or not 1 <= tokens.shape[0] <= cfg.seq_len:
             raise DimensionError(
                 f"tokens must be a 1-d sequence of 1 to seq_len={cfg.seq_len} ids, "

@@ -55,8 +55,8 @@ def test_all_attached_tape_size_and_retained_bytes():
     trainer = harness.Trainer(workload, 0, harness.token_stream(0))
     tokens, targets, plan = trainer.batch(0)
     trainer.model.forward(tokens)  # builds the causal mask, which every later step shares
-    # 18 per attached layer (4 op nodes and 14 LoRA leaves), the head and the loss
-    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 18 * workload.attached + 2
+    # 4 per attached layer (its LoRA matrices are leaves, not nodes), the head and the loss
+    assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 4 * workload.attached + 2
     # 1.41 MiB; 3.64 while the attention was six nodes that kept q, k, v and
     # the heads, 5.78 while the MLP was five nodes that kept gate and up, and
     # 7.71 while the projections kept the norm and SwiGLU outputs
