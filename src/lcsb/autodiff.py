@@ -41,11 +41,12 @@ SwiGLU, bit for bit.
 What each node's pass holds at most beyond its inputs, what it keeps and
 what it returns, for a (T, d) input and an MLP width of ``d_ff``:
 
-* ``self_attention``: q, k and v, (T, d) each, and one block of heads'
-  (heads, T, T) scores, plus in the backward the heads' gradient and the
-  scores' gradient; a block has ``max(1, d // T)`` heads, so its scores
-  are no larger than the input (with 4 heads and d=128, every head at
-  once up to T=32 and one at a time from T=128);
+* ``self_attention``: q, k and v, (T, d) each, a (T, T) boolean causal
+  mask and one block of heads' (heads, T, T) scores, plus in the backward
+  the heads' gradient and the scores' gradient; a block has
+  ``max(1, d // T)`` heads, so its scores are no larger than the input
+  (with 4 heads and d=128, every head at once up to T=32 and one at a
+  time from T=128);
 * ``swiglu_mlp``: in the forward the normalized input, gate and up and
   one (T, d_ff) temporary; in the backward gate and up, re-formed unless
   kept, the SwiGLU output's gradient, (T, d_ff) each, and one more
@@ -56,9 +57,10 @@ what it returns, for a (T, d) input and an MLP width of ``d_ff``:
 * ``cross_entropy_logits`` and ``add``: nothing.
 
 At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
-included, at 356 and 477 KiB for the attention's forward and backward and
-482 and 537 KiB for the MLP's re-forming gate and up, on float or 4-bit
-bases (``tracemalloc``).
+included, at 356 and 493 KiB for the attention's forward and backward,
+whose 16 KiB causal mask lives only within the pass, and 482 and 537 KiB
+for the MLP's re-forming gate and up, on float or 4-bit bases
+(``tracemalloc``).
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 is a plain float32 array.  Every primitive takes its gains and frozen
@@ -93,7 +95,6 @@ from __future__ import annotations
 import numbers
 import threading
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -571,19 +572,6 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     return _finish(out, inputs, bw)
 
 
-@lru_cache(maxsize=32)
-def _causal_mask(t: int) -> Array:
-    """The additive (key, query) causal mask for ``t`` positions, built once per ``t``.
-
-    -1e9 where the key comes after the query, 0 elsewhere.  Every call at
-    that length shares the array, so it is read-only.
-    """
-    mask = np.tri(t, k=-1, dtype=np.float32)
-    mask *= np.float32(-1e9)
-    mask.flags.writeable = False
-    return mask
-
-
 def _split_heads(m: Array, n_heads: int) -> Array:
     """The (n_heads, T, d_h) view of a (T, d) array: head ``i`` is its column block ``i``."""
     t, d = m.shape
@@ -597,12 +585,16 @@ def _head_blocks(n_heads: int, t: int, d: int) -> list:
 
 
 def _attention_probs(qh: Array, kh: Array, probs: Array, row_max: Array, row_sum: Array,
-                     rebuild: bool = False) -> Array:
+                     future: Array, rebuild: bool = False) -> Array:
     """A block of heads' causal softmax probabilities, formed in the (heads, T, T) buffer ``probs``.
 
     The scores are laid out (head, key, query), so the softmax reduces
-    across rows, which numpy does faster than along them.  Each query's max
-    and sum, (heads, 1, T), are written to ``row_max`` and ``row_sum``; to
+    across rows, which numpy does faster than along them.  ``future`` is the
+    (T, T) boolean array of keys after their query, built once per pass of
+    :func:`self_attention` and shared by that pass's head blocks.  Those
+    scores are set to -1e9; each query's own score is never masked, so its
+    max is finite and they exp to exactly 0.  Each query's max and sum,
+    (heads, 1, T), are written to ``row_max`` and ``row_sum``; to
     ``rebuild``, they are read from them instead, and the probabilities are
     formed with the same operations in the same order, bit for bit.  One
     buffer is updated in place: allocating a fresh one per operation cost
@@ -611,7 +603,7 @@ def _attention_probs(qh: Array, kh: Array, probs: Array, row_max: Array, row_sum
     BLAS thread).
     """
     np.matmul(kh, qh.transpose(0, 2, 1), out=probs)
-    probs += _causal_mask(qh.shape[1])
+    np.copyto(probs, np.float32(-1e9), where=future)
     if not rebuild:
         np.max(probs, axis=1, keepdims=True, out=row_max)
     probs -= row_max
@@ -630,8 +622,8 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
     float32.  q, k and v must have one width, which ``n_heads`` splits into
     heads of width ``d_h``: head ``i`` is the column block ``i * d_h :
     (i + 1) * d_h``.  q is scaled by ``1 / sqrt(d_h)``, and position ``i``
-    attends to positions ``<= i``: -1e9 is added to the scores of later
-    positions before the softmax.  The node's inputs are ``x`` and the
+    attends to positions ``<= i``: the scores of later positions are set
+    to -1e9 before the softmax.  The node's inputs are ``x`` and the
     eight LoRA matrices, in the order q's ``a``, ``b``, k's, v's, o's.
 
     The heads run as batched matmuls in blocks of ``max(1, d // T)``, so no
@@ -677,11 +669,13 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
     row_sum = np.empty_like(row_max)
     blocks = _head_blocks(n_heads, t, x_data.shape[1])
     scores = np.empty((blocks[0].stop, t, t), dtype=np.float32)
+    future = np.tri(t, k=-1, dtype=bool)
     for hs in blocks:
-        probs = _attention_probs(qh[hs], kh[hs], scores[:hs.stop - hs.start], row_max[hs], row_sum[hs])
+        probs = _attention_probs(qh[hs], kh[hs], scores[:hs.stop - hs.start], row_max[hs], row_sum[hs],
+                                 future)
         np.matmul(probs.transpose(0, 2, 1), vh[hs], out=qh[hs])  # the heads, over q
     heads = qkv[0]
-    del qkv, qh, kh, vh, scores, probs
+    del qkv, qh, kh, vh, scores, future, probs
     out, xas_o = _lora_forward(heads, *projections[3], "self_attention o")
     del heads
 
@@ -695,9 +689,10 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
         scores = np.empty((blocks[0].stop, t, t), dtype=np.float32)
         grad_scores = np.empty_like(scores)
         out_block = np.empty(scores.shape[:2] + qh.shape[2:], dtype=np.float32)
+        future = np.tri(t, k=-1, dtype=bool)
         for hs in blocks:
             m = hs.stop - hs.start
-            probs = _attention_probs(qh[hs], kh[hs], scores[:m], row_max[hs], row_sum[hs],
+            probs = _attention_probs(qh[hs], kh[hs], scores[:m], row_max[hs], row_sum[hs], future,
                                      rebuild=True)
             gs = np.matmul(vh[hs], gh[hs].transpose(0, 2, 1), out=grad_scores[:m])  # of probs
             if needs[7]:  # the heads, for o's dA
@@ -713,7 +708,7 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
             np.matmul(gs, qh[hs], out=kh[hs])  # dk, over k
             np.multiply(out_block[:m], c, out=qh[hs])  # dq, over q
         ga_o = gxa_o.T @ g_heads if needs[7] else None
-        del qh, kh, vh, gh, g_heads, scores, grad_scores, out_block, probs, gs
+        del qh, kh, vh, gh, g_heads, scores, grad_scores, out_block, future, probs, gs
         return (*_prenorm_grads(g_qkv, needs, projections, xas, norm), ga_o, gb_o)
 
     inputs = (x, q.a, q.b, k.a, k.b, v.a, v.b, o.a, o.b)

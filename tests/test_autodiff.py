@@ -304,7 +304,7 @@ def _attention_keeping_probs(q, k, v, n_heads):
     c = np.float32(1.0 / np.sqrt(d // n_heads))
     qh, kh, vh = (_split_heads(m, n_heads) for m in (q * c, k, v))
     probs = kh @ qh.transpose(0, 2, 1)  # (head, key, query)
-    probs += ad._causal_mask(t)
+    probs += np.tri(t, k=-1, dtype=np.float32) * np.float32(-1e9)  # the additive mask
     probs -= np.max(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=1, keepdims=True)
@@ -331,12 +331,13 @@ def test_causal_attention_rebuilds_its_probabilities_bit_for_bit(t):
     qh, kh, vh = (ad._split_heads(m, 4) for m in (q * np.float32(1.0 / np.sqrt(32)), k, v))
     row_max, row_sum = np.empty((4, 1, t), np.float32), np.empty((4, 1, t), np.float32)
     heads = np.empty((t, 128), np.float32)
+    future = np.tri(t, k=-1, dtype=bool)
     for hs in ad._head_blocks(4, t, 128):
         shape = (hs.stop - hs.start, t, t)
         probs = ad._attention_probs(qh[hs], kh[hs], np.empty(shape, np.float32), row_max[hs],
-                                    row_sum[hs])
+                                    row_sum[hs], future)
         rebuilt = ad._attention_probs(qh[hs], kh[hs], np.empty(shape, np.float32), row_max[hs],
-                                      row_sum[hs], rebuild=True)
+                                      row_sum[hs], future, rebuild=True)
         assert rebuilt.tobytes() == probs.tobytes()
         np.matmul(rebuilt.transpose(0, 2, 1), vh[hs], out=_split_heads(heads, 4)[hs])
     want, _ = _attention_keeping_probs(q, k, v, 4)  # every head at once
@@ -382,7 +383,7 @@ def test_self_attention_matches_the_unfused_chain_bit_for_bit(t, quantize, x_tra
         assert got_grads[p].tobytes() == want_grads[p].tobytes()
 
 
-def test_causal_attention_tape_keeps_no_probabilities():
+def test_self_attention_tape_keeps_no_probabilities():
     # self_attention keeps x, each row's inverse norm, each query's softmax
     # max and sum and o's (T, rank) product: no q, k, v, heads or (heads, T, T) array
     rng = np.random.default_rng(8)
@@ -390,8 +391,7 @@ def test_causal_attention_tape_keeps_no_probabilities():
     projections = _attention_projections(rng, d, rank)
     x = Tensor(rng.standard_normal((t, d)), requires_grad=True)
     gain = np.ones(d, dtype=np.float32)
-    # the cached mask is shared, not the node's, and so are numpy's caches of
-    # small blocks, which a first call fills
+    # numpy's caches of small blocks are shared, not the node's; a first call fills them
     ad.self_attention(x, gain, *projections, n_heads)
     with Tape() as tape:
         out, kept, _ = traced(ad.self_attention, x, gain, *projections, n_heads)
@@ -410,7 +410,6 @@ def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     g = rng.standard_normal((128, 128)).astype(np.float32)
-    ad._causal_mask(128)
     peaks = {}
     for node, args in ((ad.self_attention, (lin["q"], lin["k"], lin["v"], lin["o"], 4)),
                        (ad.swiglu_mlp, (lin["gate"], lin["up"], lin["down"]))):
@@ -420,8 +419,9 @@ def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
         _, _, backward = traced(bw, g, (True,) * len(inputs))
         peaks[node.__name__] = forward, backward
     mib = 2 ** 20
-    # 356 and 477 KiB (483 while the backward re-formed the normalized
-    # input before q's, k's and v's gradients); 607 and 947 KiB while every
+    # 356 and 493 KiB, each pass's own (T, T) mask counted (477 while a
+    # mask kept across passes was not, 483 while the backward re-formed the
+    # normalized input before q's, k's and v's gradients); 607 and 947 KiB while every
     # head's (4, T, T) scores, and in the backward their gradient, were
     # formed at once and the heads were merged into copies
     assert max(peaks["self_attention"]) < 0.5 * mib
@@ -430,16 +430,7 @@ def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
     assert peaks["swiglu_mlp"][1] < 0.6 * mib
 
 
-def test_causal_mask_is_cached_read_only():
-    mask = ad._causal_mask(5)
-    assert ad._causal_mask(5) is mask
-    assert not mask.flags.writeable
-    # -1e9 where the key (row) comes after the query (column)
-    assert np.array_equal(mask != 0, np.tri(5, k=-1, dtype=bool))
-    assert set(np.unique(mask)) == {np.float32(-1e9), np.float32(0.0)}
-
-
-def test_causal_attention_rejects_zero_positions():
+def test_self_attention_rejects_zero_positions():
     # was a bare numpy ValueError from the row maximum of an empty score array
     x = Tensor(np.ones((0, 8)), requires_grad=True)
     projections = _attention_projections(np.random.default_rng(0), 8, 2)

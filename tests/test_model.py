@@ -114,7 +114,7 @@ def test_tape_node_counts():
     assert _tape_nodes([DETACHED, DETACHED]) == 0
 
 
-def test_causal_attention_single_position_matches_reference():
+def test_self_attention_single_position_matches_reference():
     rng = np.random.default_rng(0)
     block = MODEL.blocks[0]
     q, k, v, o = (block.linears[site] for site in ("q", "k", "v", "o"))
@@ -398,7 +398,6 @@ def test_backward_frees_the_tape_as_it_sweeps():
 
 @pytest.fixture(scope="module")
 def default_model():
-    ad._causal_mask(lm.ModelConfig().seq_len)  # built once per length, so not counted below
     return init_model(lm.ModelConfig(), 0)
 
 
@@ -438,11 +437,30 @@ def test_detached_block_keeps_no_gate_or_up(default_model):
     peaks = {}
     for t in (44, 45):
         h = ad.Tensor(rng.standard_normal((t, default_model.config.d_model)))
-        default_model.block_forward(h, 0, DETACHED)  # builds this length's causal mask
+        default_model.block_forward(h, 0, DETACHED)  # fills numpy's caches at this length
         gc.collect()
         with ad.Tape():
             peaks[t] = traced(default_model.block_forward, h, 0, DETACHED)[2]
     assert peaks[44] <= peaks[45]
+
+
+def test_an_attached_step_leaves_nothing_behind(default_model):
+    # every (T, T) array lives within its attention pass; a process-wide
+    # cache of additive masks held 57 KiB per length at T=120
+    def step(t):
+        tokens = np.arange(t + 1) * 7 % default_model.config.vocab_size
+        with ad.Tape() as tape:
+            loss = ad.cross_entropy_logits(default_model.forward(tokens[:-1]), tokens[1:])
+        ad.backward(loss, tape)
+
+    def step_and_collect():
+        step(120)  # a length no other test runs
+        gc.collect()
+
+    step(8)  # fills numpy's caches of small blocks
+    gc.collect()
+    _, left, _ = traced(step_and_collect)
+    assert abs(left) < 4096
 
 
 def test_models_loaded_from_one_state_share_no_buffers():
