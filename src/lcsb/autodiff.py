@@ -9,12 +9,10 @@ the last axis, each keeps for its backward:
 
 * :func:`self_attention`, a whole pre-norm causal multi-head attention
   with its q, k, v and o projections: the adapters, its input, each row's
-  inverse norm, the gain, each query's softmax max and sum and o's
-  (n, rank) product ``s * heads @ a.T``;
+  inverse norm, the gain and each query's softmax max and sum;
 * :func:`swiglu_mlp`, a whole pre-norm SwiGLU MLP: the adapters, its
-  input, each row's inverse norm, the gain and the down projection's
-  (n, rank) product ``s * hidden @ a.T``, and, when it is recorded and its
-  shapes let it, gate's and up's outputs and (n, rank) products;
+  input, each row's inverse norm and the gain, and, when it is recorded
+  and its shapes let it, gate's and up's outputs and (n, rank) products;
 * :func:`norm_head`, the model's output norm and frozen head: its input,
   each row's inverse norm, the gain and its weight, the embedding's
   transposed view;
@@ -25,9 +23,12 @@ The first two are fused, each with a hand-written backward, so that a
 layer records few nodes and its tape keeps little.  Each backward
 re-forms what its node did not keep once, with the forward's own
 operations, bit for bit: the normalized input, each projection's output
-(LoRA delta included), and the attention's softmax probabilities, rebuilt
-from q, k and each query's max and sum as FlashAttention's backward does,
-or the SwiGLU output.  This is selective activation recomputation
+(LoRA delta included) and (n, rank) product ``s * x @ a.T``, and the
+attention's softmax probabilities, rebuilt from q, k and each query's max
+and sum as FlashAttention's backward does, or the SwiGLU output.  The
+last projection's (n, rank) product, which only its dB reads, is formed
+again from the heads or the SwiGLU output that the backward re-forms for
+its dA anyway.  This is selective activation recomputation
 (Korthikanti et al. 2022) inside one node.  Only the normalized input is
 re-formed twice, once for the projections and again where their dA reads
 it, so that no backward holds it across the node.  The MLP keeps gate and
@@ -57,7 +58,7 @@ what it returns, for a (T, d) input and an MLP width of ``d_ff``:
 * ``cross_entropy_logits`` and ``add``: nothing.
 
 At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
-included, at 356 and 493 KiB for the attention's forward and backward,
+included, at 356 and 485 KiB for the attention's forward and backward,
 whose 16 KiB causal mask lives only within the pass, and 482 and 537 KiB
 for the MLP's re-forming gate and up, on float or 4-bit bases
 (``tracemalloc``).
@@ -392,12 +393,22 @@ def _lora_forward(x_data: Array, base: Callable[[], Array], a_data: Array, b_dat
     # The adapters' transposes are copied to C order (rank * d each) for the
     # two forward products: OpenBLAS runs a product whose right operand is a
     # transposed view well below the plain layout's speed, and the values are
-    # the same bit for bit.  s scales the (n, rank) intermediate, not an
-    # (n, d_out) array.
-    xas = x_data @ np.ascontiguousarray(a_data.T)
-    xas *= np.float32(s)
+    # the same bit for bit.
+    xas = _rank_product(x_data, a_data, s)
     out += xas @ np.ascontiguousarray(b_data.T)
     return out, xas
+
+
+def _rank_product(x_data: Array, a_data: Array, s: float) -> Array:
+    """The (n, rank) product ``s * x @ a.T``, by the same operations wherever it is formed.
+
+    s scales the (n, rank) intermediate, not an (n, d_out) array.  A
+    backward that forms it again from a re-formed ``x`` gets the forward's
+    bits.
+    """
+    xas = x_data @ np.ascontiguousarray(a_data.T)
+    xas *= np.float32(s)
+    return xas
 
 
 def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array, b_data: Array,
@@ -490,12 +501,12 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     node's inputs are ``x`` and the six LoRA matrices, in the order gate's
     ``a``, ``b``, up's, down's.
 
-    The node keeps ``x``, each row's inverse norm and the down projection's
-    (n, rank) product.  When a tape records it, it keeps gate's and up's
-    outputs and their (n, rank) products too if they take no more bytes than
-    the gradients its backward returns, those of ``x`` and the six LoRA
-    matrices: ``4 * n * sum(a.rows + b.rows)`` over gate and up against
-    ``x.nbytes`` plus the six matrices' bytes.  So keeping never holds more
+    The node keeps ``x`` and each row's inverse norm.  When a tape records
+    it, it keeps gate's and up's outputs and their (n, rank) products too
+    if they take no more bytes than the gradients its backward returns,
+    those of ``x`` and the six LoRA matrices: ``4 * n * sum(a.rows +
+    b.rows)`` over gate and up against ``x.nbytes`` plus the six matrices'
+    bytes.  So keeping never holds more
     before the backward than the backward's results hold after it.  At
     d=128, d_ff=256 and rank 16 that is up to n=44.  The choice reads no
     values, and an unrecorded node keeps nothing.  A node that keeps them
@@ -505,7 +516,8 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     Either way the backward then runs the SwiGLU derivative in blocks of
     rows.  It writes the gradient of ``gate``'s output over ``up``, that of
     ``up``'s over the gradient of the SwiGLU output, and the SwiGLU output
-    over ``gate``, where down's dA reads it whole.  So the gradients are
+    over ``gate``, where down's dA and its dB, through down's (n, rank)
+    product formed again, read it whole.  So the gradients are
     those of the unfused chain bit for bit, on both paths.  Each base is
     fetched on each use and never kept, so a compressed one is decompressed
     once per projection in the forward, and in the backward once per
@@ -533,7 +545,7 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     hidden *= gate_out  # silu(gate)
     hidden *= up_out
     del gate_out, up_out
-    out, xas_down = _lora_forward(hidden, *projections[2], "swiglu_mlp down")
+    out, _ = _lora_forward(hidden, *projections[2], "swiglu_mlp down")
     del hidden
 
     def bw(g, needs):
@@ -542,14 +554,15 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
         (gate_out, up_out), xas = kept or gate_and_up()
         kept = None  # so that each is freed after its last use, as a re-formed one is
         # g is shared with the residual add, so it is only read
-        g_hidden, gxa_down, gb_down = _lora_grads(g, (True, *needs[5:]), *projections[2], xas_down)
+        g_hidden, gxa_down, _ = _lora_grads(g, (True, needs[5], False), *projections[2], None)
+        swiglu = needs[5] or needs[6]  # the SwiGLU output is re-formed for down's dA or dB
         # the SwiGLU derivative in blocks of rows, which are contiguous
         rows = max(1, _SWIGLU_BLOCK // gate_out.shape[1])
         for lo in range(0, gate_out.shape[0], rows):
             gate_b, up_b, g_b = (m[lo:lo + rows] for m in (gate_out, up_out, g_hidden))
             sig = _sigmoid(gate_b)
             silu = np.multiply(sig, gate_b)
-            hidden = np.multiply(silu, up_b) if needs[5] else None  # the SwiGLU output
+            hidden = np.multiply(silu, up_b) if swiglu else None
             # g_hidden * up * silu'(gate) for gate, over up, with silu'(z) =
             # sig * (1 + z * (1 - sig)); silu(gate) * g_hidden for up, over
             # g_hidden (each product's operands commute exactly)
@@ -560,10 +573,12 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
             sig *= gate_b
             sig += np.float32(1.0)
             up_b *= sig
-            if needs[5]:
-                gate_b[...] = hidden  # over gate, for down's dA
+            if swiglu:
+                gate_b[...] = hidden  # over gate, for down's dA and dB
             del gate_b, up_b, g_b, sig, silu, hidden
         ga_down = gxa_down.T @ gate_out if needs[5] else None
+        _, a_down, _, s_down = projections[2]
+        gb_down = g.T @ _rank_product(gate_out, a_down, s_down) if needs[6] else None
         del gate_out
         grads = [up_out, g_hidden]  # of gate's and up's outputs
         del up_out, g_hidden
@@ -632,15 +647,16 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
     reading: the heads over q in the forward, and dv, dk and dq over the
     re-formed v, k and q in the backward.
 
-    The node keeps ``x``, each row's inverse norm, each query's softmax max
-    and sum and o's (T, rank) product: no q, k, v, heads or (n_heads, T, T)
-    array.  Its backward re-forms the normalized input, q, k and v, rebuilds
-    the probabilities from the row statistics and re-forms the heads for
-    o's dA, all with the forward's own operations, so the gradients are
-    those of the unfused chain bit for bit.  Each base is fetched on each
-    use: a compressed one is decompressed once per projection in the
-    forward, and in the backward once for each of q, k and v to re-form
-    them and once per projection for dx.
+    The node keeps ``x``, each row's inverse norm and each query's softmax
+    max and sum: no q, k, v, heads, (n_heads, T, T) or (T, rank) array.
+    Its backward re-forms the normalized input, q, k and v, rebuilds the
+    probabilities from the row statistics and re-forms the heads for o's dA
+    and, through o's (T, rank) product formed again, its dB, all with the
+    forward's own operations, so the gradients are those of the unfused
+    chain bit for bit.  Each base is fetched on each use: a compressed one
+    is decompressed once per projection in the forward, and in the
+    backward once for each of q, k and v to re-form them and once per
+    projection for dx.
     """
     if x.data.ndim != 2 or x.shape[0] == 0:
         raise DimensionError(f"self_attention expects a (T, d) input with T >= 1, got {x.shape}")
@@ -676,12 +692,13 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
         np.matmul(probs.transpose(0, 2, 1), vh[hs], out=qh[hs])  # the heads, over q
     heads = qkv[0]
     del qkv, qh, kh, vh, scores, future, probs
-    out, xas_o = _lora_forward(heads, *projections[3], "self_attention o")
+    out, _ = _lora_forward(heads, *projections[3], "self_attention o")
     del heads
 
     def bw(g, needs):
         # g is shared with the residual add, so it is only read
-        g_heads, gxa_o, gb_o = _lora_grads(g, (True, *needs[7:]), *projections[3], xas_o)
+        g_heads, gxa_o, _ = _lora_grads(g, (True, needs[7], False), *projections[3], None)
+        heads = needs[7] or needs[8]  # the heads are re-formed for o's dA or dB
         g_qkv, c, xas = qkv_of()
         qh, kh, vh = (_split_heads(m, n_heads) for m in g_qkv)
         gh = _split_heads(g_heads, n_heads)
@@ -695,10 +712,10 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
             probs = _attention_probs(qh[hs], kh[hs], scores[:m], row_max[hs], row_sum[hs], future,
                                      rebuild=True)
             gs = np.matmul(vh[hs], gh[hs].transpose(0, 2, 1), out=grad_scores[:m])  # of probs
-            if needs[7]:  # the heads, for o's dA
+            if heads:
                 np.matmul(probs.transpose(0, 2, 1), vh[hs], out=out_block[:m])
             np.matmul(probs, gh[hs], out=vh[hs])  # dv, over v
-            if needs[7]:  # over g's block, which dv has read, so o's dA reads them whole
+            if heads:  # over g's block, which dv has read, so o's dA and dB read them whole
                 gh[hs] = out_block[:m]
             # the scores' gradient probs * (gs - sum(gs * probs)), formed as
             # gs * probs - probs * sum(gs * probs); the product overwrites probs
@@ -707,8 +724,11 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
             np.matmul(gs.transpose(0, 2, 1), kh[hs], out=out_block[:m])
             np.matmul(gs, qh[hs], out=kh[hs])  # dk, over k
             np.multiply(out_block[:m], c, out=qh[hs])  # dq, over q
+        del qh, kh, vh, gh, scores, grad_scores, out_block, future, probs, gs
         ga_o = gxa_o.T @ g_heads if needs[7] else None
-        del qh, kh, vh, gh, g_heads, scores, grad_scores, out_block, future, probs, gs
+        _, a_o, _, s_o = projections[3]
+        gb_o = g.T @ _rank_product(g_heads, a_o, s_o) if needs[8] else None
+        del g_heads
         return (*_prenorm_grads(g_qkv, needs, projections, xas, norm), ga_o, gb_o)
 
     inputs = (x, q.a, q.b, k.a, k.b, v.a, v.b, o.a, o.b)

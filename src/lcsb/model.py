@@ -7,13 +7,14 @@ weights, embeddings, norm gains and the weight-tied output head, which reads
 the embedding) is a plain float32 array.
 
 The base projections can be 4-bit quantized at init.  A quantized base is
-then held only as codes packed two to a byte (4 bits per weight, in the
-flat-halves layout of :mod:`lcsb.quant`) and scales, and decompressed on
-each use: once in the forward, and again in an attached layer's
-backward, once per projection where dx needs it and once more for q, k
-and v, and for gate and up unless the MLP kept them, to re-form their
-outputs.  A detached layer decompresses only in the forward.  This is
-the memory and time trade of fine-tuning on compressed weights.
+then held only as codes packed two to a byte, in the flat-halves layout of
+:mod:`lcsb.quant`, and one float16 scale per group of ``quant_group_size``
+weights: 4.5 bits per weight at the default group of 32.  It is
+decompressed on each use: once in the forward, and again in an attached
+layer's backward, once per projection where dx needs it and once more
+for q, k and v, and for gate and up unless the MLP kept them, to re-form
+their outputs.  A detached layer decompresses only in the forward.  This
+is the memory and time trade of fine-tuning on compressed weights.
 
 Each of a layer's seven projections (q, k, v, o, gate, up, down) is one
 :class:`Linear`: a frozen base and its LoRA matrices.  Each half of a
@@ -24,7 +25,7 @@ heads' scaled, causally masked softmax, ``probs @ v``, o) is one
 records 4 nodes (the two halves and their residual adds); its LoRA
 matrices are leaves the tape keeps, not nodes.  What each node keeps for
 its backward and what it re-forms there is listed in :mod:`lcsb.autodiff`;
-an attached layer retains about 0.15 MiB at the default T=128.
+an attached layer retains about 0.13 MiB at the default T=128.
 
 Every residual block exposes three forward modes:
 
@@ -204,8 +205,9 @@ class Model:
         """Copy all parameters from a checkpoint's array map into the model's own buffers.
 
         The map must have exactly the keys of :meth:`state_arrays`, with the
-        same shapes, float arrays whose values are finite in float32, and
-        4-bit codes as packed uint8 bytes.  Otherwise :class:`CorruptionError`
+        same shapes, float arrays whose values are finite in float32, 4-bit
+        codes as packed uint8 bytes and their group scales as finite positive
+        float16 values.  Otherwise :class:`CorruptionError`
         names the first bad key, and nothing has been overwritten.  The model keeps no reference
         to the caller's arrays, and its float arrays and LoRA tensors stay the
         same objects.
@@ -214,7 +216,7 @@ class Model:
         unknown = sorted(set(arrays) - set(expected))
         if unknown:
             raise CorruptionError(f"checkpoint has unexpected key {unknown[0]!r}")
-        checked = {}  # name -> the array to copy in, as float32 unless packed codes
+        checked = {}  # name -> the array to copy in, as float32 unless codes or scales
         for name, current in expected.items():
             if name not in arrays:
                 raise CorruptionError(f"checkpoint is missing key {name!r}")
@@ -224,19 +226,22 @@ class Model:
                 raise CorruptionError(f"{name!r} is ragged, not an array") from None
             if name.endswith(".q4") and array.dtype != np.uint8:
                 raise CorruptionError(f"{name!r} holds {array.dtype}, not packed uint8 4-bit codes")
+            if name.endswith(".q4_scales") and array.dtype != np.float16:
+                raise CorruptionError(f"{name!r} holds {array.dtype}, not float16 4-bit group scales")
             if array.shape != current.shape:
                 raise CorruptionError(
                     f"{name!r} has shape {array.shape}, the model expects {current.shape}"
                 )
-            if not name.endswith(".q4"):
+            if name.endswith(".q4_scales"):
+                # quantize_weights writes only finite positive scales (1.0 for an all-zero group)
+                if not (np.isfinite(array).all() and (array > 0).all()):
+                    raise CorruptionError(f"{name!r} holds a scale that is not finite and positive")
+            elif not name.endswith(".q4"):
                 if np.issubdtype(array.dtype, np.floating):
                     with np.errstate(over="ignore"):  # beyond float32's range casts to inf
                         array = array.astype(np.float32, copy=False)
                 if array.dtype != np.float32 or not np.isfinite(array).all():
                     raise CorruptionError(f"{name!r} is not an array of finite float32 values")
-                if name.endswith(".q4_scales") and not (array > 0).all():
-                    # quantize_weights writes only positive scales (1.0 for an all-zero group)
-                    raise CorruptionError(f"{name!r} holds a scale that is not positive")
             checked[name] = array
         for name, current in expected.items():
             if not name.endswith(".q4"):
@@ -322,7 +327,7 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     Base weights are N(0, 0.02), LoRA A is N(0, 1/rank), LoRA B is zero,
     norm gains are ones.  When ``quantize_base`` is set, the base
     projections are quantized once here and kept only as packed 4-bit codes
-    and scales.
+    and float16 group scales.
     """
     config.validate()
     rng = np.random.default_rng(seed)

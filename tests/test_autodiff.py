@@ -147,8 +147,8 @@ def test_swiglu_saturates_exactly_without_warnings():
 
 
 def test_swiglu_tape_keeps_nothing_beyond_its_output():
-    # the fused MLP node keeps its input, each row's inverse norm and down's
-    # (T, rank) product, but no gate, up or SwiGLU array of width d_ff
+    # the fused MLP node keeps its input and each row's inverse norm, but no
+    # gate, up or SwiGLU array of width d_ff and no (T, rank) product
     rng = np.random.default_rng(4)
     projections = _projections(rng, 128, 256, 16)
     x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
@@ -156,8 +156,8 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
     with Tape() as tape:
         out, kept, _ = traced(ad.swiglu_mlp, x, gain, *projections)
     assert len(tape.nodes) == 1  # the fused node; x and the six LoRA matrices are leaves
-    small = 128 * 4 + 128 * 16 * 4  # the inverse norms and down's (T, rank) product
-    # the output (64 KiB), those 8.5 KiB and a few KiB of Python objects
+    small = 128 * 4  # the inverse norms
+    # the output (64 KiB), those 0.5 KiB and a few KiB of Python objects
     assert out.data.nbytes + small <= kept < out.data.nbytes + small + 4096
 
 
@@ -170,7 +170,7 @@ def test_swiglu_mlp_keeps_gate_and_up_only_while_its_gradients_cover_them():
     gain = np.ones(128, dtype=np.float32)
     xs = {t: Tensor(rng.standard_normal((t, 128)), requires_grad=True) for t in (44, 45)}
     for t, extra in ((44, 2176 * 44), (45, 0)):
-        small = t * 4 + t * 16 * 4  # the inverse norms and down's (T, rank) product
+        small = t * 4  # the inverse norms
         with Tape():
             out, kept, _ = traced(ad.swiglu_mlp, xs[t], gain, *projections)
         assert out.data.nbytes + small + extra <= kept < out.data.nbytes + small + extra + 4096
@@ -384,8 +384,8 @@ def test_self_attention_matches_the_unfused_chain_bit_for_bit(t, quantize, x_tra
 
 
 def test_self_attention_tape_keeps_no_probabilities():
-    # self_attention keeps x, each row's inverse norm, each query's softmax
-    # max and sum and o's (T, rank) product: no q, k, v, heads or (heads, T, T) array
+    # self_attention keeps x, each row's inverse norm and each query's softmax
+    # max and sum: no q, k, v, heads, (heads, T, T) or (T, rank) array
     rng = np.random.default_rng(8)
     t, d, n_heads, rank = 128, 128, 4, 16
     projections = _attention_projections(rng, d, rank)
@@ -396,9 +396,35 @@ def test_self_attention_tape_keeps_no_probabilities():
     with Tape() as tape:
         out, kept, _ = traced(ad.self_attention, x, gain, *projections, n_heads)
     assert len(tape.nodes) == 1  # the fused node; x and the eight LoRA matrices are leaves
-    small = t * 4 + 2 * n_heads * t * 4 + t * rank * 4  # 16.5 KiB
+    small = t * 4 + 2 * n_heads * t * 4  # 4.5 KiB
     # the output (64 KiB), those small arrays and a few KiB of Python objects
     assert out.data.nbytes + small <= kept < out.data.nbytes + small + 4096
+
+
+@pytest.mark.parametrize("t", [7, 128])
+@pytest.mark.parametrize("node", ["self_attention", "swiglu_mlp"])
+def test_a_tracked_b_beside_a_constant_a_gets_the_all_tracked_gradient(node, t):
+    # o's and down's dB read their (T, rank) product, formed again in the
+    # backward from the re-formed heads or SwiGLU output, which must be
+    # re-formed when only b is tracked too.  At T=7 the MLP keeps gate and
+    # up, and at T=128 it re-forms them
+    rng = np.random.default_rng(t)
+    gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)
+    if node == "self_attention":
+        fused, projections, heads = ad.self_attention, _attention_projections(rng, 128, 16), (4,)
+    else:
+        fused, projections, heads = ad.swiglu_mlp, _projections(rng, 128, 256, 16), ()
+    x = Tensor(rng.standard_normal((t, 128)), requires_grad=True)
+    g = rng.standard_normal((t, 128))
+    last = projections[-1]
+
+    def grad_b(ps):
+        with Tape() as tape:
+            loss = weighted_sum(fused(x, gain, *ps, *heads), g)
+        return backward(loss, tape)[last.b]
+
+    constant_a = Linear(last.weight, Tensor(last.a.data), last.b, last.scale)
+    assert grad_b((*projections[:-1], constant_a)).tobytes() == grad_b(projections).tobytes()
 
 
 @pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
@@ -419,8 +445,9 @@ def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
         _, _, backward = traced(bw, g, (True,) * len(inputs))
         peaks[node.__name__] = forward, backward
     mib = 2 ** 20
-    # 356 and 493 KiB, each pass's own (T, T) mask counted (477 while a
-    # mask kept across passes was not, 483 while the backward re-formed the
+    # 356 and 485 KiB, each pass's own (T, T) mask counted (493 while the
+    # node kept o's (T, rank) product, 477 while a mask kept across passes
+    # was not, 483 while the backward re-formed the
     # normalized input before q's, k's and v's gradients); 607 and 947 KiB while every
     # head's (4, T, T) scores, and in the backward their gradient, were
     # formed at once and the heads were merged into copies

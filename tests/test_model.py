@@ -515,8 +515,12 @@ CORRUPTIONS = {
                     "layers.0.k.q4"),
     "nan": (lambda a: {**a, "layers.0.q.lora_a": a["layers.0.q.lora_a"] * np.float32(np.nan)},
             "layers.0.q.lora_a"),
-    "inf_scale": (lambda a: {**a, "layers.1.o.q4_scales": a["layers.1.o.q4_scales"] / np.float32(0)},
+    "inf_scale": (lambda a: {**a, "layers.1.o.q4_scales": a["layers.1.o.q4_scales"] / np.float16(0)},
                   "layers.1.o.q4_scales"),
+    # quantize_weights writes float16 scales, and a float32 one would hold a
+    # value no float16 scale has
+    "float32_scales": (lambda a: {**a, "layers.0.v.q4_scales": a["layers.0.v.q4_scales"].astype(
+        np.float32)}, "layers.0.v.q4_scales"),
     # quantize_weights writes only positive scales; these decompressed to a zero or negated base
     "zero_scales": (lambda a: {**a, "layers.0.q.q4_scales": np.zeros_like(a["layers.0.q.q4_scales"])},
                     "layers.0.q.q4_scales"),

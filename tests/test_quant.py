@@ -23,11 +23,44 @@ def test_linspace_hand_case():
     # a column of 7 points -0.7..0.7, one group: scale 0.1, codes -7..7, recon error <= 0.05
     w = np.linspace(-0.7, 0.7, 7, dtype=np.float32).reshape(7, 1)
     q = quantize_weights(w, group_size=7)
-    assert q.scales[0, 0] == pytest.approx(0.1, rel=1e-5)
+    assert q.scales.dtype == np.float16
+    assert q.scales[0, 0] == np.float16(0.1)  # 0.0999755859375, the float16 nearest 0.1
     np.testing.assert_array_equal(unpack_codes(q)[:, 0], [-7, -5, -2, 0, 2, 5, 7])
     # an odd count: byte i holds code i low and code i + 4 high, the last high nibble is 0
     assert q.packed.tolist() == [0x29, 0x5B, 0x7E, 0x00]
     assert np.max(np.abs(w - dequantize(q))) <= 0.05
+
+
+def test_a_scale_beyond_float16_raises_corruption():
+    # max-abs / 7 above float16's largest value (65504) has no float16 scale
+    w = np.zeros((32, 2), dtype=np.float32)
+    w[3, 1] = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptionError, match="overflows float16"):
+            quantize_weights(w, group_size=32)
+
+
+def test_a_scale_that_rounds_to_zero_is_stored_as_an_all_zero_group():
+    # max-abs 1e-8 gives a float32 scale of 1.4e-9, which is 0 in float16
+    w = np.zeros((32, 2), dtype=np.float32)
+    w[3, 1], w[5, 0] = 1e-8, -1e-8
+    q = quantize_weights(w, group_size=32)
+    assert q.scales.tolist() == [[1.0, 1.0]]
+    assert np.all(unpack_codes(q) == 0)
+
+
+@pytest.mark.parametrize("steps", [1.45, 2.4, 4.4, 6.45])
+def test_a_subnormal_scale_still_bounds_the_error_by_half_a_scale(steps):
+    # max-abs / 7 is `steps` float16 subnormal steps (2 ** -24); the nearest
+    # float16 is `round(steps)` steps, too small for the max-abs's code to
+    # stay below 7.5, so the scale is one step more
+    max_abs = np.float32(7 * steps * 2.0 ** -24)
+    w = np.array([[max_abs], [-max_abs / 3], [max_abs / 2]], dtype=np.float32)
+    q = quantize_weights(w, group_size=3)
+    scale = q.scales.astype(np.float32)[0, 0]
+    assert scale == np.float32((round(steps) + 1) * 2.0 ** -24)
+    assert np.max(np.abs(w - dequantize(q))) <= scale / 2
 
 
 def test_group_size_must_divide_row_length():
@@ -73,8 +106,9 @@ def test_transposed_input_gives_contiguous_codes_and_matrix():
 def test_dequantize_returns_a_fresh_array_each_call():
     q = quantize_weights(np.ones((4, 2), dtype=np.float32), group_size=4)
     first = dequantize(q)
+    expected = first.copy()
     first[...] = 0.0
-    assert np.array_equal(dequantize(q), np.ones((4, 2), dtype=np.float32))
+    assert np.array_equal(dequantize(q), expected)
 
 
 @settings(max_examples=50, deadline=None)
@@ -90,7 +124,8 @@ def test_round_trip_error_bounded_by_half_scale(seed):
     codes = unpack_codes(q)
     assert codes.min() >= -8 and codes.max() <= 7
     # each element is within half a code step of its group's scale
-    per_group_bound = np.repeat(q.scales, group_size, axis=0) / 2 + 1e-7
+    # in float32, so that float16 arithmetic does not absorb the slack
+    per_group_bound = np.repeat(q.scales.astype(np.float32), group_size, axis=0) / 2 + 1e-7
     assert np.all(err <= per_group_bound)
 
 
