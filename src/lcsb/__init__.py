@@ -16,11 +16,13 @@ gains) is a plain float32 array, or packed codes for a 4-bit base.  Each
 projection is one ``model.Linear``: its frozen ``weight`` and its LoRA
 matrices ``a`` and ``b`` with their ``scale``.
 
-A 4-bit base is held at 4.5 bits per weight, its codes and float16 group
-scales (``lcsb.quant``), and decompressed on each use.  A tape is single-use: ``backward`` sweeps it
-once, and sweeping it again or recording onto it raises ``TapeError``
-(``lcsb.autodiff``).  What each node and layer records and keeps is
-stated in ``lcsb.autodiff`` and ``lcsb.model``.
+A 4-bit base is held at 4.25 bits per weight, its codes, an 8-bit scale
+mantissa per group and one power-of-two exponent per matrix
+(``lcsb.quant``), and decompressed on each use, exactly in float32.  A tape
+is single-use: ``backward`` sweeps it once, and sweeping it again or
+recording onto it raises ``TapeError`` (``lcsb.autodiff``).  What each node
+and layer records and keeps is stated in ``lcsb.autodiff`` and
+``lcsb.model``.
 """
 
 from .autodiff import Tape, Tensor, backward, paused

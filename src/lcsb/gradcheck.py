@@ -98,14 +98,16 @@ def _ref_dequantize(q):
 
     Decodes the packed bytes by arithmetic: byte i holds code i as its low
     nibble (``% 16``) and code i + ceil(n / 2) as its high nibble (``// 16``);
-    a nibble of 8 or more stands for that value minus 16.
+    a nibble of 8 or more stands for that value minus 16.  A group's scale
+    is its 8-bit mantissa times two to the matrix's exponent, ``m * 2**e``.
     """
     groups, d_out = q.scales.shape
     d_in = groups * q.group_size
     data = q.packed.astype(np.float64)
     nibbles = np.concatenate([data % 16, data // 16])[:d_in * d_out]
     codes = np.where(nibbles >= 8, nibbles - 16, nibbles).reshape(groups, q.group_size, d_out)
-    return (codes * q.scales.astype(np.float64)[:, None, :]).reshape(d_in, d_out)
+    scales = q.scales.astype(np.float64) * 2.0 ** int(q.exponent)
+    return (codes * scales[:, None, :]).reshape(d_in, d_out)
 
 
 def _ref_causal_attention(q, k, v, n_heads):

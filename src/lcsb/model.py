@@ -8,8 +8,10 @@ the embedding) is a plain float32 array.
 
 The base projections can be 4-bit quantized at init.  A quantized base is
 then held only as codes packed two to a byte, in the flat-halves layout of
-:mod:`lcsb.quant`, and one float16 scale per group of ``quant_group_size``
-weights: 4.5 bits per weight at the default group of 32.  It is
+:mod:`lcsb.quant`, one 8-bit scale mantissa per group of
+``quant_group_size`` weights and one power-of-two exponent per matrix: 4.25
+bits per weight at the default group of 32.  The decode is exact in
+float32, since a code times a mantissa is an integer below 2**11.  It is
 decompressed on each use: once in the forward, and again in an attached
 layer's backward, once per projection where dx needs it and once more
 for q, k and v, and for gate and up unless the MLP kept them, to re-form
@@ -54,7 +56,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, CorruptionError, DimensionError, PlanError
-from .quant import QuantizedLinear, dequantize, quantize_weights
+from .quant import (MAX_EXPONENT, MIN_EXPONENT, QuantizedLinear, decode_is_finite, dequantize,
+                    quantize_weights)
 
 
 class BlockMode(str, Enum):
@@ -194,6 +197,7 @@ class Model:
                 if isinstance(lin.weight, QuantizedLinear):
                     out[f"{prefix}.{site}.q4"] = lin.weight.packed
                     out[f"{prefix}.{site}.q4_scales"] = lin.weight.scales
+                    out[f"{prefix}.{site}.q4_exponent"] = lin.weight.exponent
                 else:
                     out[f"{prefix}.{site}.w"] = lin.weight
                 out[f"{prefix}.{site}.lora_a"] = lin.a.data
@@ -205,18 +209,22 @@ class Model:
         """Copy all parameters from a checkpoint's array map into the model's own buffers.
 
         The map must have exactly the keys of :meth:`state_arrays`, with the
-        same shapes, float arrays whose values are finite in float32, 4-bit
-        codes as packed uint8 bytes and their group scales as finite positive
-        float16 values.  Otherwise :class:`CorruptionError`
-        names the first bad key, and nothing has been overwritten.  The model keeps no reference
-        to the caller's arrays, and its float arrays and LoRA tensors stay the
-        same objects.
+        same shapes, float arrays whose values are finite in float32, and for
+        each 4-bit base what :func:`~lcsb.quant.quantize_weights` writes: its
+        codes as packed uint8 bytes, its group scale mantissas as uint8
+        values with no zero, and its exponent as a 0-d integer in
+        [``MIN_EXPONENT``, ``MAX_EXPONENT``] of :mod:`lcsb.quant`, with
+        every code times its scale finite in float32.  Otherwise
+        :class:`CorruptionError` names the first bad key, and nothing has
+        been overwritten.  The model keeps no reference to the caller's
+        arrays, and its float arrays, scales, exponents and LoRA tensors stay
+        the same objects.
         """
         expected = self.state_arrays()
         unknown = sorted(set(arrays) - set(expected))
         if unknown:
             raise CorruptionError(f"checkpoint has unexpected key {unknown[0]!r}")
-        checked = {}  # name -> the array to copy in, as float32 unless codes or scales
+        checked = {}  # name -> the array to copy in, as float32 unless a 4-bit base's
         for name, current in expected.items():
             if name not in arrays:
                 raise CorruptionError(f"checkpoint is missing key {name!r}")
@@ -226,16 +234,22 @@ class Model:
                 raise CorruptionError(f"{name!r} is ragged, not an array") from None
             if name.endswith(".q4") and array.dtype != np.uint8:
                 raise CorruptionError(f"{name!r} holds {array.dtype}, not packed uint8 4-bit codes")
-            if name.endswith(".q4_scales") and array.dtype != np.float16:
-                raise CorruptionError(f"{name!r} holds {array.dtype}, not float16 4-bit group scales")
+            if name.endswith(".q4_scales") and array.dtype != np.uint8:
+                raise CorruptionError(f"{name!r} holds {array.dtype}, not uint8 scale mantissas")
+            if name.endswith(".q4_exponent") and not np.issubdtype(array.dtype, np.integer):
+                raise CorruptionError(f"{name!r} holds {array.dtype}, not an integer scale exponent")
             if array.shape != current.shape:
                 raise CorruptionError(
                     f"{name!r} has shape {array.shape}, the model expects {current.shape}"
                 )
             if name.endswith(".q4_scales"):
-                # quantize_weights writes only finite positive scales (1.0 for an all-zero group)
-                if not (np.isfinite(array).all() and (array > 0).all()):
-                    raise CorruptionError(f"{name!r} holds a scale that is not finite and positive")
+                # a zero mantissa decompressed to a zero group; quantize_weights writes 1 or more
+                if not array.all():
+                    raise CorruptionError(f"{name!r} holds a zero scale mantissa")
+            elif name.endswith(".q4_exponent"):
+                if not MIN_EXPONENT <= array <= MAX_EXPONENT:
+                    raise CorruptionError(f"{name!r} is {int(array)}, outside the exponents "
+                                          f"[{MIN_EXPONENT}, {MAX_EXPONENT}] a scale can have")
             elif not name.endswith(".q4"):
                 if np.issubdtype(array.dtype, np.floating):
                     with np.errstate(over="ignore"):  # beyond float32's range casts to inf
@@ -243,15 +257,25 @@ class Model:
                 if array.dtype != np.float32 or not np.isfinite(array).all():
                     raise CorruptionError(f"{name!r} is not an array of finite float32 values")
             checked[name] = array
-        for name, current in expected.items():
-            if not name.endswith(".q4"):
-                current[...] = checked[name]
+        new_codes = {}  # Linear -> a read-only copy of its checkpoint codes
         for i, block in enumerate(self.blocks):
             for site, lin in block.linears.items():
                 if isinstance(lin.weight, QuantizedLinear):
-                    packed = np.array(checked[f"layers.{i}.{site}.q4"], order="C")
-                    packed.flags.writeable = False
-                    lin.weight = QuantizedLinear(packed, lin.weight.scales, lin.weight.group_size)
+                    key = f"layers.{i}.{site}.q4"
+                    codes = np.array(checked[key], order="C")
+                    codes.flags.writeable = False
+                    if not decode_is_finite(QuantizedLinear(codes, checked[f"{key}_scales"],
+                                                            checked[f"{key}_exponent"],
+                                                            lin.weight.group_size)):
+                        raise CorruptionError(f"'{key}_exponent' scales a code of '{key}' "
+                                              f"beyond float32's range")
+                    new_codes[lin] = codes
+        for name, current in expected.items():
+            if not name.endswith(".q4"):
+                current[...] = checked[name]
+        for lin, codes in new_codes.items():
+            lin.weight = QuantizedLinear(codes, lin.weight.scales, lin.weight.exponent,
+                                         lin.weight.group_size)
 
     # -- forward -----------------------------------------------------------
 
@@ -326,8 +350,8 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     Base weights are N(0, 0.02), LoRA A is N(0, 1/rank), LoRA B is zero,
     norm gains are ones.  When ``quantize_base`` is set, the base
-    projections are quantized once here and kept only as packed 4-bit codes
-    and float16 group scales.
+    projections are quantized once here and kept only as packed 4-bit codes,
+    8-bit group scale mantissas and one power-of-two exponent per matrix.
     """
     config.validate()
     rng = np.random.default_rng(seed)

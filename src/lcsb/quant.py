@@ -1,16 +1,19 @@
-"""Symmetric 4-bit group-wise weight quantization, held at 4.5 bits per weight.
+"""Symmetric 4-bit group-wise weight quantization, held at 4.25 bits per weight.
 
 A frozen base weight is quantized once, at model init, and from then on is
 held only as packed codes and scales: :func:`dequantize` rebuilds the
 float32 matrix on each use and the caller drops it afterwards.  The matrix
 is quantized in the (d_in, d_out) layout that ``x @ w`` reads, so the float
 matrix comes out contiguous with no transpose.  Each column is split into
-groups of ``group_size`` consecutive rows (inputs), every group gets one
-float16 scale (max-abs / 7, rounded to float16), and values become signed
-4-bit codes in [-8, 7].  At the default group of 32 the codes take 4 bits
-per weight and the scales 0.5 more, the overhead QLoRA (Dettmers et al.
-2023) cuts by compressing the scales as well.  A code times a float16
-scale is exact in float32, so the decode rounds nothing.
+groups of ``group_size`` consecutive rows (inputs), and values become signed
+4-bit codes in [-7, 7] against their group's scale.  A scale is ``m * 2**e``:
+an 8-bit mantissa ``m`` in [1, 255] per group, under one power-of-two
+exponent ``e`` shared by the whole matrix, the scale compression that QLoRA
+(Dettmers et al. 2023) calls double quantization.  At the default group of
+32 the codes take 4 bits per weight and the mantissas 0.25 more; the
+exponent is two bytes per matrix.  ``m * 2**e`` and a code times it (at most
+8 * 255 < 2**11, an 11-bit integer times a power of two) are exact in
+float32, so the decode rounds nothing.
 
 Two codes share a byte, in flat halves: with ``n`` codes in C order and
 ``h = ceil(n / 2)``, byte ``i`` holds code ``i`` in its low nibble and code
@@ -29,19 +32,29 @@ import numpy as np
 
 from .errors import CorruptionError, DimensionError
 
+# the range of a matrix's shared exponent: 2**-149 is float32's smallest
+# subnormal, so every scale m * 2**e is a nonzero float32, and 118 is what a
+# matrix holding float32's largest value needs.  Below 118 any code in
+# [-8, 7] times any mantissa decodes finite (8 * 255 * 2**117 < 2**128).
+MIN_EXPONENT = -149
+MAX_EXPONENT = 118
+
 
 @dataclass
 class QuantizedLinear:
-    """Frozen packed 4-bit codes plus per-group scales for one (d_in, d_out) weight matrix.
+    """Frozen packed 4-bit codes plus group scales for one (d_in, d_out) weight matrix.
 
     ``packed`` is a read-only uint8 array of ``ceil(d_in * d_out / 2)``
-    bytes in the flat-halves layout; ``scales`` is a float16 array of
-    shape (d_in // group_size, d_out), all finite and positive.  At a group
-    of 32 that is 4.5 bits per weight.
+    bytes in the flat-halves layout.  A group's scale is ``scales * 2**exponent``:
+    ``scales`` is a uint8 array of mantissas in [1, 255], of shape
+    (d_in // group_size, d_out), and ``exponent`` a 0-d int16 array in
+    [:data:`MIN_EXPONENT`, :data:`MAX_EXPONENT`].  At a group of 32 that is
+    4.25 bits per weight.
     """
 
     packed: np.ndarray
     scales: np.ndarray
+    exponent: np.ndarray
     group_size: int
 
     @property
@@ -50,19 +63,43 @@ class QuantizedLinear:
         return (groups * self.group_size, cols)
 
 
-def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
-    """Quantize a float matrix to packed signed 4-bit codes, one float16 scale per group of rows.
+def _shared_exponent(top: float) -> int:
+    """The smallest ``e >= MIN_EXPONENT`` with ``ceil(top / 2**e) <= 255``.
 
-    A group's scale is its max-abs / 7 in float32, rounded to the nearest
-    float16, and its codes are formed against that float16 scale, so each
-    value is within half a scale of its code times the scale.  Where the
-    rounding lost so much that the max-abs would need a code above 7.5
-    (only below float16's normal range, max-abs under about 4.3e-4), the
-    scale is the next float16 up.  A group whose scale is 0 in float16
-    (max-abs under about 2.1e-7, all zeros included) gets scale 1.0 and
-    codes 0, with no division by zero.  A group size that is not a positive
-    integer raises :class:`DimensionError`; a NaN or infinite weight, which
-    has no code, and a max-abs beyond float16's range (about 4.6e5) raise
+    ``frexp`` gives the power of two at or just above ``top / 255``; the
+    check against ``top`` itself mends a rounding of that quotient.
+    """
+    e = int(np.frexp(max(top / 255, 2.0 ** MIN_EXPONENT))[1]) - 1
+    while np.ceil(np.ldexp(top, -e)) > 255:
+        e += 1
+    return e
+
+
+def decode_is_finite(q: QuantizedLinear) -> bool:
+    """Whether every code times its scale is a finite float32.
+
+    Only at :data:`MAX_EXPONENT` can one overflow, so below it this decodes nothing.
+    """
+    if q.exponent < MAX_EXPONENT:
+        return True
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(dequantize(q)).all())
+
+
+def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
+    """Quantize a float matrix to packed signed 4-bit codes and 8-bit scale mantissas.
+
+    A group's mantissa is ``ceil(max_abs / 7 / 2**e)``, where the matrix's
+    exponent ``e`` is the smallest integer that keeps its largest mantissa
+    at most 255.  The ceiling makes each scale at least max-abs / 7, so
+    every code is in [-7, 7] and each value is within half a scale of its
+    code times the scale.  Two edge rules: ``e`` is at least
+    :data:`MIN_EXPONENT`, so ``2**e`` never underflows to 0; and a mantissa
+    is at least 1, so a group of zeros divides by a nonzero scale and keeps
+    codes 0, as does any value below half of ``2**e``.  A group size that is
+    not a positive integer raises :class:`DimensionError`; a NaN or infinite
+    weight, which has no code, and a weight so near float32's largest value
+    (above about 3.2e38) that its code times its scale overflows raise
     :class:`CorruptionError`.
     """
     w = np.ascontiguousarray(w, dtype=np.float32)
@@ -80,22 +117,20 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
     max_abs = np.max(np.abs(grouped), axis=1)
     if not np.isfinite(max_abs).all():  # a group's max is NaN or inf exactly when a value is
         raise CorruptionError("cannot quantize a weight matrix with NaN or infinite values")
-    with np.errstate(over="ignore"):  # beyond float16's range casts to inf
-        scales = (max_abs / np.float32(7.0)).astype(np.float16)
-    if np.isinf(scales).any():
-        raise CorruptionError(f"cannot quantize a weight matrix with a value beyond "
-                              f"{7 * float(np.finfo(np.float16).max):.3g}: its scale overflows float16")
-    scales[scales == 0] = 1.0
-    # below float16's normal range the nearest scale can be too small for the max-abs's code
-    low = max_abs > scales.astype(np.float32) * np.float32(7.5)
-    scales[low] = np.nextafter(scales[low], np.float16(np.inf))
-    codes = np.clip(np.round(grouped / scales.astype(np.float32)[:, None, :]), -8, 7)
+    least = max_abs.astype(np.float64) / 7  # the smallest scale that keeps a group's codes in [-7, 7]
+    exponent = _shared_exponent(float(least.max(initial=0.0)))
+    scales = np.maximum(np.ceil(np.ldexp(least, -exponent)), 1).astype(np.uint8)
+    codes = np.round(grouped / np.ldexp(scales, exponent, dtype=np.float32)[:, None, :])
     flat = codes.reshape(-1).astype(np.int8).view(np.uint8)  # two's complement bytes
     half = (flat.size + 1) // 2
     packed = flat[:half] & np.uint8(15)
     packed[:flat.size - half] |= flat[half:] << np.uint8(4)
     packed.flags.writeable = False
-    return QuantizedLinear(packed=packed, scales=scales, group_size=group_size)
+    q = QuantizedLinear(packed, scales, np.array(exponent, dtype=np.int16), group_size)
+    if not decode_is_finite(q):
+        raise CorruptionError(f"cannot quantize a weight matrix with a value as large as "
+                              f"{float(max_abs.max()):.4g}: its code times its scale overflows float32")
+    return q
 
 
 def unpack_codes(q: QuantizedLinear) -> np.ndarray:
@@ -111,17 +146,17 @@ def unpack_codes(q: QuantizedLinear) -> np.ndarray:
 
 
 def dequantize(q: QuantizedLinear) -> np.ndarray:
-    """A fresh contiguous float32 matrix: codes times their float16 group scale, exactly.
+    """A fresh contiguous float32 matrix: codes times their group scale ``m * 2**e``, exactly.
 
     The codes are decoded to int8, cast once and scaled in place, so the
     result is the only full-size float allocation; no buffer is shared
-    between calls (threads may share a model).  The float16 scales (4.5
-    bits per weight with the codes, at a group of 32) are cast to float32
-    first, once per call: an in-place float32 by float16 multiply ran about
-    four times slower at 128x128 (2-vCPU x86-64).
+    between calls (threads may share a model).  The scales are formed once
+    per call, by one ``ldexp`` of the (groups, d_out) mantissas into
+    float32; an 8-bit mantissa times a power of two is exact there, and so
+    is a 4-bit code times that.
     """
     out = unpack_codes(q).astype(np.float32)  # C order: the reshape below is a view
     rows, cols = out.shape
     grouped = out.reshape(rows // q.group_size, q.group_size, cols)
-    grouped *= q.scales.astype(np.float32)[:, None, :]
+    grouped *= np.ldexp(q.scales, q.exponent, dtype=np.float32)[:, None, :]
     return out

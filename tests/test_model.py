@@ -17,7 +17,7 @@ from lcsb import gradcheck
 from lcsb.errors import ConfigError, CorruptionError, DimensionError, PlanError
 from lcsb.gradcheck import micro_config, micro_q4_config
 from lcsb.model import BlockMode, Linear, ModelConfig, init_model
-from lcsb.quant import dequantize, quantize_weights
+from lcsb.quant import MAX_EXPONENT, MIN_EXPONENT, dequantize, quantize_weights
 from scalar_loss import weighted_sum
 from traced import traced
 
@@ -269,7 +269,7 @@ def _quantized_model(seed):
 def _float_twin(qmodel):
     """A float-base model holding ``qmodel``'s decompressed bases and its other parameters."""
     arrays = {name: a for name, a in qmodel.state_arrays().items()
-              if not name.endswith((".q4", ".q4_scales"))}
+              if not name.endswith((".q4", ".q4_scales", ".q4_exponent"))}
     for i, block in enumerate(qmodel.blocks):
         for site, lin in block.linears.items():
             arrays[f"layers.{i}.{site}.w"] = dequantize(lin.weight)
@@ -350,11 +350,18 @@ def _init_bytes(config):
 def test_quantized_bases_take_less_than_half_the_bytes():
     config = replace(CFG, d_model=64, d_ff=128)
     float_model, float_bytes = _init_bytes(config)
-    _, q_bytes = _init_bytes(replace(config, quantize_base=True, quant_group_size=8))
+    q_model, q_bytes = _init_bytes(replace(config, quantize_base=True, quant_group_size=8))
     base_bytes = sum(lin.weight.nbytes for block in float_model.blocks
                      for lin in block.linears.values())
     # both models hold the same parameters apart from their bases
     assert q_bytes - (float_bytes - base_bytes) < base_bytes / 2
+    # a 4-bit base holds its codes, one byte per group and a few bytes for its exponent
+    for i, block in enumerate(q_model.blocks):
+        for site, lin in block.linears.items():
+            rows, cols = lin.weight.shape
+            held = sum(a.nbytes for name, a in q_model.state_arrays().items()
+                       if name.startswith(f"layers.{i}.{site}.q4"))
+            assert held <= (rows * cols + 1) // 2 + rows // 8 * cols + 8
 
 
 def test_head_reads_the_embedding_in_place():
@@ -515,23 +522,35 @@ CORRUPTIONS = {
                     "layers.0.k.q4"),
     "nan": (lambda a: {**a, "layers.0.q.lora_a": a["layers.0.q.lora_a"] * np.float32(np.nan)},
             "layers.0.q.lora_a"),
+    # quantize_weights writes uint8 scale mantissas, and a float or signed
+    # array would hold a value no mantissa has
     "inf_scale": (lambda a: {**a, "layers.1.o.q4_scales": a["layers.1.o.q4_scales"] / np.float16(0)},
                   "layers.1.o.q4_scales"),
-    # quantize_weights writes float16 scales, and a float32 one would hold a
-    # value no float16 scale has
     "float32_scales": (lambda a: {**a, "layers.0.v.q4_scales": a["layers.0.v.q4_scales"].astype(
         np.float32)}, "layers.0.v.q4_scales"),
-    # quantize_weights writes only positive scales; these decompressed to a zero or negated base
+    "negative_scale": (lambda a: {**a, "layers.1.down.q4_scales": _with_last(
+        a["layers.1.down.q4_scales"].astype(np.int16), -3)}, "layers.1.down.q4_scales"),
+    # quantize_weights writes mantissas of 1 or more; these decompressed to a zero base
     "zero_scales": (lambda a: {**a, "layers.0.q.q4_scales": np.zeros_like(a["layers.0.q.q4_scales"])},
                     "layers.0.q.q4_scales"),
-    "negative_scale": (lambda a: {**a, "layers.1.down.q4_scales": _with_last(
-        a["layers.1.down.q4_scales"], -3.0)}, "layers.1.down.q4_scales"),
+    # quantize_weights writes a 0-d integer exponent in [MIN_EXPONENT, MAX_EXPONENT]
+    "float_exponent": (lambda a: {**a, "layers.0.k.q4_exponent": np.float64(-14.0)},
+                       "layers.0.k.q4_exponent"),
+    "exponent_not_0d": (lambda a: {**a, "layers.1.up.q4_exponent": a["layers.1.up.q4_exponent"][None]},
+                        "layers.1.up.q4_exponent"),
+    **{f"exponent_{side}_range": (lambda a, e=e: {**a, "layers.0.gate.q4_exponent": np.int64(e)},
+                                  "layers.0.gate.q4_exponent")
+       for side, e in (("below", MIN_EXPONENT - 1), ("above", MAX_EXPONENT + 1))},
+    # in range, but this base's largest code times its mantissa is 1701, and 1701 * 2**118 is inf
+    "overflowing_exponent": (lambda a: {**a, "layers.0.v.q4_exponent": np.int16(MAX_EXPONENT)},
+                             "layers.0.v.q4_exponent"),
     "integer_floats": (lambda a: {**a, "norm_out.gain": a["norm_out.gain"].astype(np.int64)},
                        "norm_out.gain"),
     # ragged nestings, on which np.asarray raises a bare ValueError
     "ragged": (lambda a: {**a, "layers.1.v.lora_a": [[1.0, 2.0], [3.0]]}, "layers.1.v.lora_a"),
     "ragged_codes": (lambda a: {**a, "layers.0.up.q4": [[1], [2, 3]]}, "layers.0.up.q4"),
-    # finite in float64 but inf in float32, so the cast is checked before any key is written
+    # finite in float64 but inf in float32, so the cast is checked before any
+    # key is written; a float64 array of scale mantissas is refused on its dtype
     **{f"float32_overflow_{key}": (lambda a, key=key: _beyond_float32(a, key), key)
        for key in ("layers.0.q.lora_a", "layers.0.q.q4_scales", "embed.weight")},
 }

@@ -11,6 +11,11 @@ from lcsb.errors import CorruptionError, DimensionError
 from lcsb.quant import dequantize, quantize_weights, unpack_codes
 
 
+def _scales(q):
+    """The (groups, d_out) float64 scales ``m * 2**e``, formed apart from ``dequantize``."""
+    return q.scales.astype(np.float64) * 2.0 ** int(q.exponent)
+
+
 def test_all_zero_matrix_round_trips_to_zeros():
     w = np.zeros((4, 8), dtype=np.float32)
     q = quantize_weights(w, group_size=4)
@@ -20,46 +25,74 @@ def test_all_zero_matrix_round_trips_to_zeros():
 
 
 def test_linspace_hand_case():
-    # a column of 7 points -0.7..0.7, one group: scale 0.1, codes -7..7, recon error <= 0.05
+    # a column of 7 points -0.7..0.7, one group: max-abs / 7 is 0.1, and 2**-11
+    # is the smallest power of two that keeps ceil(0.1 / 2**e) <= 255
     w = np.linspace(-0.7, 0.7, 7, dtype=np.float32).reshape(7, 1)
     q = quantize_weights(w, group_size=7)
-    assert q.scales.dtype == np.float16
-    assert q.scales[0, 0] == np.float16(0.1)  # 0.0999755859375, the float16 nearest 0.1
+    assert q.scales.dtype == np.uint8 and q.scales.tolist() == [[205]]
+    assert q.exponent == -11
+    assert _scales(q)[0, 0] == 0.10009765625  # 205 / 2048, the ceiling puts it at or above 0.1
     np.testing.assert_array_equal(unpack_codes(q)[:, 0], [-7, -5, -2, 0, 2, 5, 7])
     # an odd count: byte i holds code i low and code i + 4 high, the last high nibble is 0
     assert q.packed.tolist() == [0x29, 0x5B, 0x7E, 0x00]
     assert np.max(np.abs(w - dequantize(q))) <= 0.05
 
 
-def test_a_scale_beyond_float16_raises_corruption():
-    # max-abs / 7 above float16's largest value (65504) has no float16 scale
+def test_a_scale_that_rounds_to_zero_is_stored_as_an_all_zero_group():
+    # a 1e-8 group beside a 0.02 group: the matrix's exponent serves the
+    # 0.02 group, and 1e-8 / 7 is a small fraction of its 2**e, so the
+    # ceiling gives mantissa 1 and every code of the small group is 0
     w = np.zeros((32, 2), dtype=np.float32)
-    w[3, 1] = 1e6
+    w[3, 1], w[5, 0] = 1e-8, -0.02
+    q = quantize_weights(w, group_size=32)
+    assert q.scales[0, 1] == 1
+    assert np.all(unpack_codes(q)[:, 1] == 0)
+    assert np.max(np.abs(w - dequantize(q))) <= _scales(q).max() / 2
+
+
+def test_a_matrix_of_tiny_values_keeps_its_codes():
+    # the exponent follows the matrix's own largest value, so 1e-8 is not flushed to zero
+    w = np.full((32, 2), 1e-8, dtype=np.float32)
+    w[7, 0] = -1e-8
+    q = quantize_weights(w, group_size=32)
+    codes = unpack_codes(q)
+    assert codes[7, 0] == -7 and np.all(np.delete(codes.ravel(), 14) == 7)
+    assert np.max(np.abs(w - dequantize(q))) <= _scales(q).max() / 2
+
+
+@pytest.mark.parametrize("value", [1e-44, 3e38])
+def test_extreme_values_decode_finite_within_half_a_scale(value):
+    # 1e-44 needs an exponent below -149 and is held at 2**-149, float32's
+    # smallest subnormal; 3e38 needs 2**118, where a code times a mantissa
+    # is still below float32's largest value
+    w = np.zeros((32, 2), dtype=np.float32)
+    w[3, 1], w[5, 0] = value, -value / 3
+    q = quantize_weights(w, group_size=32)
+    decoded = dequantize(q)
+    assert np.isfinite(decoded).all()
+    assert np.abs(unpack_codes(q)).max() == 7
+    assert np.all(np.abs(w - decoded) <= np.repeat(_scales(q), 32, axis=0) / 2)
+
+
+def test_a_code_times_its_scale_beyond_float32_raises_corruption():
+    # float32's largest value needs 147 * 2**118 as its scale, and its code 7 times that is inf
+    w = np.zeros((32, 2), dtype=np.float32)
+    w[3, 1] = np.finfo(np.float32).max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CorruptionError, match="overflows float16"):
+        with pytest.raises(CorruptionError, match="overflows float32"):
             quantize_weights(w, group_size=32)
-
-
-def test_a_scale_that_rounds_to_zero_is_stored_as_an_all_zero_group():
-    # max-abs 1e-8 gives a float32 scale of 1.4e-9, which is 0 in float16
-    w = np.zeros((32, 2), dtype=np.float32)
-    w[3, 1], w[5, 0] = 1e-8, -1e-8
-    q = quantize_weights(w, group_size=32)
-    assert q.scales.tolist() == [[1.0, 1.0]]
-    assert np.all(unpack_codes(q) == 0)
 
 
 @pytest.mark.parametrize("steps", [1.45, 2.4, 4.4, 6.45])
 def test_a_subnormal_scale_still_bounds_the_error_by_half_a_scale(steps):
-    # max-abs / 7 is `steps` float16 subnormal steps (2 ** -24); the nearest
-    # float16 is `round(steps)` steps, too small for the max-abs's code to
-    # stay below 7.5, so the scale is one step more
+    # max-abs / 7 is `steps` times 2**-24, float16's subnormal step, where a
+    # scale rounded to nearest was too small for the max-abs's code
     max_abs = np.float32(7 * steps * 2.0 ** -24)
     w = np.array([[max_abs], [-max_abs / 3], [max_abs / 2]], dtype=np.float32)
     q = quantize_weights(w, group_size=3)
-    scale = q.scales.astype(np.float32)[0, 0]
-    assert scale == np.float32((round(steps) + 1) * 2.0 ** -24)
+    scale = _scales(q)[0, 0]
+    assert scale >= max_abs / 7
     assert np.max(np.abs(w - dequantize(q))) <= scale / 2
 
 
@@ -98,7 +131,7 @@ def test_transposed_input_gives_contiguous_codes_and_matrix():
     q = quantize_weights(w.T, group_size=4)
     reference = quantize_weights(np.ascontiguousarray(w.T), group_size=4)
     assert np.array_equal(q.packed, reference.packed)
-    assert np.array_equal(q.scales, reference.scales)
+    assert np.array_equal(q.scales, reference.scales) and q.exponent == reference.exponent
     assert q.packed.flags["C_CONTIGUOUS"] and q.scales.flags["C_CONTIGUOUS"]
     assert dequantize(q).flags["C_CONTIGUOUS"]
 
@@ -122,10 +155,9 @@ def test_round_trip_error_bounded_by_half_scale(seed):
     q = quantize_weights(w, group_size)
     err = np.abs(w - dequantize(q))
     codes = unpack_codes(q)
-    assert codes.min() >= -8 and codes.max() <= 7
+    assert codes.min() >= -7 and codes.max() <= 7
     # each element is within half a code step of its group's scale
-    # in float32, so that float16 arithmetic does not absorb the slack
-    per_group_bound = np.repeat(q.scales.astype(np.float32), group_size, axis=0) / 2 + 1e-7
+    per_group_bound = np.repeat(_scales(q), group_size, axis=0) / 2 + 1e-7
     assert np.all(err <= per_group_bound)
 
 
@@ -144,7 +176,7 @@ def test_dequantize_matches_an_int8_reference_decode_bit_for_bit(seed):
     q = quantize_weights(rng.standard_normal((rows, cols)).astype(np.float32), group_size)
     codes = _reference_decode(q.packed, (rows, cols))
     assert np.array_equal(unpack_codes(q), codes)
-    expected = codes.astype(np.float32) * np.repeat(q.scales, group_size, axis=0)
+    expected = codes.astype(np.float32) * np.repeat(_scales(q).astype(np.float32), group_size, axis=0)
     assert dequantize(q).tobytes() == expected.tobytes()
 
 
