@@ -5,20 +5,24 @@ a tape autodiff engine whose one way to cut a gradient is paused
 recording, a LoRA-adapted nano transformer whose blocks run attached,
 detached or dropped on each forward pass (a detached block runs its
 branches paused and records only its residual adds), symmetric 4-bit
-group quantization of the frozen base weights, and a check of forward
+group quantization of the frozen weight matrices, and a check of forward
 values and finite-difference gradients against an independent float64
 re-implementation (``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs
 the full suite).
 
 Only the LoRA matrices train.  They and the activations are ``Tensor``
 objects; every frozen value (base weights, embedding, positions, norm
-gains) is a plain float32 array, or packed codes for a 4-bit base.  Each
+gains) is a plain float32 array, except that a 4-bit model holds its base
+weights, its embedding and its positions as packed codes.  Each
 projection is one ``model.Linear``: its frozen ``weight`` and its LoRA
 matrices ``a`` and ``b`` with their ``scale``.
 
-A 4-bit base is held at 4.25 bits per weight, its codes, an 8-bit scale
+A 4-bit matrix is held at 4.25 bits per weight, its codes, an 8-bit scale
 mantissa per group and one power-of-two exponent per matrix
-(``lcsb.quant``), and decompressed on each use, exactly in float32.  A tape
+(``lcsb.quant``), and decompressed on each use, exactly in float32: a base
+by its projection, the embedding and the positions for the token lookup,
+and the embedding again by the weight-tied head in its forward and its
+backward (``lcsb.model``).  A tape
 is single-use: ``backward`` sweeps it once, and sweeping it again or
 recording onto it raises ``TapeError`` (``lcsb.autodiff``).  What each node
 and layer records and keeps is stated in ``lcsb.autodiff`` and

@@ -14,8 +14,8 @@ the last axis, each keeps for its backward:
   input, each row's inverse norm and the gain, and, when it is recorded
   and its shapes let it, gate's and up's outputs and (n, rank) products;
 * :func:`norm_head`, the model's output norm and frozen head: its input,
-  each row's inverse norm, the gain and its weight, the embedding's
-  transposed view;
+  each row's inverse norm, the gain and the function that fetches its
+  weight;
 * :func:`cross_entropy_logits`: its softmax probabilities;
 * :func:`add`: nothing.
 
@@ -54,7 +54,8 @@ what it returns, for a (T, d) input and an MLP width of ``d_ff``:
   (T, d_ff) array, for down's dx or for the SwiGLU derivative, which runs
   in blocks of rows;
 * ``norm_head``: the normalized input in the forward, and two (T, d)
-  temporaries in the backward;
+  temporaries in the backward, plus in each its weight, when the fetch
+  decompresses one;
 * ``cross_entropy_logits`` and ``add``: nothing.
 
 At the default T=128, d=128, d_ff=256 and rank 16 these peak, outputs
@@ -64,12 +65,13 @@ for the MLP's re-forming gate and up, on float or 4-bit bases
 (``tracemalloc``).
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
-is a plain float32 array.  Every primitive takes its gains and frozen
-weights as arrays, and the fused nodes fetch each frozen base on each
-use, in the forward and again in the backward, so a compressed base
-stays compressed.  :func:`paused` stops recording for a block of code;
-it is the one way to cut a gradient, since what is computed inside is a
-constant to every tape.
+reaches a primitive as a plain float32 array.  Every primitive takes its
+gains as arrays, and its frozen weights through functions that return
+them: the fused nodes call each projection's ``base()``, and
+:func:`norm_head` its ``head()``, on each use, in the forward and again in
+the backward, so a compressed weight stays compressed.  :func:`paused`
+stops recording for a block of code; it is the one way to cut a gradient,
+since what is computed inside is a constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -333,27 +335,36 @@ def _rms_norm_backward(g: Array, x_data: Array, inv: Array, gain: Array) -> Arra
     return grad_x
 
 
-def norm_head(x: Tensor, gain: Array, w: Array) -> Tensor:
-    """``rms_norm(x, gain) @ w`` for a frozen float32 ``w`` of shape (d, d_out), as one node.
+def norm_head(x: Tensor, gain: Array, head: Callable[[], Array]) -> Tensor:
+    """``rms_norm(x, gain) @ w`` for the frozen float32 ``w = head()`` of shape (d, d_out), as one node.
 
-    The model's output norm and weight-tied head, which is never
-    compressed.  ``gain`` is a frozen (d,) array, read as float32, and only
+    The model's output norm and weight-tied head, whose ``head()`` returns
+    the embedding's transpose, decompressed afresh on each call in a 4-bit
+    model.  It is called once in the forward and once more in the
+    backward, and its result is dropped after each, so the node keeps no
+    weight.  ``gain`` is a frozen (d,) array, read as float32, and only
     ``x`` gets a gradient.  The backward is ``rms_norm``'s applied to ``g @
     w.T``, with the same float32 operations as the norm and the projection
     taken apart.
     """
     gain = _norm_gain(x, gain, "norm_head")
+    w = head()
     if x.data.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
         raise DimensionError(f"norm_head shapes incompatible: x {x.shape}, base {w.shape}")
     if w.dtype != np.float32:
         raise DimensionError(f"norm_head base must be float32, got {w.dtype}")
     x_data = x.data
     inv = _rms_inv(x_data)
+    out = _rms_normalized(x_data, inv, gain) @ w
+    del w
 
     def bw(g, needs):
-        return (_rms_norm_backward(g @ w.T, x_data, inv, gain),)
+        # w.T in C order: OpenBLAS sums g @ w.T in another order when w is C
+        # ordered, as a decompressed head is, so the copy gives it the float
+        # head's bits; a float head's w.T, the embedding itself, is not copied
+        return (_rms_norm_backward(g @ np.ascontiguousarray(head().T), x_data, inv, gain),)
 
-    return _finish(_rms_normalized(x_data, inv, gain) @ w, (x,), bw)
+    return _finish(out, (x,), bw)
 
 
 def _sigmoid(x: Array) -> Array:

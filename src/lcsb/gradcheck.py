@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .model import Linear, Model, ModelConfig, init_model
-from .quant import quantize_weights
+from .quant import dequantize, quantize_weights
 
 # The central difference's half step.  The reference is float64, so its
 # rounding stays far below a step this small, and the truncation error,
@@ -147,7 +147,7 @@ def _primitive_cases(rng: np.random.Generator):
     n, d_in, d_out = rng.integers((1, 2, 1), 7)
     gain = rng.uniform(0.5, 1.5, size=d_in).astype(np.float32)  # frozen, as in the model
     w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32)
-    yield ad.norm_head, [t((n, d_in))], {"gain": gain, "w": w}, (
+    yield ad.norm_head, [t((n, d_in))], {"gain": gain, "head": lambda: w}, (
         lambda d: _ref_rms_norm(d[0], gain.astype(np.float64)) @ w.astype(np.float64)
     )
 
@@ -161,11 +161,20 @@ def _primitive_cases(rng: np.random.Generator):
         lambda d: _ref_cross_entropy(d[0], targets)
     )
 
-    # the MLP on each of its paths, forced by shape; drawn last, so that the
-    # cases above keep their draws
+    # the MLP on each of its paths, forced by shape, and the head on a 4-bit
+    # weight, decompressed on each fetch as the model's embedding is; drawn
+    # last, so that the cases above keep their draws
     for quantize in (False, True):
         for keep in (True, False):
             yield _fused_case(rng, t, ad.swiglu_mlp, quantize, keep=keep)
+
+    n, d_in, d_out = rng.integers(1, 7), 2 * rng.integers(1, 4), rng.integers(1, 7)
+    gain = rng.uniform(0.5, 1.5, size=d_in).astype(np.float32)
+    q = quantize_weights(rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32), 2)
+    ref_w = _ref_dequantize(q)
+    yield ad.norm_head, [t((n, d_in))], {"gain": gain, "head": lambda: dequantize(q)}, (
+        lambda d: _ref_rms_norm(d[0], gain.astype(np.float64)) @ ref_w
+    )
 
 
 def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize: bool,
@@ -278,8 +287,10 @@ def check_all_primitives(n_seeds: int = 20) -> tuple:
 def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) -> float:
     """Float64 forward + cross entropy reading the model's live buffers.
 
-    A 4-bit base is decompressed here from its codes and scales, in float64.
-    The LoRA scale is taken from the config, ``lora_alpha / lora_rank``.
+    A 4-bit matrix (a base, the embedding or the positions) is decompressed
+    here from its codes and scales, in float64; a 4-bit table is held
+    (d_model, rows).  The LoRA scale is taken from the config,
+    ``lora_alpha / lora_rank``.
     """
     cfg = model.config
     s = cfg.lora_alpha / cfg.lora_rank
@@ -288,14 +299,18 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
         w = lin.weight if isinstance(lin.weight, np.ndarray) else _ref_dequantize(lin.weight)
         return (w.astype(np.float64), *(m.data.astype(np.float64) for m in (lin.a, lin.b)), s)
 
-    h = model.embed.astype(np.float64)[tokens] + model.pos.astype(np.float64)[:len(tokens)]
+    def rows(table):
+        return table.astype(np.float64) if isinstance(table, np.ndarray) else _ref_dequantize(table).T
+
+    embed = rows(model.embed)
+    h = embed[tokens] + rows(model.pos)[:len(tokens)]
     for block in model.blocks:
         a = h + _ref_self_attention(h, block.norm_attn.astype(np.float64),
                                     *(operands(block.linears[site]) for site in ("q", "k", "v", "o")),
                                     cfg.n_heads)
         h = a + _ref_swiglu_mlp(a, block.norm_mlp.astype(np.float64),
                                 *(operands(block.linears[site]) for site in ("gate", "up", "down")))
-    logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ model.embed.astype(np.float64).T
+    logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ embed.T
     return _ref_cross_entropy(logits, targets)
 
 

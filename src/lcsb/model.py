@@ -3,20 +3,29 @@
 Per layer: pre-RMSNorm causal multi-head attention and a SwiGLU MLP, each
 with a residual add.  Only the LoRA matrices are trainable, and they are the
 model's only :class:`~lcsb.autodiff.Tensor` objects.  Everything frozen (base
-weights, embeddings, norm gains and the weight-tied output head, which reads
-the embedding) is a plain float32 array.
+weights, the token embedding, the positions and norm gains) is a plain
+float32 array, or packed 4-bit codes for a base, the embedding and the
+positions of a 4-bit model.  The output head is weight-tied: it reads the
+embedding.
 
-The base projections can be 4-bit quantized at init.  A quantized base is
-then held only as codes packed two to a byte, in the flat-halves layout of
-:mod:`lcsb.quant`, one 8-bit scale mantissa per group of
-``quant_group_size`` weights and one power-of-two exponent per matrix: 4.25
-bits per weight at the default group of 32.  The decode is exact in
-float32, since a code times a mantissa is an integer below 2**11.  It is
-decompressed on each use: once in the forward, and again in an attached
-layer's backward, once per projection where dx needs it and once more
-for q, k and v, and for gate and up unless the MLP kept them, to re-form
-their outputs.  A detached layer decompresses only in the forward.  This
-is the memory and time trade of fine-tuning on compressed weights.
+With ``quantize_base`` set, every frozen matrix is 4-bit quantized at init:
+the seven base projections of each layer, the embedding and the positions.
+A quantized matrix is then held only as codes packed two to a byte, in the
+flat-halves layout of :mod:`lcsb.quant`, one 8-bit scale mantissa per group
+of ``quant_group_size`` weights and one power-of-two exponent per matrix:
+4.25 bits per weight at the default group of 32.  The embedding is held in
+its (d_model, vocab_size) layout, the head's, and the positions in their
+(d_model, seq_len) layout, so their groups run along d_model.  The decode
+is exact in float32, since a code times a mantissa is an integer below
+2**11.  Each matrix is decompressed on each use and dropped after it.  A
+base is decompressed once in the forward, and again in an attached layer's
+backward, once per projection where dx needs it and once more for q, k and
+v, and for gate and up unless the MLP kept them, to re-form their outputs.
+A detached layer decompresses only in the forward.  The embedding and the
+positions are decompressed once each for the lookup, and dropped before
+the first block; the head decompresses the embedding again in its forward
+and, when the tape records it, once more in its backward.  This is the
+memory and time trade of fine-tuning on compressed weights.
 
 Each of a layer's seven projections (q, k, v, o, gate, up, down) is one
 :class:`Linear`: a frozen base and its LoRA matrices.  Each half of a
@@ -145,6 +154,21 @@ class Linear:
         return self.weight
 
 
+def _rows(table: np.ndarray | QuantizedLinear) -> np.ndarray:
+    """The embedding or the positions as (rows, d_model): a 4-bit table, held (d_model, rows), decompressed and viewed transposed."""
+    if isinstance(table, QuantizedLinear):
+        return dequantize(table).T
+    return table
+
+
+def _frozen_arrays(stem: str, weight: np.ndarray | QuantizedLinear, float_key: str = "") -> dict:
+    """A frozen matrix's checkpoint arrays: its codes, scales and exponent under ``stem`` if 4-bit, else itself under ``float_key or stem``."""
+    if isinstance(weight, QuantizedLinear):
+        return {f"{stem}.q4": weight.packed, f"{stem}.q4_scales": weight.scales,
+                f"{stem}.q4_exponent": weight.exponent}
+    return {float_key or stem: weight}
+
+
 @dataclass(eq=False)
 class _Block:
     linears: dict[str, Linear]  # by site name
@@ -166,11 +190,16 @@ _SITE_DIMS = {
 
 @dataclass(eq=False)
 class Model:
-    """Instantiated parameters plus the forward graph builders."""
+    """Instantiated parameters plus the forward graph builders.
+
+    ``embed`` (vocab_size, d_model) and ``pos`` (seq_len, d_model) are
+    float32 arrays, or in a 4-bit model :class:`QuantizedLinear` tables of
+    the transposed shapes, decompressed on each use.
+    """
 
     config: ModelConfig
-    embed: np.ndarray
-    pos: np.ndarray
+    embed: np.ndarray | QuantizedLinear
+    pos: np.ndarray | QuantizedLinear
     blocks: list[_Block]
     norm_out: np.ndarray
 
@@ -186,20 +215,23 @@ class Model:
         """Name -> Tensor for every LoRA matrix, in layer order."""
         return {name: t for layer in self.lora_params_by_layer() for name, t in layer.items()}
 
+    def _frozen_matrices(self):
+        """``(checkpoint stem, owner, attribute)`` of each frozen matrix a 4-bit model quantizes."""
+        yield "embed.weight", self, "embed"
+        yield "embed.pos", self, "pos"
+        for i, block in enumerate(self.blocks):
+            for site, lin in block.linears.items():
+                yield f"layers.{i}.{site}", lin, "weight"
+
     def state_arrays(self) -> dict:
         """Name -> ndarray of everything a checkpoint must persist."""
-        out = {"embed.weight": self.embed, "embed.pos": self.pos}
+        out = {**_frozen_arrays("embed.weight", self.embed), **_frozen_arrays("embed.pos", self.pos)}
         for i, block in enumerate(self.blocks):
             prefix = f"layers.{i}"
             out[f"{prefix}.norm_attn.gain"] = block.norm_attn
             out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp
             for site, lin in block.linears.items():
-                if isinstance(lin.weight, QuantizedLinear):
-                    out[f"{prefix}.{site}.q4"] = lin.weight.packed
-                    out[f"{prefix}.{site}.q4_scales"] = lin.weight.scales
-                    out[f"{prefix}.{site}.q4_exponent"] = lin.weight.exponent
-                else:
-                    out[f"{prefix}.{site}.w"] = lin.weight
+                out.update(_frozen_arrays(f"{prefix}.{site}", lin.weight, f"{prefix}.{site}.w"))
                 out[f"{prefix}.{site}.lora_a"] = lin.a.data
                 out[f"{prefix}.{site}.lora_b"] = lin.b.data
         out["norm_out.gain"] = self.norm_out
@@ -210,7 +242,8 @@ class Model:
 
         The map must have exactly the keys of :meth:`state_arrays`, with the
         same shapes, float arrays whose values are finite in float32, and for
-        each 4-bit base what :func:`~lcsb.quant.quantize_weights` writes: its
+        each 4-bit matrix (a base, the embedding or the positions) what
+        :func:`~lcsb.quant.quantize_weights` writes: its
         codes as packed uint8 bytes, its group scale mantissas as uint8
         values with no zero, and its exponent as a 0-d integer in
         [``MIN_EXPONENT``, ``MAX_EXPONENT``] of :mod:`lcsb.quant`, with
@@ -224,7 +257,7 @@ class Model:
         unknown = sorted(set(arrays) - set(expected))
         if unknown:
             raise CorruptionError(f"checkpoint has unexpected key {unknown[0]!r}")
-        checked = {}  # name -> the array to copy in, as float32 unless a 4-bit base's
+        checked = {}  # name -> the array to copy in, as float32 unless a 4-bit matrix's
         for name, current in expected.items():
             if name not in arrays:
                 raise CorruptionError(f"checkpoint is missing key {name!r}")
@@ -257,25 +290,26 @@ class Model:
                 if array.dtype != np.float32 or not np.isfinite(array).all():
                     raise CorruptionError(f"{name!r} is not an array of finite float32 values")
             checked[name] = array
-        new_codes = {}  # Linear -> a read-only copy of its checkpoint codes
-        for i, block in enumerate(self.blocks):
-            for site, lin in block.linears.items():
-                if isinstance(lin.weight, QuantizedLinear):
-                    key = f"layers.{i}.{site}.q4"
-                    codes = np.array(checked[key], order="C")
-                    codes.flags.writeable = False
-                    if not decode_is_finite(QuantizedLinear(codes, checked[f"{key}_scales"],
-                                                            checked[f"{key}_exponent"],
-                                                            lin.weight.group_size)):
-                        raise CorruptionError(f"'{key}_exponent' scales a code of '{key}' "
-                                              f"beyond float32's range")
-                    new_codes[lin] = codes
+        new_codes = []  # (owner, attribute, a read-only copy of its checkpoint codes)
+        for stem, owner, attr in self._frozen_matrices():
+            weight = getattr(owner, attr)
+            if isinstance(weight, QuantizedLinear):
+                key = f"{stem}.q4"
+                codes = np.array(checked[key], order="C")
+                codes.flags.writeable = False
+                if not decode_is_finite(QuantizedLinear(codes, checked[f"{key}_scales"],
+                                                        checked[f"{key}_exponent"],
+                                                        weight.group_size)):
+                    raise CorruptionError(f"'{key}_exponent' scales a code of '{key}' "
+                                          f"beyond float32's range")
+                new_codes.append((owner, attr, codes))
         for name, current in expected.items():
             if not name.endswith(".q4"):
                 current[...] = checked[name]
-        for lin, codes in new_codes.items():
-            lin.weight = QuantizedLinear(codes, lin.weight.scales, lin.weight.exponent,
-                                         lin.weight.group_size)
+        for owner, attr, codes in new_codes:
+            weight = getattr(owner, attr)
+            setattr(owner, attr, QuantizedLinear(codes, weight.scales, weight.exponent,
+                                                 weight.group_size))
 
     # -- forward -----------------------------------------------------------
 
@@ -337,21 +371,28 @@ class Model:
                 f"token id out of range [0, {cfg.vocab_size}): "
                 f"{int(tokens.min())}..{int(tokens.max())}"
             )
-        # the embedding and positions are frozen, so the first activation is a constant
-        h = Tensor(self.embed[tokens] + self.pos[:tokens.shape[0]])
+        # the embedding and positions are frozen, so the first activation is a
+        # constant; 4-bit tables are decompressed for the lookup and dropped
+        embed, pos = _rows(self.embed), _rows(self.pos)
+        h = Tensor(embed[tokens] + pos[:tokens.shape[0]])
+        del embed, pos
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
-        # the weight-tied head reads the frozen embedding through a transposed view
-        return ad.norm_head(h, self.norm_out, self.embed.T)
+        # the weight-tied head reads the embedding through a transposed view,
+        # fetched (and a 4-bit one decompressed) in its forward and again in its backward
+        return ad.norm_head(h, self.norm_out, lambda: _rows(self.embed).T)
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
     """Deterministically initialize a model from a seed.
 
-    Base weights are N(0, 0.02), LoRA A is N(0, 1/rank), LoRA B is zero,
-    norm gains are ones.  When ``quantize_base`` is set, the base
-    projections are quantized once here and kept only as packed 4-bit codes,
-    8-bit group scale mantissas and one power-of-two exponent per matrix.
+    Base weights, the embedding and the positions are N(0, 0.02), LoRA A
+    is N(0, 1/rank), LoRA B is zero, norm gains are ones.  When
+    ``quantize_base`` is set, the base projections, the embedding, in its
+    (d_model, vocab_size) layout, and the positions, in their (d_model,
+    seq_len) layout, are quantized once here and kept only as packed 4-bit
+    codes, 8-bit group scale mantissas and one power-of-two exponent per
+    matrix; the float draws are not kept.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -361,6 +402,9 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     embed = gauss((config.vocab_size, config.d_model), 0.02)
     pos = gauss((config.seq_len, config.d_model), 0.02)
+    if config.quantize_base:
+        # groups run along d_model, which validate requires the group size to divide
+        embed, pos = (quantize_weights(table.T, config.quant_group_size) for table in (embed, pos))
     blocks = []
     for _ in range(config.n_layers):
         linears = {}

@@ -1,10 +1,12 @@
 """Symmetric 4-bit group-wise weight quantization, held at 4.25 bits per weight.
 
-A frozen base weight is quantized once, at model init, and from then on is
-held only as packed codes and scales: :func:`dequantize` rebuilds the
-float32 matrix on each use and the caller drops it afterwards.  The matrix
-is quantized in the (d_in, d_out) layout that ``x @ w`` reads, so the float
-matrix comes out contiguous with no transpose.  Each column is split into
+A frozen matrix (a base weight, or a 4-bit model's embedding or
+positions) is quantized once, at model init, and from then on is held only
+as packed codes and scales: :func:`dequantize` rebuilds the float32 matrix
+on each use and the caller drops it afterwards.  A base is quantized in the
+(d_in, d_out) layout that ``x @ w`` reads, so the float matrix comes out
+contiguous with no transpose; the embedding and the positions are
+quantized in their (d_model, rows) layout.  Each column is split into
 groups of ``group_size`` consecutive rows (inputs), and values become signed
 4-bit codes in [-7, 7] against their group's scale.  A scale is ``m * 2**e``:
 an 8-bit mantissa ``m`` in [1, 255] per group, under one power-of-two

@@ -48,7 +48,7 @@ def test_rms_norm_gradients_are_float32_with_unchanged_bits():
     head = rng.standard_normal((16, 24)).astype(np.float32)
     w = rng.standard_normal((6, 24)).astype(np.float32)
     with Tape() as tape:
-        out = ad.norm_head(x, gain, head)
+        out = ad.norm_head(x, gain, lambda: head)
         loss = weighted_sum(out, w)
     grads = backward(loss, tape)
     # the same float32 arithmetic, cast to float32 at the end
@@ -80,17 +80,38 @@ def test_lora_forward_matches_the_transposed_products_bit_for_bit():
 
 def test_norm_head_hand_value():
     # x = (3, 4), unit gain, identity head: x / sqrt(mean(x^2) + 1e-5) = x / sqrt(12.50001)
-    out = ad.norm_head(Tensor([[3.0, 4.0]]), np.ones(2, dtype=np.float32), np.eye(2, dtype=np.float32))
+    out = ad.norm_head(Tensor([[3.0, 4.0]]), np.ones(2, dtype=np.float32),
+                       lambda: np.eye(2, dtype=np.float32))
     np.testing.assert_allclose(out.data, [[0.84852780, 1.13137040]], atol=1e-6)
 
 
 def test_norm_head_shape_mismatch_reports_shapes():
     x, w = Tensor(np.ones((2, 3))), np.ones((2, 3), dtype=np.float32)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\)"):
-        ad.norm_head(x, np.ones(3), w)
+        ad.norm_head(x, np.ones(3), lambda: w)
     q = Linear(w, Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), 0.5)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\), a \(1, 3\), b \(3, 1\)"):
         ad.self_attention(x, np.ones(3), q, q, q, q, 1)
+
+
+def test_norm_head_fetches_its_weight_on_each_use_and_keeps_none():
+    # as a 4-bit model's head decompresses the embedding: a fresh weight per fetch
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((8, 64)), requires_grad=True)
+    w = rng.standard_normal((64, 4096)).astype(np.float32)  # 1 MiB
+    fetches = []
+
+    def head():
+        fetches.append(None)
+        return w.copy()
+
+    with Tape() as tape:
+        out, kept, _ = traced(ad.norm_head, x, np.ones(64, dtype=np.float32), head)
+    # the 128 KiB logits and each row's inverse norm; keeping the fetched weight took 1 MiB more
+    assert kept - out.data.nbytes < w.nbytes / 8
+    assert len(fetches) == 1
+    grad_x, = tape.nodes[-1][1](np.ones(out.shape, dtype=np.float32), (True,))
+    assert len(fetches) == 2 and grad_x.shape == x.shape
 
 
 def _linears(rng, rank, dims, quantize=False):
@@ -269,7 +290,7 @@ def test_zero_width_inputs_raise(op):
     x = Tensor(np.ones((3, 0)), requires_grad=True)
     with Tape(), pytest.raises(DimensionError, match="d >= 1|width >= 1"):
         if op == "norm_head":
-            ad.norm_head(x, np.ones(0), np.ones((0, 4), dtype=np.float32))
+            ad.norm_head(x, np.ones(0), lambda: np.ones((0, 4), dtype=np.float32))
         elif op == "self_attention":
             ad.self_attention(x, np.ones(0), *_attention_projections(np.random.default_rng(0), 0, 1), 1)
         else:
@@ -493,7 +514,7 @@ def test_linears_reject_a_base_that_is_not_float32(op):
                        Tensor(np.zeros((4, 2)), requires_grad=True), 1.0)
             ad.self_attention(x, np.ones(4), q, q, q, q, 1)
         else:
-            ad.norm_head(x, np.ones(4), w)
+            ad.norm_head(x, np.ones(4), lambda: w)
 
 
 @pytest.mark.parametrize("as_given", [lambda gain: gain, lambda gain: gain.tolist()],
@@ -507,7 +528,7 @@ def test_rms_norm_reads_any_gain_as_float32(as_given):
 
     def value_and_grad(gain):
         with Tape() as tape:
-            out = ad.norm_head(x, gain, np.eye(8, dtype=np.float32))
+            out = ad.norm_head(x, gain, lambda: np.eye(8, dtype=np.float32))
             loss = weighted_sum(out, w)
         return out.data, backward(loss, tape)[x]
 

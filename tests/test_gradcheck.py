@@ -25,7 +25,7 @@ def test_every_primitive_matches_finite_differences():
 
 
 def test_the_last_cases_run_the_mlp_on_each_path(monkeypatch):
-    # the suite's last four cases force the MLP's path by shape, on float and
+    # the suite's last four MLP cases force its path by shape, on float and
     # then 4-bit bases: a node that keeps gate and up projects the normalized
     # input once, in its forward, and one that re-forms them again in its
     # backward
@@ -33,13 +33,31 @@ def test_the_last_cases_run_the_mlp_on_each_path(monkeypatch):
     project = ad._project
     monkeypatch.setattr(ad, "_project", lambda *args: calls.append(args[2]) or project(*args))
     for seed in range(20):
-        cases = list(gradcheck._primitive_cases(np.random.default_rng(seed)))[-4:]
+        cases = [case for case in gradcheck._primitive_cases(np.random.default_rng(seed))
+                 if case[0].__name__ == "swiglu_mlp"][-4:]
         for (fn, inputs, kwargs, _), projections in zip(cases, (1, 2, 1, 2)):
             calls.clear()
             with ad.Tape() as tape:
                 out = fn(*inputs, **kwargs)
             tape.nodes[-1][1](np.ones(out.shape, dtype=np.float32), (True,) * len(inputs))
             assert calls == ["swiglu_mlp"] * projections
+
+
+def test_the_last_case_runs_the_head_on_a_4_bit_weight(monkeypatch):
+    # its weight is decompressed on each fetch, once in the forward and once
+    # in the backward, as the model's embedding is
+    decoded = []
+    dequantize = gradcheck.dequantize
+    monkeypatch.setattr(gradcheck, "dequantize", lambda q: decoded.append(q) or dequantize(q))
+    for seed in range(20):
+        fn, inputs, kwargs, _ = list(gradcheck._primitive_cases(np.random.default_rng(seed)))[-1]
+        assert fn is ad.norm_head
+        decoded.clear()
+        with ad.Tape() as tape:
+            out = fn(*inputs, **kwargs)
+        assert len(decoded) == 1
+        tape.nodes[-1][1](np.ones(out.shape, dtype=np.float32), (True,))
+        assert len(decoded) == 2
 
 
 def test_a_forward_off_by_1e_4_fails_on_value_only():

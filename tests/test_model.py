@@ -3,6 +3,7 @@
 import gc
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -267,12 +268,15 @@ def _quantized_model(seed):
 
 
 def _float_twin(qmodel):
-    """A float-base model holding ``qmodel``'s decompressed bases and its other parameters."""
+    """A float model holding ``qmodel``'s decompressed bases, embedding and positions and its other parameters."""
     arrays = {name: a for name, a in qmodel.state_arrays().items()
               if not name.endswith((".q4", ".q4_scales", ".q4_exponent"))}
     for i, block in enumerate(qmodel.blocks):
         for site, lin in block.linears.items():
             arrays[f"layers.{i}.{site}.w"] = dequantize(lin.weight)
+    # a 4-bit table is held (d_model, rows)
+    arrays["embed.weight"] = dequantize(qmodel.embed).T
+    arrays["embed.pos"] = dequantize(qmodel.pos).T
     twin = init_model(replace(qmodel.config, quantize_base=False), 1)
     twin.load_state_arrays(arrays)
     return twin
@@ -298,22 +302,46 @@ def test_decompress_on_use_changes_no_number():
         assert all(np.array_equal(q_grads[name], f_grads[name]) for name in q_grads)
 
 
-def _backward_decompressions(monkeypatch, model, modes, n_tokens) -> int:
-    """The bases decompressed by the backward of a step on ``n_tokens`` tokens."""
-    calls = []
+def _decompressions(monkeypatch, model, modes, n_tokens) -> tuple:
+    """What a step on ``n_tokens`` tokens decompresses, ``(forward, backward)``.
+
+    Each counts the calls on the projection bases as ``"base"`` and those
+    on the embedding and the positions as ``"embed"`` and ``"pos"``.
+    """
+    calls = Counter()
+    tables = {id(model.embed): "embed", id(model.pos): "pos"}
 
     def counting_dequantize(q):
-        calls.append(q)
+        calls[tables.get(id(q), "base")] += 1
         return dequantize(q)
 
     monkeypatch.setattr(lm, "dequantize", counting_dequantize)
     tokens = np.arange(n_tokens + 1) % model.config.vocab_size
     with ad.Tape() as tape:
         loss = ad.cross_entropy_logits(model.forward(tokens[:-1], _plan(modes)), tokens[1:])
-    assert len(calls) == len(modes) * 7  # every base once in the forward
+    forward = calls.copy()
     calls.clear()
     ad.backward(loss, tape)
-    return len(calls)
+    return forward, calls
+
+
+def _backward_decompressions(monkeypatch, model, modes, n_tokens) -> int:
+    """The bases decompressed by the backward of a step on ``n_tokens`` tokens.
+
+    Every base is decompressed once in the forward; the embedding and the
+    positions once each for the lookup, and the embedding once in the
+    head's forward and, when any layer is attached, once in its backward.
+    """
+    forward, backward = _decompressions(monkeypatch, model, modes, n_tokens)
+    assert forward == {"base": len(modes) * 7, "embed": 2, "pos": 1}
+    head = ATTACHED in modes  # else the head's input is a constant, and it records nothing
+    assert (backward["embed"], backward["pos"]) == (int(head), 0)
+    return backward["base"]
+
+
+def test_a_float_model_decompresses_nothing(monkeypatch):
+    for modes in ([ATTACHED, ATTACHED], [DETACHED, ATTACHED]):
+        assert _decompressions(monkeypatch, MODEL, modes, CFG.seq_len) == ({}, {})
 
 
 def test_backward_decompresses_a_base_only_where_dx_is_needed(monkeypatch):
@@ -351,17 +379,19 @@ def test_quantized_bases_take_less_than_half_the_bytes():
     config = replace(CFG, d_model=64, d_ff=128)
     float_model, float_bytes = _init_bytes(config)
     q_model, q_bytes = _init_bytes(replace(config, quantize_base=True, quant_group_size=8))
-    base_bytes = sum(lin.weight.nbytes for block in float_model.blocks
-                     for lin in block.linears.values())
-    # both models hold the same parameters apart from their bases
-    assert q_bytes - (float_bytes - base_bytes) < base_bytes / 2
-    # a 4-bit base holds its codes, one byte per group and a few bytes for its exponent
-    for i, block in enumerate(q_model.blocks):
-        for site, lin in block.linears.items():
-            rows, cols = lin.weight.shape
-            held = sum(a.nbytes for name, a in q_model.state_arrays().items()
-                       if name.startswith(f"layers.{i}.{site}.q4"))
-            assert held <= (rows * cols + 1) // 2 + rows // 8 * cols + 8
+    frozen_bytes = float_model.embed.nbytes + float_model.pos.nbytes + sum(
+        lin.weight.nbytes for block in float_model.blocks for lin in block.linears.values())
+    # both models hold the same parameters apart from their bases, embedding and positions
+    assert q_bytes - (float_bytes - frozen_bytes) < frozen_bytes / 2
+    # a 4-bit matrix holds its codes, one byte per group and a few bytes for its exponent
+    stems = {"embed.weight": q_model.embed, "embed.pos": q_model.pos,
+             **{f"layers.{i}.{site}": lin.weight for i, block in enumerate(q_model.blocks)
+                for site, lin in block.linears.items()}}
+    for stem, weight in stems.items():
+        rows, cols = weight.shape
+        held = sum(a.nbytes for name, a in q_model.state_arrays().items()
+                   if name.startswith(f"{stem}.q4"))
+        assert held <= (rows * cols + 1) // 2 + rows // 8 * cols + 8
 
 
 def test_head_reads_the_embedding_in_place():
@@ -508,64 +538,79 @@ def _beyond_float32(arrays, name):
     return {**arrays, name: _with_last(arrays[name].astype(np.float64), 1e39)}
 
 
+# case -> (corruption of a 4-bit micro model's state, the key, the reason its check reports)
 CORRUPTIONS = {
-    "missing": (lambda a: _without(a, "norm_out.gain"), "norm_out.gain"),
-    "unexpected": (lambda a: {**a, "layers.9.q.w": a["layers.0.q.q4"]}, "layers.9.q.w"),
+    "missing": (lambda a: _without(a, "norm_out.gain"), "norm_out.gain", "is missing key"),
+    "unexpected": (lambda a: {**a, "layers.9.q.w": a["layers.0.q.q4"]}, "layers.9.q.w",
+                   "unexpected key"),
     "shape": (lambda a: {**a, "layers.1.up.lora_b": a["layers.1.up.lora_b"].T},
-              "layers.1.up.lora_b"),
+              "layers.1.up.lora_b", "has shape"),
     # every byte is a valid pair of codes, so a packed array is checked by dtype and length
     "int8_codes": (lambda a: {**a, "layers.0.q.q4": np.zeros((CFG.d_model, CFG.d_model), np.int8)},
-                   "layers.0.q.q4"),
+                   "layers.0.q.q4", "not packed uint8"),
     "wrong_length": (lambda a: {**a, "layers.1.down.q4": a["layers.1.down.q4"][:-1]},
-                     "layers.1.down.q4"),
+                     "layers.1.down.q4", "has shape"),
     "float_codes": (lambda a: {**a, "layers.0.k.q4": a["layers.0.k.q4"] + np.float32(0.5)},
-                    "layers.0.k.q4"),
+                    "layers.0.k.q4", "not packed uint8"),
     "nan": (lambda a: {**a, "layers.0.q.lora_a": a["layers.0.q.lora_a"] * np.float32(np.nan)},
-            "layers.0.q.lora_a"),
+            "layers.0.q.lora_a", "not an array of finite float32"),
     # quantize_weights writes uint8 scale mantissas, and a float or signed
     # array would hold a value no mantissa has
     "inf_scale": (lambda a: {**a, "layers.1.o.q4_scales": a["layers.1.o.q4_scales"] / np.float16(0)},
-                  "layers.1.o.q4_scales"),
+                  "layers.1.o.q4_scales", "not uint8 scale mantissas"),
     "float32_scales": (lambda a: {**a, "layers.0.v.q4_scales": a["layers.0.v.q4_scales"].astype(
-        np.float32)}, "layers.0.v.q4_scales"),
+        np.float32)}, "layers.0.v.q4_scales", "not uint8 scale mantissas"),
     "negative_scale": (lambda a: {**a, "layers.1.down.q4_scales": _with_last(
-        a["layers.1.down.q4_scales"].astype(np.int16), -3)}, "layers.1.down.q4_scales"),
-    # quantize_weights writes mantissas of 1 or more; these decompressed to a zero base
+        a["layers.1.down.q4_scales"].astype(np.int16), -3)}, "layers.1.down.q4_scales",
+        "not uint8 scale mantissas"),
+    # quantize_weights writes mantissas of 1 or more; these decompressed to
+    # a zero base, or to a zero group of the embedding
     "zero_scales": (lambda a: {**a, "layers.0.q.q4_scales": np.zeros_like(a["layers.0.q.q4_scales"])},
-                    "layers.0.q.q4_scales"),
+                    "layers.0.q.q4_scales", "zero scale mantissa"),
+    "zero_embedding_scale": (lambda a: {**a, "embed.weight.q4_scales": _with_last(
+        a["embed.weight.q4_scales"], 0)}, "embed.weight.q4_scales", "zero scale mantissa"),
     # quantize_weights writes a 0-d integer exponent in [MIN_EXPONENT, MAX_EXPONENT]
     "float_exponent": (lambda a: {**a, "layers.0.k.q4_exponent": np.float64(-14.0)},
-                       "layers.0.k.q4_exponent"),
+                       "layers.0.k.q4_exponent", "not an integer scale exponent"),
     "exponent_not_0d": (lambda a: {**a, "layers.1.up.q4_exponent": a["layers.1.up.q4_exponent"][None]},
-                        "layers.1.up.q4_exponent"),
+                        "layers.1.up.q4_exponent", "has shape"),
     **{f"exponent_{side}_range": (lambda a, e=e: {**a, "layers.0.gate.q4_exponent": np.int64(e)},
-                                  "layers.0.gate.q4_exponent")
+                                  "layers.0.gate.q4_exponent", "outside the exponents")
        for side, e in (("below", MIN_EXPONENT - 1), ("above", MAX_EXPONENT + 1))},
-    # in range, but this base's largest code times its mantissa is 1701, and 1701 * 2**118 is inf
+    "positions_exponent_above_range": (lambda a: {**a, "embed.pos.q4_exponent": np.int16(
+        MAX_EXPONENT + 1)}, "embed.pos.q4_exponent", "outside the exponents"),
+    # in range, but this base's largest code times its mantissa is 1701, and
+    # 1701 * 2**118 is inf; the embedding's is 1281
     "overflowing_exponent": (lambda a: {**a, "layers.0.v.q4_exponent": np.int16(MAX_EXPONENT)},
-                             "layers.0.v.q4_exponent"),
+                             "layers.0.v.q4_exponent", "beyond float32's range"),
+    "overflowing_embedding_exponent": (lambda a: {**a, "embed.weight.q4_exponent": np.int16(
+        MAX_EXPONENT)}, "embed.weight.q4_exponent", "beyond float32's range"),
     "integer_floats": (lambda a: {**a, "norm_out.gain": a["norm_out.gain"].astype(np.int64)},
-                       "norm_out.gain"),
+                       "norm_out.gain", "not an array of finite float32"),
     # ragged nestings, on which np.asarray raises a bare ValueError
-    "ragged": (lambda a: {**a, "layers.1.v.lora_a": [[1.0, 2.0], [3.0]]}, "layers.1.v.lora_a"),
-    "ragged_codes": (lambda a: {**a, "layers.0.up.q4": [[1], [2, 3]]}, "layers.0.up.q4"),
+    "ragged": (lambda a: {**a, "layers.1.v.lora_a": [[1.0, 2.0], [3.0]]}, "layers.1.v.lora_a",
+               "is ragged"),
+    "ragged_codes": (lambda a: {**a, "layers.0.up.q4": [[1], [2, 3]]}, "layers.0.up.q4", "is ragged"),
     # finite in float64 but inf in float32, so the cast is checked before any
     # key is written; a float64 array of scale mantissas is refused on its dtype
-    **{f"float32_overflow_{key}": (lambda a, key=key: _beyond_float32(a, key), key)
-       for key in ("layers.0.q.lora_a", "layers.0.q.q4_scales", "embed.weight")},
+    **{f"float32_overflow_{key}": (lambda a, key=key: _beyond_float32(a, key), key, reason)
+       for key, reason in (("layers.0.q.lora_a", "not an array of finite float32"),
+                           ("layers.0.q.q4_scales", "not uint8 scale mantissas"),
+                           ("norm_out.gain", "not an array of finite float32"))},
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_corrupt_state_raises_before_overwriting(case):
-    corrupt, key = CORRUPTIONS[case]
+    corrupt, key, reason = CORRUPTIONS[case]
     with np.errstate(invalid="ignore", divide="ignore"):
         arrays = corrupt(_quantized_model(0).state_arrays())
     target = _quantized_model(1)
     before = target.state_arrays()
     values = {k: a.copy() for k, a in before.items()}
-    with pytest.raises(CorruptionError, match=re.escape(key)):
+    with pytest.raises(CorruptionError, match=re.escape(key)) as raised:
         target.load_state_arrays(arrays)
+    assert reason in str(raised.value)
     after = target.state_arrays()
     assert after.keys() == before.keys() and all(after[k] is before[k] for k in before)
     assert all(np.array_equal(after[k], values[k]) for k in before)
