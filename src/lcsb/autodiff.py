@@ -339,8 +339,8 @@ def norm_head(x: Tensor, gain: Array, head: Callable[[], Array]) -> Tensor:
     """``rms_norm(x, gain) @ w`` for the frozen float32 ``w = head()`` of shape (d, d_out), as one node.
 
     The model's output norm and weight-tied head, whose ``head()`` returns
-    the embedding's transpose, decompressed afresh on each call in a 4-bit
-    model.  It is called once in the forward and once more in the
+    the (d_model, vocab_size) embedding, decompressed afresh on each call in
+    a 4-bit model.  It is called once in the forward and once more in the
     backward, and its result is dropped after each, so the node keeps no
     weight.  ``gain`` is a frozen (d,) array, read as float32, and only
     ``x`` gets a gradient.  The backward is ``rms_norm``'s applied to ``g @
@@ -359,10 +359,7 @@ def norm_head(x: Tensor, gain: Array, head: Callable[[], Array]) -> Tensor:
     del w
 
     def bw(g, needs):
-        # w.T in C order: OpenBLAS sums g @ w.T in another order when w is C
-        # ordered, as a decompressed head is, so the copy gives it the float
-        # head's bits; a float head's w.T, the embedding itself, is not copied
-        return (_rms_norm_backward(g @ np.ascontiguousarray(head().T), x_data, inv, gain),)
+        return (_rms_norm_backward(g @ head().T, x_data, inv, gain),)
 
     return _finish(out, (x,), bw)
 

@@ -288,29 +288,27 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
     """Float64 forward + cross entropy reading the model's live buffers.
 
     A 4-bit matrix (a base, the embedding or the positions) is decompressed
-    here from its codes and scales, in float64; a 4-bit table is held
-    (d_model, rows).  The LoRA scale is taken from the config,
-    ``lora_alpha / lora_rank``.
+    here from its codes and scales, in float64.  The LoRA scale is taken
+    from the config, ``lora_alpha / lora_rank``.
     """
     cfg = model.config
     s = cfg.lora_alpha / cfg.lora_rank
 
+    def frozen(w):
+        return (w if isinstance(w, np.ndarray) else _ref_dequantize(w)).astype(np.float64)
+
     def operands(lin):
-        w = lin.weight if isinstance(lin.weight, np.ndarray) else _ref_dequantize(lin.weight)
-        return (w.astype(np.float64), *(m.data.astype(np.float64) for m in (lin.a, lin.b)), s)
+        return (frozen(lin.weight), *(m.data.astype(np.float64) for m in (lin.a, lin.b)), s)
 
-    def rows(table):
-        return table.astype(np.float64) if isinstance(table, np.ndarray) else _ref_dequantize(table).T
-
-    embed = rows(model.embed)
-    h = embed[tokens] + rows(model.pos)[:len(tokens)]
+    embed = frozen(model.embed)  # (d_model, vocab_size), as the head reads it
+    h = (embed[:, tokens] + frozen(model.pos)[:, :len(tokens)]).T
     for block in model.blocks:
         a = h + _ref_self_attention(h, block.norm_attn.astype(np.float64),
                                     *(operands(block.linears[site]) for site in ("q", "k", "v", "o")),
                                     cfg.n_heads)
         h = a + _ref_swiglu_mlp(a, block.norm_mlp.astype(np.float64),
                                 *(operands(block.linears[site]) for site in ("gate", "up", "down")))
-    logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ embed.T
+    logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ embed
     return _ref_cross_entropy(logits, targets)
 
 

@@ -8,14 +8,19 @@ float32 array, or packed 4-bit codes for a base, the embedding and the
 positions of a 4-bit model.  The output head is weight-tied: it reads the
 embedding.
 
+Every frozen matrix, float or 4-bit, is held in the (d_in, d_out) layout
+that its product ``x @ w`` reads: a base as (d_in, d_out), the embedding
+as (d_model, vocab_size), which the head multiplies by and whose columns
+the token lookup gathers, and the positions as (d_model, seq_len).  A
+float and a 4-bit model thus read one layout through one code path.
+
 With ``quantize_base`` set, every frozen matrix is 4-bit quantized at init:
 the seven base projections of each layer, the embedding and the positions.
 A quantized matrix is then held only as codes packed two to a byte, in the
 flat-halves layout of :mod:`lcsb.quant`, one 8-bit scale mantissa per group
 of ``quant_group_size`` weights and one power-of-two exponent per matrix:
-4.25 bits per weight at the default group of 32.  The embedding is held in
-its (d_model, vocab_size) layout, the head's, and the positions in their
-(d_model, seq_len) layout, so their groups run along d_model.  The decode
+4.25 bits per weight at the default group of 32.  Groups run along d_in,
+which for the embedding and the positions is d_model.  The decode
 is exact in float32, since a code times a mantissa is an integer below
 2**11.  Each matrix is decompressed on each use and dropped after it.  A
 base is decompressed once in the forward, and again in an attached layer's
@@ -57,7 +62,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -65,8 +70,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, CorruptionError, DimensionError, PlanError
-from .quant import (MAX_EXPONENT, MIN_EXPONENT, QuantizedLinear, decode_is_finite, dequantize,
-                    quantize_weights)
+from .quant import MAX_EXPONENT, MIN_EXPONENT, QuantizedLinear, dequantize, quantize_weights
 
 
 class BlockMode(str, Enum):
@@ -149,24 +153,12 @@ class Linear:
     scale: float
 
     def base(self) -> np.ndarray:
-        if isinstance(self.weight, QuantizedLinear):
-            return dequantize(self.weight)
-        return self.weight
+        return _decoded(self.weight)
 
 
-def _rows(table: np.ndarray | QuantizedLinear) -> np.ndarray:
-    """The embedding or the positions as (rows, d_model): a 4-bit table, held (d_model, rows), decompressed and viewed transposed."""
-    if isinstance(table, QuantizedLinear):
-        return dequantize(table).T
-    return table
-
-
-def _frozen_arrays(stem: str, weight: np.ndarray | QuantizedLinear, float_key: str = "") -> dict:
-    """A frozen matrix's checkpoint arrays: its codes, scales and exponent under ``stem`` if 4-bit, else itself under ``float_key or stem``."""
-    if isinstance(weight, QuantizedLinear):
-        return {f"{stem}.q4": weight.packed, f"{stem}.q4_scales": weight.scales,
-                f"{stem}.q4_exponent": weight.exponent}
-    return {float_key or stem: weight}
+def _decoded(w: np.ndarray | QuantizedLinear) -> np.ndarray:
+    """A frozen matrix in float32: a 4-bit one decompressed afresh, a float one itself."""
+    return dequantize(w) if isinstance(w, QuantizedLinear) else w
 
 
 @dataclass(eq=False)
@@ -192,9 +184,9 @@ _SITE_DIMS = {
 class Model:
     """Instantiated parameters plus the forward graph builders.
 
-    ``embed`` (vocab_size, d_model) and ``pos`` (seq_len, d_model) are
-    float32 arrays, or in a 4-bit model :class:`QuantizedLinear` tables of
-    the transposed shapes, decompressed on each use.
+    ``embed`` (d_model, vocab_size) and ``pos`` (d_model, seq_len) are
+    float32 arrays, or in a 4-bit model :class:`QuantizedLinear` tables,
+    decompressed on each use.
     """
 
     config: ModelConfig
@@ -224,14 +216,25 @@ class Model:
                 yield f"layers.{i}.{site}", lin, "weight"
 
     def state_arrays(self) -> dict:
-        """Name -> ndarray of everything a checkpoint must persist."""
-        out = {**_frozen_arrays("embed.weight", self.embed), **_frozen_arrays("embed.pos", self.pos)}
+        """Name -> ndarray of everything a checkpoint must persist.
+
+        A frozen matrix is saved under its stem if float, and as its codes,
+        scales and exponent under ``{stem}.q4``, ``{stem}.q4_scales`` and
+        ``{stem}.q4_exponent`` if 4-bit.
+        """
+        out = {}
+        for stem, owner, attr in self._frozen_matrices():
+            w = getattr(owner, attr)
+            if isinstance(w, QuantizedLinear):
+                out.update({f"{stem}.q4": w.packed, f"{stem}.q4_scales": w.scales,
+                            f"{stem}.q4_exponent": w.exponent})
+            else:
+                out[stem] = w
         for i, block in enumerate(self.blocks):
             prefix = f"layers.{i}"
             out[f"{prefix}.norm_attn.gain"] = block.norm_attn
             out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp
             for site, lin in block.linears.items():
-                out.update(_frozen_arrays(f"{prefix}.{site}", lin.weight, f"{prefix}.{site}.w"))
                 out[f"{prefix}.{site}.lora_a"] = lin.a.data
                 out[f"{prefix}.{site}.lora_b"] = lin.b.data
         out["norm_out.gain"] = self.norm_out
@@ -246,12 +249,13 @@ class Model:
         :func:`~lcsb.quant.quantize_weights` writes: its
         codes as packed uint8 bytes, its group scale mantissas as uint8
         values with no zero, and its exponent as a 0-d integer in
-        [``MIN_EXPONENT``, ``MAX_EXPONENT``] of :mod:`lcsb.quant`, with
-        every code times its scale finite in float32.  Otherwise
+        [``MIN_EXPONENT``, ``MAX_EXPONENT``] of :mod:`lcsb.quant`, the range
+        in which every code times its scale is finite in float32.  Otherwise
         :class:`CorruptionError` names the first bad key, and nothing has
-        been overwritten.  The model keeps no reference to the caller's
-        arrays, and its float arrays, scales, exponents and LoRA tensors stay
-        the same objects.
+        been overwritten; a checkpoint of an older layout, such as a float
+        base under ``layers.{i}.{site}.w``, is refused on its keys.  The
+        model keeps no reference to the caller's arrays, and its float
+        arrays, scales, exponents and LoRA tensors stay the same objects.
         """
         expected = self.state_arrays()
         unknown = sorted(set(arrays) - set(expected))
@@ -275,7 +279,10 @@ class Model:
                 raise CorruptionError(
                     f"{name!r} has shape {array.shape}, the model expects {current.shape}"
                 )
-            if name.endswith(".q4_scales"):
+            if name.endswith(".q4"):  # a read-only copy: the model shares no buffer with the caller
+                array = np.array(array, order="C")
+                array.flags.writeable = False
+            elif name.endswith(".q4_scales"):
                 # a zero mantissa decompressed to a zero group; quantize_weights writes 1 or more
                 if not array.all():
                     raise CorruptionError(f"{name!r} holds a zero scale mantissa")
@@ -283,33 +290,20 @@ class Model:
                 if not MIN_EXPONENT <= array <= MAX_EXPONENT:
                     raise CorruptionError(f"{name!r} is {int(array)}, outside the exponents "
                                           f"[{MIN_EXPONENT}, {MAX_EXPONENT}] a scale can have")
-            elif not name.endswith(".q4"):
+            else:
                 if np.issubdtype(array.dtype, np.floating):
                     with np.errstate(over="ignore"):  # beyond float32's range casts to inf
                         array = array.astype(np.float32, copy=False)
                 if array.dtype != np.float32 or not np.isfinite(array).all():
                     raise CorruptionError(f"{name!r} is not an array of finite float32 values")
             checked[name] = array
-        new_codes = []  # (owner, attribute, a read-only copy of its checkpoint codes)
-        for stem, owner, attr in self._frozen_matrices():
-            weight = getattr(owner, attr)
-            if isinstance(weight, QuantizedLinear):
-                key = f"{stem}.q4"
-                codes = np.array(checked[key], order="C")
-                codes.flags.writeable = False
-                if not decode_is_finite(QuantizedLinear(codes, checked[f"{key}_scales"],
-                                                        checked[f"{key}_exponent"],
-                                                        weight.group_size)):
-                    raise CorruptionError(f"'{key}_exponent' scales a code of '{key}' "
-                                          f"beyond float32's range")
-                new_codes.append((owner, attr, codes))
         for name, current in expected.items():
             if not name.endswith(".q4"):
                 current[...] = checked[name]
-        for owner, attr, codes in new_codes:
+        for stem, owner, attr in self._frozen_matrices():
             weight = getattr(owner, attr)
-            setattr(owner, attr, QuantizedLinear(codes, weight.scales, weight.exponent,
-                                                 weight.group_size))
+            if isinstance(weight, QuantizedLinear):
+                setattr(owner, attr, replace(weight, packed=checked[f"{stem}.q4"]))
 
     # -- forward -----------------------------------------------------------
 
@@ -372,15 +366,13 @@ class Model:
                 f"{int(tokens.min())}..{int(tokens.max())}"
             )
         # the embedding and positions are frozen, so the first activation is a
-        # constant; 4-bit tables are decompressed for the lookup and dropped
-        embed, pos = _rows(self.embed), _rows(self.pos)
-        h = Tensor(embed[tokens] + pos[:tokens.shape[0]])
-        del embed, pos
+        # constant: their columns, gathered (4-bit tables decompressed and dropped)
+        h = Tensor((_decoded(self.embed)[:, tokens] + _decoded(self.pos)[:, :tokens.shape[0]]).T)
         for i, mode in enumerate(modes):
             h = self.block_forward(h, i, mode)
-        # the weight-tied head reads the embedding through a transposed view,
-        # fetched (and a 4-bit one decompressed) in its forward and again in its backward
-        return ad.norm_head(h, self.norm_out, lambda: _rows(self.embed).T)
+        # the weight-tied head reads the embedding, fetched (and a 4-bit one
+        # decompressed) in its forward and again in its backward
+        return ad.norm_head(h, self.norm_out, lambda: _decoded(self.embed))
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -388,11 +380,9 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     Base weights, the embedding and the positions are N(0, 0.02), LoRA A
     is N(0, 1/rank), LoRA B is zero, norm gains are ones.  When
-    ``quantize_base`` is set, the base projections, the embedding, in its
-    (d_model, vocab_size) layout, and the positions, in their (d_model,
-    seq_len) layout, are quantized once here and kept only as packed 4-bit
-    codes, 8-bit group scale mantissas and one power-of-two exponent per
-    matrix; the float draws are not kept.
+    ``quantize_base`` is set, every frozen matrix is quantized once here and
+    kept only as packed 4-bit codes, 8-bit group scale mantissas and one
+    power-of-two exponent per matrix; the float draws are not kept.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -400,19 +390,21 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     def gauss(shape, std):
         return (rng.standard_normal(shape) * std).astype(np.float32)
 
-    embed = gauss((config.vocab_size, config.d_model), 0.02)
-    pos = gauss((config.seq_len, config.d_model), 0.02)
-    if config.quantize_base:
-        # groups run along d_model, which validate requires the group size to divide
-        embed, pos = (quantize_weights(table.T, config.quant_group_size) for table in (embed, pos))
+    def frozen(d_out, d_in):
+        """A matrix drawn (d_out, d_in) and held in the (d_in, d_out) layout ``x @ w`` reads."""
+        w = gauss((d_out, d_in), 0.02).T
+        if config.quantize_base:  # validate requires the group size to divide d_in
+            return quantize_weights(w, config.quant_group_size)
+        return np.ascontiguousarray(w)
+
+    embed = frozen(config.vocab_size, config.d_model)
+    pos = frozen(config.seq_len, config.d_model)
     blocks = []
     for _ in range(config.n_layers):
         linears = {}
         for site, dims in _SITE_DIMS.items():
             d_out, d_in = dims(config)
-            weight = np.ascontiguousarray(gauss((d_out, d_in), 0.02).T)
-            if config.quantize_base:
-                weight = quantize_weights(weight, config.quant_group_size)
+            weight = frozen(d_out, d_in)
             a = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
             b = np.zeros((d_out, config.lora_rank), dtype=np.float32)
             linears[site] = Linear(weight, Tensor(a, requires_grad=True),

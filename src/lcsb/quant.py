@@ -3,12 +3,11 @@
 A frozen matrix (a base weight, or a 4-bit model's embedding or
 positions) is quantized once, at model init, and from then on is held only
 as packed codes and scales: :func:`dequantize` rebuilds the float32 matrix
-on each use and the caller drops it afterwards.  A base is quantized in the
-(d_in, d_out) layout that ``x @ w`` reads, so the float matrix comes out
-contiguous with no transpose; the embedding and the positions are
-quantized in their (d_model, rows) layout.  Each column is split into
-groups of ``group_size`` consecutive rows (inputs), and values become signed
-4-bit codes in [-7, 7] against their group's scale.  A scale is ``m * 2**e``:
+on each use and the caller drops it afterwards.  A matrix is quantized in
+the (d_in, d_out) layout that its product reads (:mod:`lcsb.model`), so
+the float matrix comes out contiguous with no transpose.  Each column is
+split into groups of ``group_size`` consecutive rows (inputs), and values
+become signed 4-bit codes in [-7, 7] against their group's scale.  A scale is ``m * 2**e``:
 an 8-bit mantissa ``m`` in [1, 255] per group, under one power-of-two
 exponent ``e`` shared by the whole matrix, the scale compression that QLoRA
 (Dettmers et al. 2023) calls double quantization.  At the default group of
@@ -34,12 +33,14 @@ import numpy as np
 
 from .errors import CorruptionError, DimensionError
 
-# the range of a matrix's shared exponent: 2**-149 is float32's smallest
-# subnormal, so every scale m * 2**e is a nonzero float32, and 118 is what a
-# matrix holding float32's largest value needs.  Below 118 any code in
-# [-8, 7] times any mantissa decodes finite (8 * 255 * 2**117 < 2**128).
+# the range of a matrix's shared exponent, and the only overflow rule:
+# 2**-149 is float32's smallest subnormal, so every scale m * 2**e is a
+# nonzero float32, and at 117 every code in [-8, 7] times every mantissa
+# decodes finite (8 * 255 * 2**117 is about 3.39e38, below 2**128).  A
+# matrix whose largest value is above 7 * 255 * 2**117, about 2.97e38,
+# would need a larger exponent, so it is not quantized.
 MIN_EXPONENT = -149
-MAX_EXPONENT = 118
+MAX_EXPONENT = 117
 
 
 @dataclass
@@ -77,17 +78,6 @@ def _shared_exponent(top: float) -> int:
     return e
 
 
-def decode_is_finite(q: QuantizedLinear) -> bool:
-    """Whether every code times its scale is a finite float32.
-
-    Only at :data:`MAX_EXPONENT` can one overflow, so below it this decodes nothing.
-    """
-    if q.exponent < MAX_EXPONENT:
-        return True
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(dequantize(q)).all())
-
-
 def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
     """Quantize a float matrix to packed signed 4-bit codes and 8-bit scale mantissas.
 
@@ -100,8 +90,8 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
     is at least 1, so a group of zeros divides by a nonzero scale and keeps
     codes 0, as does any value below half of ``2**e``.  A group size that is
     not a positive integer raises :class:`DimensionError`; a NaN or infinite
-    weight, which has no code, and a weight so near float32's largest value
-    (above about 3.2e38) that its code times its scale overflows raise
+    weight, which has no code, and a weight above about 2.97e38, whose
+    scale would need an exponent above :data:`MAX_EXPONENT`, raise
     :class:`CorruptionError`.
     """
     w = np.ascontiguousarray(w, dtype=np.float32)
@@ -121,6 +111,10 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
         raise CorruptionError("cannot quantize a weight matrix with NaN or infinite values")
     least = max_abs.astype(np.float64) / 7  # the smallest scale that keeps a group's codes in [-7, 7]
     exponent = _shared_exponent(float(least.max(initial=0.0)))
+    if exponent > MAX_EXPONENT:
+        raise CorruptionError(f"cannot quantize a weight matrix with a value as large as "
+                              f"{float(max_abs.max()):.4g}: its scale needs an exponent "
+                              f"above {MAX_EXPONENT}")
     scales = np.maximum(np.ceil(np.ldexp(least, -exponent)), 1).astype(np.uint8)
     codes = np.round(grouped / np.ldexp(scales, exponent, dtype=np.float32)[:, None, :])
     flat = codes.reshape(-1).astype(np.int8).view(np.uint8)  # two's complement bytes
@@ -128,11 +122,7 @@ def quantize_weights(w: np.ndarray, group_size: int) -> QuantizedLinear:
     packed = flat[:half] & np.uint8(15)
     packed[:flat.size - half] |= flat[half:] << np.uint8(4)
     packed.flags.writeable = False
-    q = QuantizedLinear(packed, scales, np.array(exponent, dtype=np.int16), group_size)
-    if not decode_is_finite(q):
-        raise CorruptionError(f"cannot quantize a weight matrix with a value as large as "
-                              f"{float(max_abs.max()):.4g}: its code times its scale overflows float32")
-    return q
+    return QuantizedLinear(packed, scales, np.array(exponent, dtype=np.int16), group_size)
 
 
 def unpack_codes(q: QuantizedLinear) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsb.errors import CorruptionError, DimensionError
-from lcsb.quant import dequantize, quantize_weights, unpack_codes
+from lcsb.quant import MAX_EXPONENT, QuantizedLinear, dequantize, quantize_weights, unpack_codes
 
 
 def _scales(q):
@@ -60,11 +60,10 @@ def test_a_matrix_of_tiny_values_keeps_its_codes():
     assert np.max(np.abs(w - dequantize(q))) <= _scales(q).max() / 2
 
 
-@pytest.mark.parametrize("value", [1e-44, 3e38])
+@pytest.mark.parametrize("value", [1e-44, 2.9e38])
 def test_extreme_values_decode_finite_within_half_a_scale(value):
     # 1e-44 needs an exponent below -149 and is held at 2**-149, float32's
-    # smallest subnormal; 3e38 needs 2**118, where a code times a mantissa
-    # is still below float32's largest value
+    # smallest subnormal; 2.9e38 needs 2**117, the largest exponent
     w = np.zeros((32, 2), dtype=np.float32)
     w[3, 1], w[5, 0] = value, -value / 3
     q = quantize_weights(w, group_size=32)
@@ -75,13 +74,29 @@ def test_extreme_values_decode_finite_within_half_a_scale(value):
 
 
 def test_a_code_times_its_scale_beyond_float32_raises_corruption():
-    # float32's largest value needs 147 * 2**118 as its scale, and its code 7 times that is inf
-    w = np.zeros((32, 2), dtype=np.float32)
-    w[3, 1] = np.finfo(np.float32).max
+    # above 7 * 255 * 2**117, about 2.97e38, a scale needs 2**118: 3e38's
+    # code 7 times its scale 129 * 2**118 is finite, float32's largest
+    # value's 7 times 147 * 2**118 is not, and the exponent refuses both
+    for value in (3e38, np.finfo(np.float32).max):
+        w = np.zeros((32, 2), dtype=np.float32)
+        w[3, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptionError, match=f"exponent above {MAX_EXPONENT}"):
+                quantize_weights(w, group_size=32)
+
+
+def test_every_code_times_every_mantissa_decodes_finite_at_the_largest_exponent():
+    # the extreme a checkpoint can hold: codes of -8, which quantize_weights
+    # never writes, under mantissas of 255 at MAX_EXPONENT
+    packed = np.full(32, 0x88, dtype=np.uint8)  # two codes of -8 a byte
+    q = QuantizedLinear(packed, np.full((2, 4), 255, dtype=np.uint8),
+                        np.array(MAX_EXPONENT, dtype=np.int16), group_size=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CorruptionError, match="overflows float32"):
-            quantize_weights(w, group_size=32)
+        decoded = dequantize(q)
+    assert np.isfinite(decoded).all()
+    assert np.all(decoded == np.float32(-8 * 255 * 2.0 ** MAX_EXPONENT))
 
 
 @pytest.mark.parametrize("steps", [1.45, 2.4, 4.4, 6.45])
