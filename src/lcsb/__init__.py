@@ -11,11 +11,10 @@ re-implementation (``lcsb.gradcheck``; ``python -m lcsb.gradcheck`` runs
 the full suite).
 
 Only the LoRA matrices train.  They and the activations are ``Tensor``
-objects; every frozen value (base weights, embedding, positions, norm
-gains) is a plain float32 array, except that a 4-bit model holds its base
-weights, its embedding and its positions as packed codes.  Each
-projection is one ``model.Linear``: its frozen ``weight`` and its LoRA
-matrices ``a`` and ``b`` with their ``scale``.
+objects; every frozen value (base weights, embedding, positions) is a
+plain float32 array, except that a 4-bit model holds them as packed codes.
+Each projection is one ``model.Linear``: its frozen ``weight`` and its
+LoRA matrices ``a`` and ``b`` with their ``scale``.
 
 A 4-bit matrix is held at 4.25 bits per weight, its codes, an 8-bit scale
 mantissa per group and one power-of-two exponent per matrix

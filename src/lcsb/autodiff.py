@@ -4,18 +4,17 @@ The engine records one node per primitive application onto an explicit
 :class:`Tape` (entered as a context manager) and replays them in reverse to
 accumulate gradients; the nodes are operations only.  Its five primitives
 are exactly those a training step of :mod:`lcsb.model` records.  With
-``rms_norm(x, gain)`` for ``x / sqrt(mean(x ** 2) + RMS_EPS) * gain`` over
-the last axis, each keeps for its backward:
+``rms_norm(x)`` for ``x / sqrt(mean(x ** 2) + RMS_EPS)`` over the last
+axis, each keeps for its backward:
 
 * :func:`self_attention`, a whole pre-norm causal multi-head attention
   with its q, k, v and o projections: the adapters, its input, each row's
-  inverse norm, the gain and each query's softmax max and sum;
+  inverse norm and each query's softmax max and sum;
 * :func:`swiglu_mlp`, a whole pre-norm SwiGLU MLP: the adapters, its
-  input, each row's inverse norm and the gain, and, when it is recorded
-  and its shapes let it, gate's and up's outputs and (n, rank) products;
+  input and each row's inverse norm, and, when it is recorded and its
+  shapes let it, gate's and up's outputs and (n, rank) products;
 * :func:`norm_head`, the model's output norm and frozen head: its input,
-  each row's inverse norm, the gain and the function that fetches its
-  weight;
+  each row's inverse norm and the function that fetches its weight;
 * :func:`cross_entropy_logits`: its softmax probabilities;
 * :func:`add`: nothing.
 
@@ -66,12 +65,12 @@ for the MLP's re-forming gate and up, on float or 4-bit bases
 
 A :class:`Tensor` is a trainable matrix or an activation; a frozen value
 reaches a primitive as a plain float32 array.  Every primitive takes its
-gains as arrays, and its frozen weights through functions that return
-them: the fused nodes call each projection's ``base()``, and
-:func:`norm_head` its ``head()``, on each use, in the forward and again in
-the backward, so a compressed weight stays compressed.  :func:`paused`
-stops recording for a block of code; it is the one way to cut a gradient,
-since what is computed inside is a constant to every tape.
+frozen weights through functions that return them: the fused nodes call
+each projection's ``base()``, and :func:`norm_head` its ``head()``, on
+each use, in the forward and again in the backward, so a compressed
+weight stays compressed.  :func:`paused` stops recording for a block of
+code; it is the one way to cut a gradient, since what is computed inside
+is a constant to every tape.
 
 A tape is used once.  :func:`backward` sweeps it a single time and drops
 each node's backward function, and with it the arrays that node saved,
@@ -298,14 +297,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish(a.data + b.data, (a, b), bw)
 
 
-def _norm_gain(x: Tensor, gain, op: str) -> Array:
-    """``gain`` as a float32 (d,) array for the rows of ``x``; a zero-width ``x`` is rejected."""
-    gain = np.asarray(gain, dtype=np.float32)
+def _check_width(x: Tensor, op: str) -> None:
+    """Reject an ``x`` of zero-width rows, whose norm would divide by zero."""
     if x.data.ndim == 0 or x.shape[-1] == 0:
         raise DimensionError(f"{op} needs rows of width >= 1, got shape {x.shape}")
-    if gain.shape != (x.shape[-1],):
-        raise DimensionError(f"{op} gain shape {gain.shape} does not match {x.shape}")
-    return gain
 
 
 def _rms_inv(x_data: Array) -> Array:
@@ -315,39 +310,35 @@ def _rms_inv(x_data: Array) -> Array:
     return 1.0 / np.sqrt(sum_sq / np.float32(x_data.shape[-1]) + RMS_EPS)
 
 
-def _rms_normalized(x_data: Array, inv: Array, gain: Array) -> Array:
-    out = x_data * inv
-    out *= gain
-    return out
+def _rms_normalized(x_data: Array, inv: Array) -> Array:
+    return x_data * inv
 
 
-def _rms_norm_backward(g: Array, x_data: Array, inv: Array, gain: Array) -> Array:
-    """The gradient of ``x``: ``inv * gp - (inv ** 3) * x * (s / dim)`` with ``gp = g * gain``.
+def _rms_norm_backward(g: Array, x_data: Array, inv: Array) -> Array:
+    """The gradient of ``x``: ``inv * g - (inv ** 3) * x * (s / dim)`` with ``s = sum(g * x)``.
 
     Float32 throughout, in two (T, d) buffers with the same IEEE operations.
     """
-    gp = g * gain
-    s = np.sum(gp * x_data, axis=-1, keepdims=True)
-    grad_x = np.multiply(inv, gp, out=gp)
+    s = np.sum(g * x_data, axis=-1, keepdims=True)
+    grad_x = inv * g
     t = (inv ** 3) * x_data
     t *= s / x_data.shape[-1]
     grad_x -= t
     return grad_x
 
 
-def norm_head(x: Tensor, gain: Array, head: Callable[[], Array]) -> Tensor:
-    """``rms_norm(x, gain) @ w`` for the frozen float32 ``w = head()`` of shape (d, d_out), as one node.
+def norm_head(x: Tensor, head: Callable[[], Array]) -> Tensor:
+    """``rms_norm(x) @ w`` for the frozen float32 ``w = head()`` of shape (d, d_out), as one node.
 
     The model's output norm and weight-tied head, whose ``head()`` returns
     the (d_model, vocab_size) embedding, decompressed afresh on each call in
     a 4-bit model.  It is called once in the forward and once more in the
     backward, and its result is dropped after each, so the node keeps no
-    weight.  ``gain`` is a frozen (d,) array, read as float32, and only
-    ``x`` gets a gradient.  The backward is ``rms_norm``'s applied to ``g @
-    w.T``, with the same float32 operations as the norm and the projection
-    taken apart.
+    weight.  Only ``x`` gets a gradient.  The backward is ``rms_norm``'s
+    applied to ``g @ w.T``, with the same float32 operations as the norm and
+    the projection taken apart.
     """
-    gain = _norm_gain(x, gain, "norm_head")
+    _check_width(x, "norm_head")
     w = head()
     if x.data.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1]:
         raise DimensionError(f"norm_head shapes incompatible: x {x.shape}, base {w.shape}")
@@ -355,11 +346,11 @@ def norm_head(x: Tensor, gain: Array, head: Callable[[], Array]) -> Tensor:
         raise DimensionError(f"norm_head base must be float32, got {w.dtype}")
     x_data = x.data
     inv = _rms_inv(x_data)
-    out = _rms_normalized(x_data, inv, gain) @ w
+    out = _rms_normalized(x_data, inv) @ w
     del w
 
     def bw(g, needs):
-        return (_rms_norm_backward(g @ head().T, x_data, inv, gain),)
+        return (_rms_norm_backward(g @ head().T, x_data, inv),)
 
     return _finish(out, (x,), bw)
 
@@ -440,7 +431,7 @@ def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array
 def _project(norm: tuple, projections: Sequence, op: str, names: Sequence[str]) -> tuple:
     """The projections of the normalized input: a list of their outputs and one of their (n, rank) products.
 
-    ``norm`` is ``(x, inv, gain)`` as :func:`_rms_normalized` takes it;
+    ``norm`` is ``(x, inv)`` as :func:`_rms_normalized` takes it;
     the normalized input is formed here and freed before the return.  Each
     projection is ``_lora_forward``'s ``(base, a, b, s)``, named in errors
     by ``names``, and all outputs must have one shape.
@@ -497,17 +488,17 @@ def _prenorm_grads(grads: list, needs: tuple, projections: Sequence, xas: Sequen
 _SWIGLU_BLOCK = 8192
 
 
-def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
-    """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x, gain)``, a pre-norm SwiGLU MLP, as one node.
+def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
+    """``down(silu(gate(n)) * up(n))`` with ``n = rms_norm(x)``, a pre-norm SwiGLU MLP, as one node.
 
     ``silu(z) = z * sigmoid(z)``.  ``gate``, ``up`` and ``down`` are
     projections such as :class:`lcsb.model.Linear`: each has LoRA tensors
     ``a`` and ``b``, a ``scale`` and a ``base()`` that returns its float32
     (d_in, d_out) base ``w``, and is applied as ``x @ w + scale * (x @ a.T)
     @ b.T``, through the (n, rank) product and never the dense
-    ``w + scale * (b @ a).T``.  ``x`` is (n, d) and ``gain`` a frozen (d,) array, read as float32.  The
-    node's inputs are ``x`` and the six LoRA matrices, in the order gate's
-    ``a``, ``b``, up's, down's.
+    ``w + scale * (b @ a).T``.  ``x`` is (n, d).  The node's inputs are
+    ``x`` and the six LoRA matrices, in the order gate's ``a``, ``b``, up's,
+    down's.
 
     The node keeps ``x`` and each row's inverse norm.  When a tape records
     it, it keeps gate's and up's outputs and their (n, rank) products too
@@ -532,9 +523,9 @@ def swiglu_mlp(x: Tensor, gain: Array, gate, up, down) -> Tensor:
     projection for dx and, unless gate and up are kept, once more for each
     of them.
     """
-    gain = _norm_gain(x, gain, "swiglu_mlp")
+    _check_width(x, "swiglu_mlp")
     x_data = x.data
-    norm = (x_data, _rms_inv(x_data), gain)
+    norm = (x_data, _rms_inv(x_data))
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (gate, up, down)]
     inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
     # if recorded: float32 gate, up and their (n, rank) products, against the gradients returned
@@ -637,17 +628,17 @@ def _attention_probs(qh: Array, kh: Array, probs: Array, row_max: Array, row_sum
     return probs
 
 
-def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
-    """``o(attention(q(n), k(n), v(n)))`` with ``n = rms_norm(x, gain)``, pre-norm causal attention, as one node.
+def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
+    """``o(attention(q(n), k(n), v(n)))`` with ``n = rms_norm(x)``, pre-norm causal attention, as one node.
 
     ``q``, ``k``, ``v`` and ``o`` are projections as in :func:`swiglu_mlp`.
-    ``x`` is (T, d) with T >= 1 and ``gain`` a frozen (d,) array, read as
-    float32.  q, k and v must have one width, which ``n_heads`` splits into
-    heads of width ``d_h``: head ``i`` is the column block ``i * d_h :
-    (i + 1) * d_h``.  q is scaled by ``1 / sqrt(d_h)``, and position ``i``
-    attends to positions ``<= i``: the scores of later positions are set
-    to -1e9 before the softmax.  The node's inputs are ``x`` and the
-    eight LoRA matrices, in the order q's ``a``, ``b``, k's, v's, o's.
+    ``x`` is (T, d) with T >= 1.  q, k and v must have one width, which
+    ``n_heads`` splits into heads of width ``d_h``: head ``i`` is the column
+    block ``i * d_h : (i + 1) * d_h``.  q is scaled by ``1 / sqrt(d_h)``,
+    and position ``i`` attends to positions ``<= i``: the scores of later
+    positions are set to -1e9 before the softmax.  The node's inputs are
+    ``x`` and the eight LoRA matrices, in the order q's ``a``, ``b``, k's,
+    v's, o's.
 
     The heads run as batched matmuls in blocks of ``max(1, d // T)``, so no
     block's scores are larger than ``x``.  Each block writes its outputs
@@ -670,10 +661,10 @@ def self_attention(x: Tensor, gain: Array, q, k, v, o, n_heads: int) -> Tensor:
         raise DimensionError(f"self_attention expects a (T, d) input with T >= 1, got {x.shape}")
     if not isinstance(n_heads, numbers.Integral) or isinstance(n_heads, bool):
         raise DimensionError(f"self_attention: n_heads must be an int, got {n_heads!r}")
-    gain = _norm_gain(x, gain, "self_attention")
+    _check_width(x, "self_attention")
     x_data = x.data
     t = x_data.shape[0]
-    norm = (x_data, _rms_inv(x_data), gain)
+    norm = (x_data, _rms_inv(x_data))
     projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (q, k, v, o)]
 
     def qkv_of():

@@ -24,7 +24,7 @@ from .quant import dequantize, quantize_weights
 # The central difference's half step.  The reference is float64, so its
 # rounding stays far below a step this small, and the truncation error,
 # which grows as a norm's row shrinks, stays small too: at 1e-3 a correct
-# swiglu_mlp gradient on the row (0.0895, -0.0626) read an error of 1.5e-3.
+# swiglu_mlp gradient on the row (0.0895, -0.0626) reads an error of 2.8e-3.
 FD_EPS = 3e-5
 GRAD_TOL = 1e-3  # an analytic gradient against finite differences of its reference
 VALUE_TOL = 1e-5  # a float32 forward against its float64 reference
@@ -68,8 +68,8 @@ def _ref_softmax(x):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _ref_rms_norm(x, gain):
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-5) * gain
+def _ref_rms_norm(x):
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-5)
 
 
 def _ref_silu(x):
@@ -80,15 +80,15 @@ def _ref_lora_linear(x, w, a, b, s):
     return x @ w + s * ((x @ a.T) @ b.T)
 
 
-def _ref_swiglu_mlp(x, gain, gate, up, down):
+def _ref_swiglu_mlp(x, gate, up, down):
     """The pre-norm SwiGLU MLP; each projection is ``_ref_lora_linear``'s (w, a, b, s)."""
-    n = _ref_rms_norm(x, gain)
+    n = _ref_rms_norm(x)
     return _ref_lora_linear(_ref_silu(_ref_lora_linear(n, *gate)) * _ref_lora_linear(n, *up), *down)
 
 
-def _ref_self_attention(x, gain, q, k, v, o, n_heads):
+def _ref_self_attention(x, q, k, v, o, n_heads):
     """Pre-norm causal attention; each projection is ``_ref_lora_linear``'s (w, a, b, s)."""
-    n = _ref_rms_norm(x, gain)
+    n = _ref_rms_norm(x)
     heads = _ref_causal_attention(*(_ref_lora_linear(n, *p) for p in (q, k, v)), n_heads)
     return _ref_lora_linear(heads, *o)
 
@@ -142,13 +142,12 @@ def _primitive_cases(rng: np.random.Generator):
     shape = tuple(rng.integers(2, 8, size=2))
     yield ad.add, [t(shape), t(shape)], {}, lambda d: d[0] + d[1]
 
-    # rows of width 2 or more: one of width 1 normalizes to +-gain, so its
+    # rows of width 2 or more: one of width 1 normalizes to +-1, so its
     # gradient, about 1e-5 / x ** 3, is float32 rounding alone
     n, d_in, d_out = rng.integers((1, 2, 1), 7)
-    gain = rng.uniform(0.5, 1.5, size=d_in).astype(np.float32)  # frozen, as in the model
     w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32)
-    yield ad.norm_head, [t((n, d_in))], {"gain": gain, "head": lambda: w}, (
-        lambda d: _ref_rms_norm(d[0], gain.astype(np.float64)) @ w.astype(np.float64)
+    yield ad.norm_head, [t((n, d_in))], {"head": lambda: w}, (
+        lambda d: _ref_rms_norm(d[0]) @ w.astype(np.float64)
     )
 
     for quantize in (False, True):
@@ -169,17 +168,16 @@ def _primitive_cases(rng: np.random.Generator):
             yield _fused_case(rng, t, ad.swiglu_mlp, quantize, keep=keep)
 
     n, d_in, d_out = rng.integers(1, 7), 2 * rng.integers(1, 4), rng.integers(1, 7)
-    gain = rng.uniform(0.5, 1.5, size=d_in).astype(np.float32)
     q = quantize_weights(rng.uniform(-1.0, 1.0, size=(d_in, d_out)).astype(np.float32), 2)
     ref_w = _ref_dequantize(q)
-    yield ad.norm_head, [t((n, d_in))], {"gain": gain, "head": lambda: dequantize(q)}, (
-        lambda d: _ref_rms_norm(d[0], gain.astype(np.float64)) @ ref_w
+    yield ad.norm_head, [t((n, d_in))], {"head": lambda: dequantize(q)}, (
+        lambda d: _ref_rms_norm(d[0]) @ ref_w
     )
 
 
 def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize: bool,
                 x_tracked: bool = True, keep: bool | None = None) -> tuple:
-    """A case of the fused node ``fused``, with a random gain and nonzero adapters.
+    """A case of the fused node ``fused``, with nonzero adapters.
 
     Its inputs are x, tracked or a constant, and the LoRA matrices of the
     node's projections: gate and up from width d to an even width and down
@@ -202,7 +200,6 @@ def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize
         elif keep is not None:
             n, width, rank = 5, 8, 1
         dims, ref, heads = ((d, width), (d, width), (width, d)), _ref_swiglu_mlp, ()
-    gain = rng.uniform(0.5, 1.5, size=d).astype(np.float32)
     scales = rng.uniform(0.5, 2.0, size=len(dims))
     bases = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32) for shape in dims]
     if quantize:
@@ -214,28 +211,24 @@ def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize
     def node(x, *adapters):
         projections = (Linear(w, a, b, float(s)) for w, a, b, s
                        in zip(bases, adapters[0::2], adapters[1::2], scales))
-        return fused(x, gain, *projections, *heads)
+        return fused(x, *projections, *heads)
 
     def reference(v):
-        return ref(v[0], gain.astype(np.float64), *zip(ref_bases, v[1::2], v[2::2], scales), *heads)
+        return ref(v[0], *zip(ref_bases, v[1::2], v[2::2], scales), *heads)
 
     node.__name__ = fused.__name__
     return node, inputs, {}, reference
 
 
-def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> tuple:
-    """Relative errors ``(value, gradient)`` of one case against the float64 ``reference``.
+def _gradient_pairs(fn, inputs, kwargs, reference, rng: np.random.Generator) -> tuple:
+    """``(value error, pairs)`` of one case against the float64 ``reference``.
 
     The primitive is recorded alone and its node's backward called with a
-    random float32 cotangent ``w`` (in [0.5, 1.5] for a 0-d output); its
-    gradient of each input the node tracks (a handle that is not ``None``,
-    as :func:`~lcsb.autodiff.backward` reads it) is compared with finite
-    differences of ``sum(reference * w)``.  The other inputs are constants.
-    The first input, a node's ``x``, is judged alone, and the rest, a fused
-    node's adapters, as one unit: their largest error over the largest
-    reference gradient among them.  Judged one by one, a correct adapter
-    gradient that is tiny beside its node's others read errors up to 19.4
-    from float32 rounding alone, at seeds the suite does not run.
+    random float32 cotangent ``w`` (in [0.5, 1.5] for a 0-d output).
+    ``pairs`` maps the index of each input the node tracks (a handle that
+    is not ``None``, as :func:`~lcsb.autodiff.backward` reads it) to its
+    analytic gradient and the finite differences of ``sum(reference * w)``
+    in it.  The other inputs are constants.
     """
     with Tape() as tape:
         out = fn(*inputs, **kwargs)
@@ -251,14 +244,27 @@ def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> 
     def f(_):
         return float(np.sum(ref_value() * w.astype(np.float64)))
 
-    value_err = _rel_err(out.data, ref_value())
+    pairs = {i: (grads[i], finite_difference_grad(f, inputs[i]))
+             for i in range(len(inputs)) if needs[i]}
+    return _rel_err(out.data, ref_value()), pairs
+
+
+def check_primitive(fn, inputs, kwargs, reference, rng: np.random.Generator) -> tuple:
+    """Relative errors ``(value, gradient)`` of one case, from :func:`_gradient_pairs`.
+
+    The first input, a node's ``x``, is judged alone, and the rest, a fused
+    node's adapters, as one unit: their largest error over the largest
+    reference gradient among them.  Judged one by one, a correct adapter
+    gradient that is tiny beside its node's others reads errors up to 1.5
+    from float32 rounding alone, at seeds the suite does not run.
+    """
+    value_err, pairs = _gradient_pairs(fn, inputs, kwargs, reference, rng)
     grad_err = 0.0
     for group in (range(1), range(1, len(inputs))):
-        tracked = [i for i in group if needs[i]]
+        tracked = [i for i in group if i in pairs]
         if tracked:
-            grad_err = max(grad_err, _rel_err(
-                np.concatenate([grads[i].ravel() for i in tracked]),
-                np.concatenate([finite_difference_grad(f, inputs[i]).ravel() for i in tracked])))
+            analytic, fd = (np.concatenate([pairs[i][j].ravel() for i in tracked]) for j in (0, 1))
+            grad_err = max(grad_err, _rel_err(analytic, fd))
     return value_err, grad_err
 
 
@@ -303,12 +309,10 @@ def reference_model_loss(model: Model, tokens: np.ndarray, targets: np.ndarray) 
     embed = frozen(model.embed)  # (d_model, vocab_size), as the head reads it
     h = (embed[:, tokens] + frozen(model.pos)[:, :len(tokens)]).T
     for block in model.blocks:
-        a = h + _ref_self_attention(h, block.norm_attn.astype(np.float64),
-                                    *(operands(block.linears[site]) for site in ("q", "k", "v", "o")),
+        a = h + _ref_self_attention(h, *(operands(block[site]) for site in ("q", "k", "v", "o")),
                                     cfg.n_heads)
-        h = a + _ref_swiglu_mlp(a, block.norm_mlp.astype(np.float64),
-                                *(operands(block.linears[site]) for site in ("gate", "up", "down")))
-    logits = _ref_rms_norm(h, model.norm_out.astype(np.float64)) @ embed
+        h = a + _ref_swiglu_mlp(a, *(operands(block[site]) for site in ("gate", "up", "down")))
+    logits = _ref_rms_norm(h) @ embed
     return _ref_cross_entropy(logits, targets)
 
 

@@ -3,10 +3,14 @@
 Per layer: pre-RMSNorm causal multi-head attention and a SwiGLU MLP, each
 with a residual add.  Only the LoRA matrices are trainable, and they are the
 model's only :class:`~lcsb.autodiff.Tensor` objects.  Everything frozen (base
-weights, the token embedding, the positions and norm gains) is a plain
-float32 array, or packed 4-bit codes for a base, the embedding and the
-positions of a 4-bit model.  The output head is weight-tied: it reads the
-embedding.
+weights, the token embedding and the positions) is a plain float32 array,
+or packed 4-bit codes in a 4-bit model.  The output head is weight-tied: it
+reads the embedding.
+
+Norms have no parameters: each is ``x / sqrt(mean(x ** 2) + eps)``, as in
+OLMo (Groeneveld et al. 2024).  Nothing but the LoRA matrices trains, so a
+frozen gain could only hold its init of ones, and multiplying by ones
+changes no bit.
 
 Every frozen matrix, float or 4-bit, is held in the (d_in, d_out) layout
 that its product ``x @ w`` reads: a base as (d_in, d_out), the embedding
@@ -32,11 +36,11 @@ the first block; the head decompresses the embedding again in its forward
 and, when the tape records it, once more in its backward.  This is the
 memory and time trade of fine-tuning on compressed weights.
 
-Each of a layer's seven projections (q, k, v, o, gate, up, down) is one
-:class:`Linear`: a frozen base and its LoRA matrices.  Each half of a
-block is one fused tape node: the whole attention (norm, q, k and v, all
-heads' scaled, causally masked softmax, ``probs @ v``, o) is one
-``self_attention`` node, and the whole MLP (norm, gate and up,
+A layer is its seven projections (q, k, v, o, gate, up, down), a dict of
+:class:`Linear` by name, each a frozen base and its LoRA matrices.  Each
+half of a block is one fused tape node: the whole attention (norm, q, k
+and v, all heads' scaled, causally masked softmax, ``probs @ v``, o) is
+one ``self_attention`` node, and the whole MLP (norm, gate and up,
 ``silu(gate) * up``, down) is one ``swiglu_mlp`` node.  An attached layer
 records 4 nodes (the two halves and their residual adds); its LoRA
 matrices are leaves the tape keeps, not nodes.  What each node keeps for
@@ -161,13 +165,6 @@ def _decoded(w: np.ndarray | QuantizedLinear) -> np.ndarray:
     return dequantize(w) if isinstance(w, QuantizedLinear) else w
 
 
-@dataclass(eq=False)
-class _Block:
-    linears: dict[str, Linear]  # by site name
-    norm_attn: np.ndarray
-    norm_mlp: np.ndarray
-
-
 # site name -> (d_out, d_in) picker, in init draw order
 _SITE_DIMS = {
     "q": lambda c: (c.d_model, c.d_model),
@@ -186,20 +183,20 @@ class Model:
 
     ``embed`` (d_model, vocab_size) and ``pos`` (d_model, seq_len) are
     float32 arrays, or in a 4-bit model :class:`QuantizedLinear` tables,
-    decompressed on each use.
+    decompressed on each use.  ``blocks`` holds each layer's projections by
+    site name.
     """
 
     config: ModelConfig
     embed: np.ndarray | QuantizedLinear
     pos: np.ndarray | QuantizedLinear
-    blocks: list[_Block]
-    norm_out: np.ndarray
+    blocks: list[dict[str, Linear]]
 
     # -- parameter access --------------------------------------------------
 
     def lora_params_by_layer(self) -> list:
         """Per-layer {name: Tensor} over that layer's LoRA matrices."""
-        return [{f"layers.{i}.{site}.lora_{m}": t for site, lin in block.linears.items()
+        return [{f"layers.{i}.{site}.lora_{m}": t for site, lin in block.items()
                  for m, t in (("a", lin.a), ("b", lin.b))}
                 for i, block in enumerate(self.blocks)]
 
@@ -212,7 +209,7 @@ class Model:
         yield "embed.weight", self, "embed"
         yield "embed.pos", self, "pos"
         for i, block in enumerate(self.blocks):
-            for site, lin in block.linears.items():
+            for site, lin in block.items():
                 yield f"layers.{i}.{site}", lin, "weight"
 
     def state_arrays(self) -> dict:
@@ -231,13 +228,9 @@ class Model:
             else:
                 out[stem] = w
         for i, block in enumerate(self.blocks):
-            prefix = f"layers.{i}"
-            out[f"{prefix}.norm_attn.gain"] = block.norm_attn
-            out[f"{prefix}.norm_mlp.gain"] = block.norm_mlp
-            for site, lin in block.linears.items():
-                out[f"{prefix}.{site}.lora_a"] = lin.a.data
-                out[f"{prefix}.{site}.lora_b"] = lin.b.data
-        out["norm_out.gain"] = self.norm_out
+            for site, lin in block.items():
+                out[f"layers.{i}.{site}.lora_a"] = lin.a.data
+                out[f"layers.{i}.{site}.lora_b"] = lin.b.data
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
@@ -253,7 +246,8 @@ class Model:
         in which every code times its scale is finite in float32.  Otherwise
         :class:`CorruptionError` names the first bad key, and nothing has
         been overwritten; a checkpoint of an older layout, such as a float
-        base under ``layers.{i}.{site}.w``, is refused on its keys.  The
+        base under ``layers.{i}.{site}.w`` or the norm gains an older
+        model held, is refused on its keys.  The
         model keeps no reference to the caller's arrays, and its float
         arrays, scales, exponents and LoRA tensors stay the same objects.
         """
@@ -316,15 +310,13 @@ class Model:
         mode = _block_mode(mode)
         if mode is BlockMode.DROPPED:
             return h
-        block = self.blocks[layer_index]
-        lin = block.linears
+        lin = self.blocks[layer_index]
         branch = ad.paused if mode is BlockMode.DETACHED else nullcontext
         with branch():
-            attn = ad.self_attention(h, block.norm_attn, lin["q"], lin["k"], lin["v"], lin["o"],
-                                     self.config.n_heads)
+            attn = ad.self_attention(h, lin["q"], lin["k"], lin["v"], lin["o"], self.config.n_heads)
         a = ad.add(h, attn)
         with branch():
-            mlp = ad.swiglu_mlp(a, block.norm_mlp, lin["gate"], lin["up"], lin["down"])
+            mlp = ad.swiglu_mlp(a, lin["gate"], lin["up"], lin["down"])
         return ad.add(a, mlp)
 
     def forward(self, tokens, plan=None) -> Tensor:
@@ -372,14 +364,14 @@ class Model:
             h = self.block_forward(h, i, mode)
         # the weight-tied head reads the embedding, fetched (and a 4-bit one
         # decompressed) in its forward and again in its backward
-        return ad.norm_head(h, self.norm_out, lambda: _decoded(self.embed))
+        return ad.norm_head(h, lambda: _decoded(self.embed))
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
     """Deterministically initialize a model from a seed.
 
     Base weights, the embedding and the positions are N(0, 0.02), LoRA A
-    is N(0, 1/rank), LoRA B is zero, norm gains are ones.  When
+    is N(0, 1/rank), LoRA B is zero.  When
     ``quantize_base`` is set, every frozen matrix is quantized once here and
     kept only as packed 4-bit codes, 8-bit group scale mantissas and one
     power-of-two exponent per matrix; the float draws are not kept.
@@ -410,6 +402,5 @@ def init_model(config: ModelConfig, seed: int) -> Model:
             linears[site] = Linear(weight, Tensor(a, requires_grad=True),
                                    Tensor(b, requires_grad=True),
                                    scale=config.lora_alpha / config.lora_rank)
-        blocks.append(_Block(linears, norm_attn=np.ones(config.d_model, dtype=np.float32),
-                             norm_mlp=np.ones(config.d_model, dtype=np.float32)))
-    return Model(config, embed, pos, blocks, norm_out=np.ones(config.d_model, dtype=np.float32))
+        blocks.append(linears)
+    return Model(config, embed, pos, blocks)

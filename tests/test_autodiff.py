@@ -10,7 +10,7 @@ import pytest
 import lcsb.autodiff as ad
 from lcsb.autodiff import Tape, Tensor, backward, paused
 from lcsb.errors import DimensionError, DivergenceError, TapeError
-from lcsb.gradcheck import GRAD_TOL, _ref_rms_norm, finite_difference_grad, micro_config
+from lcsb.gradcheck import GRAD_TOL, finite_difference_grad, micro_config
 from lcsb.model import Linear, ModelConfig, init_model
 from lcsb.quant import quantize_weights
 from scalar_loss import weighted_sum
@@ -44,21 +44,20 @@ def test_rms_norm_gradients_are_float32_with_unchanged_bits():
     # the model's output norm, in norm_head, with its value
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((6, 16)), requires_grad=True)
-    gain = rng.uniform(0.5, 1.5, 16).astype(np.float32)
     head = rng.standard_normal((16, 24)).astype(np.float32)
     w = rng.standard_normal((6, 24)).astype(np.float32)
     with Tape() as tape:
-        out = ad.norm_head(x, gain, lambda: head)
+        out = ad.norm_head(x, lambda: head)
         loss = weighted_sum(out, w)
     grads = backward(loss, tape)
     # the same float32 arithmetic, cast to float32 at the end
-    xd, gd = x.data, gain
+    xd = x.data
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xd, xd)[..., None] / np.float32(16)
                         + np.float32(1e-5))
-    assert out.data.tobytes() == (xd * inv * gd @ head).tobytes()
-    gp = (w @ head.T) * gd
-    s = np.sum(gp * xd, axis=-1, keepdims=True)
-    want_x = (inv * gp - (inv ** 3) * xd * (s / 16)).astype(np.float32)
+    assert out.data.tobytes() == (xd * inv @ head).tobytes()
+    gx = w @ head.T
+    s = np.sum(gx * xd, axis=-1, keepdims=True)
+    want_x = (inv * gx - (inv ** 3) * xd * (s / 16)).astype(np.float32)
     assert grads[x].dtype == np.float32
     assert grads[x].tobytes() == want_x.tobytes()
 
@@ -79,19 +78,18 @@ def test_lora_forward_matches_the_transposed_products_bit_for_bit():
 
 
 def test_norm_head_hand_value():
-    # x = (3, 4), unit gain, identity head: x / sqrt(mean(x^2) + 1e-5) = x / sqrt(12.50001)
-    out = ad.norm_head(Tensor([[3.0, 4.0]]), np.ones(2, dtype=np.float32),
-                       lambda: np.eye(2, dtype=np.float32))
+    # x = (3, 4), identity head: x / sqrt(mean(x^2) + 1e-5) = x / sqrt(12.50001)
+    out = ad.norm_head(Tensor([[3.0, 4.0]]), lambda: np.eye(2, dtype=np.float32))
     np.testing.assert_allclose(out.data, [[0.84852780, 1.13137040]], atol=1e-6)
 
 
 def test_norm_head_shape_mismatch_reports_shapes():
     x, w = Tensor(np.ones((2, 3))), np.ones((2, 3), dtype=np.float32)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\)"):
-        ad.norm_head(x, np.ones(3), lambda: w)
+        ad.norm_head(x, lambda: w)
     q = Linear(w, Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), 0.5)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\), a \(1, 3\), b \(3, 1\)"):
-        ad.self_attention(x, np.ones(3), q, q, q, q, 1)
+        ad.self_attention(x, q, q, q, q, 1)
 
 
 def test_norm_head_fetches_its_weight_on_each_use_and_keeps_none():
@@ -106,7 +104,7 @@ def test_norm_head_fetches_its_weight_on_each_use_and_keeps_none():
         return w.copy()
 
     with Tape() as tape:
-        out, kept, _ = traced(ad.norm_head, x, np.ones(64, dtype=np.float32), head)
+        out, kept, _ = traced(ad.norm_head, x, head)
     # the 128 KiB logits and each row's inverse norm; keeping the fetched weight took 1 MiB more
     assert kept - out.data.nbytes < w.nbytes / 8
     assert len(fetches) == 1
@@ -157,7 +155,7 @@ def test_swiglu_saturates_exactly_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            out = ad.swiglu_mlp(x, np.ones(2), gate, up, down)
+            out = ad.swiglu_mlp(x, gate, up, down)
             loss = weighted_sum(out, [2.0, 2.0])
         grads = backward(loss, tape)
     assert out.data.tolist() == [[300.0, 0.0]]
@@ -173,9 +171,8 @@ def test_swiglu_tape_keeps_nothing_beyond_its_output():
     rng = np.random.default_rng(4)
     projections = _projections(rng, 128, 256, 16)
     x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
-    gain = np.ones(128, dtype=np.float32)
     with Tape() as tape:
-        out, kept, _ = traced(ad.swiglu_mlp, x, gain, *projections)
+        out, kept, _ = traced(ad.swiglu_mlp, x, *projections)
     assert len(tape.nodes) == 1  # the fused node; x and the six LoRA matrices are leaves
     small = 128 * 4  # the inverse norms
     # the output (64 KiB), those 0.5 KiB and a few KiB of Python objects
@@ -188,18 +185,17 @@ def test_swiglu_mlp_keeps_gate_and_up_only_while_its_gradients_cover_them():
     # the six LoRA matrices, 512 bytes a token and 72 KiB: they fit up to T=44
     rng = np.random.default_rng(4)
     projections = _projections(rng, 128, 256, 16)
-    gain = np.ones(128, dtype=np.float32)
     xs = {t: Tensor(rng.standard_normal((t, 128)), requires_grad=True) for t in (44, 45)}
     for t, extra in ((44, 2176 * 44), (45, 0)):
         small = t * 4  # the inverse norms
         with Tape():
-            out, kept, _ = traced(ad.swiglu_mlp, xs[t], gain, *projections)
+            out, kept, _ = traced(ad.swiglu_mlp, xs[t], *projections)
         assert out.data.nbytes + small + extra <= kept < out.data.nbytes + small + extra + 4096
 
     def after_backward(t):
         """The node's backward function, once it has run: what the sweep holds until the next node."""
         with Tape() as tape:
-            ad.swiglu_mlp(xs[t], gain, *projections)
+            ad.swiglu_mlp(xs[t], *projections)
         inputs, bw = tape.nodes[-1]
         bw(np.ones((t, 128), dtype=np.float32), (True,) * len(inputs))
         return bw
@@ -220,12 +216,11 @@ def _projection_node(x, lin):
     return ad._finish(out, (x, lin.a, lin.b), bw)
 
 
-def _norm_node(x, gain):
-    """``rms_norm(x, gain)`` as one node that keeps ``x``: the unfused chain's norm."""
-    gain = np.asarray(gain, dtype=np.float32)
+def _norm_node(x):
+    """``rms_norm(x)`` as one node that keeps ``x``: the unfused chain's norm."""
     inv = ad._rms_inv(x.data)
-    return ad._finish(ad._rms_normalized(x.data, inv, gain), (x,),
-                      lambda g, needs: (ad._rms_norm_backward(g, x.data, inv, gain),))
+    return ad._finish(ad._rms_normalized(x.data, inv), (x,),
+                      lambda g, needs: (ad._rms_norm_backward(g, x.data, inv),))
 
 
 def _swiglu_node(gate, up):
@@ -258,13 +253,12 @@ def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
     # re-form, and T=5 at width 4096 keeps
     rng = np.random.default_rng(t)
     projections = _projections(rng, 32, d_ff, 4)
-    gain = rng.uniform(0.5, 1.5, 32).astype(np.float32)
     x = Tensor(rng.standard_normal((t, 32)), requires_grad=True)
     g = rng.standard_normal((t, 32))
     gate, up, down = projections
 
     def unfused():
-        n = _norm_node(x, gain)
+        n = _norm_node(x)
         hidden = _swiglu_node(_projection_node(n, gate), _projection_node(n, up))
         return _projection_node(hidden, down)
 
@@ -277,7 +271,7 @@ def test_swiglu_mlp_matches_the_unfused_chain_bit_for_bit(t, d_ff):
         return out.data, backward(loss, tape)
 
     want, want_grads = run(unfused)
-    got, got_grads = run(lambda: ad.swiglu_mlp(x, gain, *projections))
+    got, got_grads = run(lambda: ad.swiglu_mlp(x, *projections))
     assert got.tobytes() == want.tobytes()
     for p in (x, *_adapters(projections)):
         assert got_grads[p].tobytes() == want_grads[p].tobytes()
@@ -290,21 +284,20 @@ def test_zero_width_inputs_raise(op):
     x = Tensor(np.ones((3, 0)), requires_grad=True)
     with Tape(), pytest.raises(DimensionError, match="d >= 1|width >= 1"):
         if op == "norm_head":
-            ad.norm_head(x, np.ones(0), lambda: np.ones((0, 4), dtype=np.float32))
+            ad.norm_head(x, lambda: np.ones((0, 4), dtype=np.float32))
         elif op == "self_attention":
-            ad.self_attention(x, np.ones(0), *_attention_projections(np.random.default_rng(0), 0, 1), 1)
+            ad.self_attention(x, *_attention_projections(np.random.default_rng(0), 0, 1), 1)
         else:
-            ad.swiglu_mlp(x, np.ones(0), *_projections(np.random.default_rng(0), 0, 4, 1))
+            ad.swiglu_mlp(x, *_projections(np.random.default_rng(0), 0, 4, 1))
 
 
 def test_rms_norm_backward_works_in_two_buffers():
     # the norm's backward in every node that normalizes its input
     rng = np.random.default_rng(7)
     x = rng.standard_normal((128, 128)).astype(np.float32)
-    gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)  # frozen, as in the model
     g = rng.standard_normal((128, 128)).astype(np.float32)
-    grad_x, _, peak = traced(ad._rms_norm_backward, g, x, ad._rms_inv(x), gain)
-    # grad_x and one (T, d) temporary at a time; forming inv * gp - (inv ** 3)
+    grad_x, _, peak = traced(ad._rms_norm_backward, g, x, ad._rms_inv(x))
+    # grad_x and one (T, d) temporary at a time; forming inv * g - (inv ** 3)
     # * x * (s / dim) out of place held four such arrays at once
     assert peak < 3 * grad_x.nbytes
 
@@ -378,13 +371,12 @@ def test_self_attention_matches_the_unfused_chain_bit_for_bit(t, quantize, x_tra
     # 4 heads of 32: in blocks of 4 heads up to T=32, of 3 and 1 at T=40, one at a time at T=128
     rng = np.random.default_rng(t)
     projections = _attention_projections(rng, 128, 4, quantize)
-    gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)
     x = Tensor(rng.standard_normal((t, 128)), requires_grad=x_tracked)
     g = rng.standard_normal((t, 128))
     q, k, v, o = projections
 
     def unfused():
-        n = _norm_node(x, gain)
+        n = _norm_node(x)
         heads = _attention_node(*(_projection_node(n, p) for p in (q, k, v)), 4)
         return _projection_node(heads, o)
 
@@ -396,7 +388,7 @@ def test_self_attention_matches_the_unfused_chain_bit_for_bit(t, quantize, x_tra
             loss = weighted_sum(ad.add(x, out), g)
         return out.data, backward(loss, tape)
 
-    got, got_grads = run(lambda: ad.self_attention(x, gain, *projections, 4))
+    got, got_grads = run(lambda: ad.self_attention(x, *projections, 4))
     want, want_grads = run(unfused)
     assert got.tobytes() == want.tobytes()
     assert got_grads.keys() == want_grads.keys()
@@ -411,11 +403,10 @@ def test_self_attention_tape_keeps_no_probabilities():
     t, d, n_heads, rank = 128, 128, 4, 16
     projections = _attention_projections(rng, d, rank)
     x = Tensor(rng.standard_normal((t, d)), requires_grad=True)
-    gain = np.ones(d, dtype=np.float32)
     # numpy's caches of small blocks are shared, not the node's; a first call fills them
-    ad.self_attention(x, gain, *projections, n_heads)
+    ad.self_attention(x, *projections, n_heads)
     with Tape() as tape:
-        out, kept, _ = traced(ad.self_attention, x, gain, *projections, n_heads)
+        out, kept, _ = traced(ad.self_attention, x, *projections, n_heads)
     assert len(tape.nodes) == 1  # the fused node; x and the eight LoRA matrices are leaves
     small = t * 4 + 2 * n_heads * t * 4  # 4.5 KiB
     # the output (64 KiB), those small arrays and a few KiB of Python objects
@@ -430,7 +421,6 @@ def test_a_tracked_b_beside_a_constant_a_gets_the_all_tracked_gradient(node, t):
     # re-formed when only b is tracked too.  At T=7 the MLP keeps gate and
     # up, and at T=128 it re-forms them
     rng = np.random.default_rng(t)
-    gain = rng.uniform(0.5, 1.5, 128).astype(np.float32)
     if node == "self_attention":
         fused, projections, heads = ad.self_attention, _attention_projections(rng, 128, 16), (4,)
     else:
@@ -441,7 +431,7 @@ def test_a_tracked_b_beside_a_constant_a_gets_the_all_tracked_gradient(node, t):
 
     def grad_b(ps):
         with Tape() as tape:
-            loss = weighted_sum(fused(x, gain, *ps, *heads), g)
+            loss = weighted_sum(fused(x, *ps, *heads), g)
         return backward(loss, tape)[last.b]
 
     constant_a = Linear(last.weight, Tensor(last.a.data), last.b, last.scale)
@@ -452,8 +442,7 @@ def test_a_tracked_b_beside_a_constant_a_gets_the_all_tracked_gradient(node, t):
 def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
     # the default model's shapes at T=128 (d=128, 4 heads, d_ff=256, rank
     # 16); each pass's peak above its start counts what it returns too
-    block = init_model(ModelConfig(quantize_base=quantize), 0).blocks[0]
-    lin = block.linears
+    lin = init_model(ModelConfig(quantize_base=quantize), 0).blocks[0]
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     g = rng.standard_normal((128, 128)).astype(np.float32)
@@ -461,7 +450,7 @@ def test_fused_nodes_scratch_is_bounded_by_their_input(quantize):
     for node, args in ((ad.self_attention, (lin["q"], lin["k"], lin["v"], lin["o"], 4)),
                        (ad.swiglu_mlp, (lin["gate"], lin["up"], lin["down"]))):
         with Tape() as tape:
-            _, _, forward = traced(node, x, block.norm_attn, *args)
+            _, _, forward = traced(node, x, *args)
         inputs, bw = tape.nodes[-1]
         _, _, backward = traced(bw, g, (True,) * len(inputs))
         peaks[node.__name__] = forward, backward
@@ -483,7 +472,7 @@ def test_self_attention_rejects_zero_positions():
     x = Tensor(np.ones((0, 8)), requires_grad=True)
     projections = _attention_projections(np.random.default_rng(0), 8, 2)
     with Tape(), pytest.raises(DimensionError, match="T >= 1"):
-        ad.self_attention(x, np.ones(8), *projections, 2)
+        ad.self_attention(x, *projections, 2)
 
 
 @pytest.mark.parametrize("n_heads", [2.0, True], ids=["float", "bool"])
@@ -492,7 +481,7 @@ def test_causal_attention_rejects_a_head_count_that_is_not_an_int(n_heads):
     x = Tensor(np.ones((3, 8)))
     projections = _attention_projections(np.random.default_rng(0), 8, 2)
     with pytest.raises(DimensionError, match="n_heads must be an int"):
-        ad.self_attention(x, np.ones(8), *projections, n_heads)
+        ad.self_attention(x, *projections, n_heads)
 
 
 @pytest.mark.parametrize("n_heads", [3, 0, -2])
@@ -500,7 +489,7 @@ def test_self_attention_rejects_heads_that_do_not_divide_its_width(n_heads):
     x = Tensor(np.ones((3, 8)), requires_grad=True)
     projections = _attention_projections(np.random.default_rng(0), 8, 2)
     with Tape(), pytest.raises(DimensionError, match=rf"{n_heads} heads do not divide d=8"):
-        ad.self_attention(x, np.ones(8), *projections, n_heads)
+        ad.self_attention(x, *projections, n_heads)
 
 
 @pytest.mark.parametrize("op", ["self_attention", "norm_head"])
@@ -512,32 +501,9 @@ def test_linears_reject_a_base_that_is_not_float32(op):
         if op == "self_attention":
             q = Linear(w, Tensor(np.ones((2, 4)), requires_grad=True),
                        Tensor(np.zeros((4, 2)), requires_grad=True), 1.0)
-            ad.self_attention(x, np.ones(4), q, q, q, q, 1)
+            ad.self_attention(x, q, q, q, q, 1)
         else:
-            ad.norm_head(x, np.ones(4), lambda: w)
-
-
-@pytest.mark.parametrize("as_given", [lambda gain: gain, lambda gain: gain.tolist()],
-                         ids=["float64", "list"])
-def test_rms_norm_reads_any_gain_as_float32(as_given):
-    # a float64 gain made a float64 gradient, and a list one an AttributeError
-    rng = np.random.default_rng(9)
-    x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
-    gain = rng.uniform(0.5, 1.5, 8)
-    w = rng.standard_normal((3, 8))
-
-    def value_and_grad(gain):
-        with Tape() as tape:
-            out = ad.norm_head(x, gain, lambda: np.eye(8, dtype=np.float32))
-            loss = weighted_sum(out, w)
-        return out.data, backward(loss, tape)[x]
-
-    got = value_and_grad(as_given(gain))
-    want = value_and_grad(gain.astype(np.float32))
-    assert got[1].dtype == np.float32
-    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, want))
-    # the model's gains are all ones, so only here is the value's gain checked
-    np.testing.assert_allclose(got[0], _ref_rms_norm(x.data.astype(np.float64), gain), rtol=1e-5)
+            ad.norm_head(x, lambda: w)
 
 
 class TestDetach:
@@ -577,7 +543,7 @@ class TestDetach:
         projections = _projections(rng, 6, 8, 2)
         with Tape() as tape:
             with paused():
-                fx = ad.swiglu_mlp(x, np.ones(6), *projections)
+                fx = ad.swiglu_mlp(x, *projections)
             y = ad.add(x, fx)
             loss = weighted_sum(y, 1.0)
         grads = backward(loss, tape)
@@ -666,7 +632,7 @@ class TestBackward:
 
         def grads():
             with Tape() as tape:
-                loss = weighted_sum(ad.swiglu_mlp(x, np.ones(4), *projections), 1.0)
+                loss = weighted_sum(ad.swiglu_mlp(x, *projections), 1.0)
             return backward(loss, tape)
 
         g1, g2 = grads(), grads()
@@ -766,12 +732,11 @@ def test_two_layer_mlp_matches_finite_differences():
     targets = rng.integers(0, 6, size=5)
     w1 = (rng.standard_normal((4, 6)) * 0.5).astype(np.float32)
     a1, b1 = (Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True) for shape in ((2, 4), (6, 2)))
-    gain = rng.uniform(0.5, 1.5, 6).astype(np.float32)
     projections = _projections(rng, 6, 8, 2)
 
     with Tape() as tape:
         hidden = _projection_node(Tensor(x), Linear(w1, a1, b1, 0.5))
-        logits = ad.swiglu_mlp(hidden, gain, *projections)
+        logits = ad.swiglu_mlp(hidden, *projections)
         loss = ad.cross_entropy_logits(logits, targets)
     grads = backward(loss, tape)
 
@@ -779,7 +744,7 @@ def test_two_layer_mlp_matches_finite_differences():
         def linear(h, w, a, b):
             return h @ w.astype(np.float64) + 0.5 * (h @ a.data.T.astype(np.float64)) @ b.data.T
         h = linear(x.astype(np.float64), w1, a1, b1)
-        n = h / np.sqrt(np.mean(h * h, axis=-1, keepdims=True) + 1e-5) * gain
+        n = h / np.sqrt(np.mean(h * h, axis=-1, keepdims=True) + 1e-5)
         gate, up, down = ((p.weight, p.a, p.b) for p in projections)
         z = linear(linear(n, *gate) / (1.0 + np.exp(-linear(n, *gate))) * linear(n, *up), *down)
         lse = np.log(np.sum(np.exp(z), axis=-1))

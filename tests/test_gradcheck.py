@@ -72,46 +72,67 @@ def test_a_forward_off_by_1e_4_fails_on_value_only():
     assert grad_err < gradcheck.GRAD_TOL
 
 
-def test_a_row_of_small_norm_is_judged_right():
-    # a norm's curvature grows as its row's norm shrinks: with a half step of
-    # 1e-3 this correct swiglu_mlp gradient read an error of 1.5e-3, over
-    # GRAD_TOL; with 3e-5 it reads 1.1e-6
-    rng = np.random.default_rng(7)
-    gain = rng.uniform(0.5, 1.5, size=2).astype(np.float32)
+def test_a_row_of_small_norm_is_judged_right(monkeypatch):
+    # a norm's curvature grows as its row's norm shrinks: this correct
+    # swiglu_mlp gradient reads an error of 3.0e-6 with a half step of
+    # FD_EPS, and of 2.8e-3, over GRAD_TOL, with one of 1e-3
+    rng = np.random.default_rng(11)
     scales = rng.uniform(0.5, 2.0, size=3)
     bases = [rng.uniform(-1.0, 1.0, size=(2, 2)).astype(np.float32) for _ in range(3)]
     x = ad.Tensor([[0.0895, -0.0626]], requires_grad=True)
     adapters = [ad.Tensor(rng.uniform(-1.0, 1.0, size=(2, 2)), requires_grad=True) for _ in range(6)]
 
     def node(x, *adapters):
-        return ad.swiglu_mlp(x, gain, *(Linear(w, a, b, float(s)) for w, a, b, s
-                                        in zip(bases, adapters[0::2], adapters[1::2], scales)))
+        return ad.swiglu_mlp(x, *(Linear(w, a, b, float(s)) for w, a, b, s
+                                  in zip(bases, adapters[0::2], adapters[1::2], scales)))
 
     def reference(v):
-        return gradcheck._ref_swiglu_mlp(v[0], gain.astype(np.float64),
-                                         *zip([w.astype(np.float64) for w in bases],
-                                              v[1::2], v[2::2], scales))
+        return gradcheck._ref_swiglu_mlp(v[0], *zip([w.astype(np.float64) for w in bases],
+                                                    v[1::2], v[2::2], scales))
 
-    _, grad_err = gradcheck.check_primitive(node, [x, *adapters], {}, reference,
-                                            np.random.default_rng(7))
-    assert grad_err < gradcheck.GRAD_TOL
+    def grad_err():
+        return gradcheck.check_primitive(node, [x, *adapters], {}, reference,
+                                         np.random.default_rng(11))[1]
 
-
-# Seeds beyond the suite's 0-19 at which a self_attention case, and at 313
-# an MLP case, has an adapter gradient far smaller than its node's others.
-# Judged tensor by tensor, float32 rounding alone read errors from 1.1e-3
-# to 19.4 at the second group of seeds, and from 1.0e-3 to 0.69 at the
-# first under the cases drawn before the model's head was one node.
-ROUNDING_SEEDS = [31, 37, 90, 93, 97, 138, 250, 256, 298, 383,
-                  32, 78, 80, 127, 156, 188, 189, 240, 248, 251, 313, 326]
+    assert grad_err() < gradcheck.GRAD_TOL
+    monkeypatch.setattr(gradcheck, "FD_EPS", 1e-3)
+    assert grad_err() > gradcheck.GRAD_TOL
 
 
-@pytest.mark.parametrize("seed", ROUNDING_SEEDS)
+# Seeds in 20-399, beyond the suite's 0-19, at which a fused node has an
+# adapter gradient far smaller than its node's others: judged tensor by
+# tensor, float32 rounding alone reads errors from 1.1e-3 to 1.53 there.
+# They are self_attention cases, and at 307 an MLP case.
+ROUNDING_SEEDS = [110, 129, 286, 307, 381]
+# Seeds that were hard under earlier draws of the cases, and no longer are;
+# they stay as further seeds of the unit judgement.
+EARLIER_SEEDS = [31, 37, 90, 93, 97, 138, 250, 256, 298, 383,
+                 32, 78, 80, 127, 156, 188, 189, 240, 248, 251, 313, 326]
+
+
+@pytest.mark.parametrize("seed", ROUNDING_SEEDS + EARLIER_SEEDS)
 def test_a_fused_nodes_adapters_are_judged_as_one_unit(seed):
     rng = np.random.default_rng(seed)
     for fn, inputs, kwargs, reference in gradcheck._primitive_cases(rng):
         _, grad_err = gradcheck.check_primitive(fn, inputs, kwargs, reference, rng)
         assert grad_err < gradcheck.GRAD_TOL, f"{fn.__name__}: gradient error {grad_err:.2e}"
+
+
+def _worst_alone(seed):
+    """The largest error of any tracked input judged alone, over the cases drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for fn, inputs, kwargs, reference in gradcheck._primitive_cases(rng):
+        _, pairs = gradcheck._gradient_pairs(fn, inputs, kwargs, reference, rng)
+        worst = max([worst, *(gradcheck._rel_err(*pair) for pair in pairs.values())])
+    return worst
+
+
+def test_every_rounding_seed_is_hard():
+    # with the cotangent and finite differences check_primitive uses, each
+    # listed seed has a correct gradient that fails when judged alone, so a
+    # change to the cases' draws cannot leave the list easy unnoticed
+    assert [seed for seed in ROUNDING_SEEDS if _worst_alone(seed) <= gradcheck.GRAD_TOL] == []
 
 
 def test_a_q_gradient_one_percent_off_still_fails():

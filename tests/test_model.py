@@ -101,7 +101,7 @@ def test_lora_params_by_layer_splits_trainable_params_in_order():
     assert flat == list(MODEL.trainable_params().items())
     for i, layer in enumerate(per_layer):
         assert len(layer) == 2 * 7  # A and B of each projection
-        for site, lin in MODEL.blocks[i].linears.items():
+        for site, lin in MODEL.blocks[i].items():
             assert layer[f"layers.{i}.{site}.lora_a"] is lin.a
             assert layer[f"layers.{i}.{site}.lora_b"] is lin.b
 
@@ -117,12 +117,11 @@ def test_tape_node_counts():
 
 def test_self_attention_single_position_matches_reference():
     rng = np.random.default_rng(0)
-    block = MODEL.blocks[0]
-    q, k, v, o = (block.linears[site] for site in ("q", "k", "v", "o"))
+    q, k, v, o = (MODEL.blocks[0][site] for site in ("q", "k", "v", "o"))
     x = ad.Tensor(rng.standard_normal((1, CFG.d_model)), requires_grad=True)
     weights = rng.standard_normal((1, CFG.d_model)).astype(np.float32)
     with ad.Tape() as tape:
-        out = ad.self_attention(x, block.norm_attn, q, k, v, o, CFG.n_heads)
+        out = ad.self_attention(x, q, k, v, o, CFG.n_heads)
         loss = weighted_sum(out, weights)
 
     def operands(lin):
@@ -130,11 +129,10 @@ def test_self_attention_single_position_matches_reference():
                 lin.b.data.astype(np.float64), lin.scale)
 
     reference = gradcheck._ref_self_attention(
-        x.data.astype(np.float64), block.norm_attn.astype(np.float64),
-        *(operands(lin) for lin in (q, k, v, o)), CFG.n_heads)
+        x.data.astype(np.float64), *(operands(lin) for lin in (q, k, v, o)), CFG.n_heads)
     np.testing.assert_allclose(out.data, reference, rtol=1e-5, atol=1e-7)
     # one position attends only to itself: the heads are v, and q and k get no gradient
-    n = ad._rms_normalized(x.data, ad._rms_inv(x.data), block.norm_attn)
+    n = ad._rms_normalized(x.data, ad._rms_inv(x.data))
     heads, _ = ad._lora_forward(n, v.base, v.a.data, v.b.data, v.scale, "v")
     assert np.array_equal(out.data, ad._lora_forward(heads, o.base, o.a.data, o.b.data, o.scale, "o")[0])
     grads = ad.backward(loss, tape)
@@ -376,13 +374,13 @@ def test_quantized_bases_take_less_than_half_the_bytes():
     float_model, float_bytes = _init_bytes(config)
     q_model, q_bytes = _init_bytes(replace(config, quantize_base=True, quant_group_size=8))
     frozen_bytes = float_model.embed.nbytes + float_model.pos.nbytes + sum(
-        lin.weight.nbytes for block in float_model.blocks for lin in block.linears.values())
+        lin.weight.nbytes for block in float_model.blocks for lin in block.values())
     # both models hold the same parameters apart from their bases, embedding and positions
     assert q_bytes - (float_bytes - frozen_bytes) < frozen_bytes / 2
     # a 4-bit matrix holds its codes, one byte per group and a few bytes for its exponent
     stems = {"embed.weight": q_model.embed, "embed.pos": q_model.pos,
              **{f"layers.{i}.{site}": lin.weight for i, block in enumerate(q_model.blocks)
-                for site, lin in block.linears.items()}}
+                for site, lin in block.items()}}
     for stem, weight in stems.items():
         rows, cols = weight.shape
         held = sum(a.nbytes for name, a in q_model.state_arrays().items()
@@ -561,6 +559,14 @@ def test_a_float_checkpoint_of_the_older_layout_is_refused_before_overwriting():
     assert all(np.array_equal(target.state_arrays()[k], before[k]) for k in before)
 
 
+@pytest.mark.parametrize("config", [CFG, QCFG], ids=["float", "q4"])
+def test_every_float_array_in_a_checkpoint_is_a_matrix(config):
+    # frozen matrices and LoRA matrices; a 4-bit matrix's exponent is a 0-d integer
+    floats = {name: a.ndim for name, a in init_model(config, 0).state_arrays().items()
+              if np.issubdtype(a.dtype, np.floating)}
+    assert floats and set(floats.values()) == {2}
+
+
 def _without(arrays, name):
     return {k: a for k, a in arrays.items() if k != name}
 
@@ -576,11 +582,19 @@ def _beyond_float32(arrays, name):
     return {**arrays, name: _with_last(arrays[name].astype(np.float64), 1e39)}
 
 
+# The key the loader checks last, so a case there shows that no earlier key was written.
+LAST = "layers.1.down.lora_b"
 # case -> (corruption of a 4-bit micro model's state, the key, the reason its check reports)
 CORRUPTIONS = {
-    "missing": (lambda a: _without(a, "norm_out.gain"), "norm_out.gain", "is missing key"),
+    "missing": (lambda a: _without(a, LAST), LAST, "is missing key"),
     "unexpected": (lambda a: {**a, "layers.9.q.w": a["layers.0.q.q4"]}, "layers.9.q.w",
                    "unexpected key"),
+    # norms have no parameters, so the gains an older model saved are unknown keys
+    "norm_gains": (lambda a: {**a, **{key: np.ones(CFG.d_model, np.float32) for key in (
+        *(f"layers.{i}.{norm}.gain" for i in range(CFG.n_layers) for norm in ("norm_attn", "norm_mlp")),
+        "norm_out.gain")}}, "layers.0.norm_attn.gain", "unexpected key"),
+    "output_norm_gain": (lambda a: {**a, "norm_out.gain": np.ones(CFG.d_model, np.float32)},
+                         "norm_out.gain", "unexpected key"),
     "shape": (lambda a: {**a, "layers.1.up.lora_b": a["layers.1.up.lora_b"].T},
               "layers.1.up.lora_b", "has shape"),
     # every byte is a valid pair of codes, so a packed array is checked by dtype and length
@@ -617,8 +631,8 @@ CORRUPTIONS = {
        for side, e in (("below", MIN_EXPONENT - 1), ("above", MAX_EXPONENT + 1))},
     "positions_exponent_above_range": (lambda a: {**a, "embed.pos.q4_exponent": np.int16(
         MAX_EXPONENT + 1)}, "embed.pos.q4_exponent", "outside the exponents"),
-    "integer_floats": (lambda a: {**a, "norm_out.gain": a["norm_out.gain"].astype(np.int64)},
-                       "norm_out.gain", "not an array of finite float32"),
+    "integer_floats": (lambda a: {**a, LAST: a[LAST].astype(np.int64)}, LAST,
+                       "not an array of finite float32"),
     # ragged nestings, on which np.asarray raises a bare ValueError
     "ragged": (lambda a: {**a, "layers.1.v.lora_a": [[1.0, 2.0], [3.0]]}, "layers.1.v.lora_a",
                "is ragged"),
@@ -628,7 +642,7 @@ CORRUPTIONS = {
     **{f"float32_overflow_{key}": (lambda a, key=key: _beyond_float32(a, key), key, reason)
        for key, reason in (("layers.0.q.lora_a", "not an array of finite float32"),
                            ("layers.0.q.q4_scales", "not uint8 scale mantissas"),
-                           ("norm_out.gain", "not an array of finite float32"))},
+                           (LAST, "not an array of finite float32"))},
 }
 
 
