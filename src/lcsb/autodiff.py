@@ -310,10 +310,6 @@ def _rms_inv(x_data: Array) -> Array:
     return 1.0 / np.sqrt(sum_sq / np.float32(x_data.shape[-1]) + RMS_EPS)
 
 
-def _rms_normalized(x_data: Array, inv: Array) -> Array:
-    return x_data * inv
-
-
 def _rms_norm_backward(g: Array, x_data: Array, inv: Array) -> Array:
     """The gradient of ``x``: ``inv * g - (inv ** 3) * x * (s / dim)`` with ``s = sum(g * x)``.
 
@@ -346,7 +342,7 @@ def norm_head(x: Tensor, head: Callable[[], Array]) -> Tensor:
         raise DimensionError(f"norm_head base must be float32, got {w.dtype}")
     x_data = x.data
     inv = _rms_inv(x_data)
-    out = _rms_normalized(x_data, inv) @ w
+    out = (x_data * inv) @ w
     del w
 
     def bw(g, needs):
@@ -369,15 +365,17 @@ def _sigmoid(x: Array) -> Array:
     return sig
 
 
-def _lora_forward(x_data: Array, base: Callable[[], Array], a_data: Array, b_data: Array,
-                  s: float, op: str) -> tuple:
+def _lora_forward(x_data: Array, p, op: str) -> tuple:
     """``x @ w + s * (x @ a.T) @ b.T`` and the (n, rank) product ``s * x @ a.T`` that dB reads.
 
+    ``p`` is a projection such as :class:`lcsb.model.Linear`: a ``base()``
+    that returns ``w``, LoRA tensors ``a`` and ``b`` and a ``scale`` ``s``.
     ``base()`` is called once, and a decompressed base is freed before the
     delta's arrays are formed.  Shapes and the base's dtype are checked
     first; ``op`` names the projection in the error.
     """
-    w = base()
+    w = p.base()
+    a_data, b_data = p.a.data, p.b.data
     if (x_data.ndim != 2 or w.ndim != 2 or a_data.ndim != 2
             or w.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
             or b_data.shape != (w.shape[1], a_data.shape[0])):
@@ -393,53 +391,53 @@ def _lora_forward(x_data: Array, base: Callable[[], Array], a_data: Array, b_dat
     # two forward products: OpenBLAS runs a product whose right operand is a
     # transposed view well below the plain layout's speed, and the values are
     # the same bit for bit.
-    xas = _rank_product(x_data, a_data, s)
+    xas = _rank_product(x_data, p)
     out += xas @ np.ascontiguousarray(b_data.T)
     return out, xas
 
 
-def _rank_product(x_data: Array, a_data: Array, s: float) -> Array:
-    """The (n, rank) product ``s * x @ a.T``, by the same operations wherever it is formed.
+def _rank_product(x_data: Array, p) -> Array:
+    """Projection ``p``'s (n, rank) product ``s * x @ a.T``, by the same operations wherever it is formed.
 
     s scales the (n, rank) intermediate, not an (n, d_out) array.  A
     backward that forms it again from a re-formed ``x`` gets the forward's
     bits.
     """
-    xas = x_data @ np.ascontiguousarray(a_data.T)
-    xas *= np.float32(s)
+    xas = x_data @ np.ascontiguousarray(p.a.data.T)
+    xas *= np.float32(p.scale)
     return xas
 
 
-def _lora_grads(g: Array, needs: tuple, base: Callable[[], Array], a_data: Array, b_data: Array,
-                s: float, xas: Array) -> tuple:
-    """``(dx, gxa, dB)`` of a projection, each only where ``needs`` (x, a, b) asks.
+def _lora_grads(g: Array, needs: tuple, p, xas: Array) -> tuple:
+    """``(dx, gxa, dB)`` of projection ``p``, each only where ``needs`` (x, a, b) asks.
 
     ``dA`` is ``gxa.T @ x``, formed by the caller, which re-forms ``x``.
-    ``base()`` is called only for dx.
+    ``p.base()`` is called only for dx.
     """
     gxa = None
     if needs[0] or needs[1]:
-        gxa = g @ b_data
-        gxa *= np.float32(s)
+        gxa = g @ p.b.data
+        gxa *= np.float32(p.scale)
     gx = None
     if needs[0]:
-        gx = g @ base().T
-        gx += gxa @ a_data
+        gx = g @ p.base().T
+        gx += gxa @ p.a.data
     return gx, gxa, (g.T @ xas if needs[2] else None)
 
 
 def _project(norm: tuple, projections: Sequence, op: str, names: Sequence[str]) -> tuple:
     """The projections of the normalized input: a list of their outputs and one of their (n, rank) products.
 
-    ``norm`` is ``(x, inv)`` as :func:`_rms_normalized` takes it;
-    the normalized input is formed here and freed before the return.  Each
-    projection is ``_lora_forward``'s ``(base, a, b, s)``, named in errors
-    by ``names``, and all outputs must have one shape.
+    ``norm`` is ``(x, inv)``, the input and each row's inverse norm; the
+    normalized input ``x * inv`` is formed here and freed before the
+    return.  Each projection is one such as :class:`lcsb.model.Linear`,
+    named in errors by ``names``, and all outputs must have one shape.
     """
-    n = _rms_normalized(*norm)
+    x_data, inv = norm
+    n = x_data * inv
     outs, xas = [], []
     for p, name in zip(projections, names):
-        out, xa = _lora_forward(n, *p, f"{op} {name}")
+        out, xa = _lora_forward(n, p, f"{op} {name}")
         outs.append(out)
         xas.append(xa)
     del n
@@ -465,20 +463,21 @@ def _prenorm_grads(grads: list, needs: tuple, projections: Sequence, xas: Sequen
     gx = None
     for i in reversed(range(len(grads))):
         gx_i, gxa[i], out[2 + 2 * i] = _lora_grads(
-            grads[i], (needs[0], *needs[1 + 2 * i:3 + 2 * i]), *projections[i], xas[i])
+            grads[i], (needs[0], *needs[1 + 2 * i:3 + 2 * i]), projections[i], xas[i])
         grads[i] = None
         if gx is None:
             gx = gx_i
         else:
             gx += gx_i
         del gx_i
-    n = _rms_normalized(*norm)  # re-formed where dA reads it
+    x_data, inv = norm
+    n = x_data * inv  # re-formed where dA reads it
     for i in range(len(grads)):
         if needs[1 + 2 * i]:
             out[1 + 2 * i] = gxa[i].T @ n
     del n
     if needs[0]:
-        out[0] = _rms_norm_backward(gx, *norm)
+        out[0] = _rms_norm_backward(gx, x_data, inv)
     return out
 
 
@@ -526,7 +525,6 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
     _check_width(x, "swiglu_mlp")
     x_data = x.data
     norm = (x_data, _rms_inv(x_data))
-    projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (gate, up, down)]
     inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
     # if recorded: float32 gate, up and their (n, rank) products, against the gradients returned
     keep = _recorder(inputs) is not None and (
@@ -534,7 +532,7 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
         <= x_data.nbytes + sum(p.a.data.nbytes + p.b.data.nbytes for p in (gate, up, down)))
 
     def gate_and_up():
-        return _project(norm, projections[:2], "swiglu_mlp", ("gate", "up"))
+        return _project(norm, (gate, up), "swiglu_mlp", ("gate", "up"))
 
     kept = gate_and_up()
     gate_out, up_out = kept[0]
@@ -544,7 +542,7 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
     hidden *= gate_out  # silu(gate)
     hidden *= up_out
     del gate_out, up_out
-    out, _ = _lora_forward(hidden, *projections[2], "swiglu_mlp down")
+    out, _ = _lora_forward(hidden, down, "swiglu_mlp down")
     del hidden
 
     def bw(g, needs):
@@ -553,7 +551,7 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
         (gate_out, up_out), xas = kept or gate_and_up()
         kept = None  # so that each is freed after its last use, as a re-formed one is
         # g is shared with the residual add, so it is only read
-        g_hidden, gxa_down, _ = _lora_grads(g, (True, needs[5], False), *projections[2], None)
+        g_hidden, gxa_down, _ = _lora_grads(g, (True, needs[5], False), down, None)
         swiglu = needs[5] or needs[6]  # the SwiGLU output is re-formed for down's dA or dB
         # the SwiGLU derivative in blocks of rows, which are contiguous
         rows = max(1, _SWIGLU_BLOCK // gate_out.shape[1])
@@ -576,12 +574,11 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
                 gate_b[...] = hidden  # over gate, for down's dA and dB
             del gate_b, up_b, g_b, sig, silu, hidden
         ga_down = gxa_down.T @ gate_out if needs[5] else None
-        _, a_down, _, s_down = projections[2]
-        gb_down = g.T @ _rank_product(gate_out, a_down, s_down) if needs[6] else None
+        gb_down = g.T @ _rank_product(gate_out, down) if needs[6] else None
         del gate_out
         grads = [up_out, g_hidden]  # of gate's and up's outputs
         del up_out, g_hidden
-        return (*_prenorm_grads(grads, needs, projections, xas, norm), ga_down, gb_down)
+        return (*_prenorm_grads(grads, needs, (gate, up), xas, norm), ga_down, gb_down)
 
     return _finish(out, inputs, bw)
 
@@ -665,11 +662,10 @@ def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
     x_data = x.data
     t = x_data.shape[0]
     norm = (x_data, _rms_inv(x_data))
-    projections = [(p.base, p.a.data, p.b.data, p.scale) for p in (q, k, v, o)]
 
     def qkv_of():
         """The scaled q, k and v, (T, width) each, the scale and their (T, rank) products."""
-        qkv, xas = _project(norm, projections[:3], "self_attention", "qkv")
+        qkv, xas = _project(norm, (q, k, v), "self_attention", "qkv")
         width = qkv[0].shape[1]
         if n_heads <= 0 or width == 0 or width % n_heads != 0:
             raise DimensionError(f"self_attention: {n_heads} heads do not divide d={width}")
@@ -691,12 +687,12 @@ def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
         np.matmul(probs.transpose(0, 2, 1), vh[hs], out=qh[hs])  # the heads, over q
     heads = qkv[0]
     del qkv, qh, kh, vh, scores, future, probs
-    out, _ = _lora_forward(heads, *projections[3], "self_attention o")
+    out, _ = _lora_forward(heads, o, "self_attention o")
     del heads
 
     def bw(g, needs):
         # g is shared with the residual add, so it is only read
-        g_heads, gxa_o, _ = _lora_grads(g, (True, needs[7], False), *projections[3], None)
+        g_heads, gxa_o, _ = _lora_grads(g, (True, needs[7], False), o, None)
         heads = needs[7] or needs[8]  # the heads are re-formed for o's dA or dB
         g_qkv, c, xas = qkv_of()
         qh, kh, vh = (_split_heads(m, n_heads) for m in g_qkv)
@@ -725,10 +721,9 @@ def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
             np.multiply(out_block[:m], c, out=qh[hs])  # dq, over q
         del qh, kh, vh, gh, scores, grad_scores, out_block, future, probs, gs
         ga_o = gxa_o.T @ g_heads if needs[7] else None
-        _, a_o, _, s_o = projections[3]
-        gb_o = g.T @ _rank_product(g_heads, a_o, s_o) if needs[8] else None
+        gb_o = g.T @ _rank_product(g_heads, o) if needs[8] else None
         del g_heads
-        return (*_prenorm_grads(g_qkv, needs, projections, xas, norm), ga_o, gb_o)
+        return (*_prenorm_grads(g_qkv, needs, (q, k, v), xas, norm), ga_o, gb_o)
 
     inputs = (x, q.a, q.b, k.a, k.b, v.a, v.b, o.a, o.b)
     return _finish(out, inputs, bw)

@@ -146,9 +146,11 @@ class Linear:
     (rank, d_in) and ``b`` (d_out, rank; zero at init) are used in place, and
     ``scale`` is the config's ``lora_alpha / lora_rank``.  A block hands
     its q, k, v and o to ``self_attention`` and its gate, up and down to
-    ``swiglu_mlp`` whole.  Neither forms the dense ``W + BA``; each calls
-    :meth:`base` again in the backward, for dx and to re-form the outputs
-    of q, k and v, and of gate and up unless the MLP kept them.
+    ``swiglu_mlp`` whole, and the engine hands each projection on whole,
+    down to its innermost helper, which reads the parts it uses.
+    Neither node forms the dense ``W + BA``; each calls :meth:`base` again
+    in the backward, for dx and to re-form the outputs of q, k and v, and
+    of gate and up unless the MLP kept them.
     """
 
     weight: np.ndarray | QuantizedLinear
@@ -163,18 +165,6 @@ class Linear:
 def _decoded(w: np.ndarray | QuantizedLinear) -> np.ndarray:
     """A frozen matrix in float32: a 4-bit one decompressed afresh, a float one itself."""
     return dequantize(w) if isinstance(w, QuantizedLinear) else w
-
-
-# site name -> (d_out, d_in) picker, in init draw order
-_SITE_DIMS = {
-    "q": lambda c: (c.d_model, c.d_model),
-    "k": lambda c: (c.d_model, c.d_model),
-    "v": lambda c: (c.d_model, c.d_model),
-    "o": lambda c: (c.d_model, c.d_model),
-    "gate": lambda c: (c.d_ff, c.d_model),
-    "up": lambda c: (c.d_ff, c.d_model),
-    "down": lambda c: (c.d_model, c.d_ff),
-}
 
 
 @dataclass(eq=False)
@@ -227,10 +217,7 @@ class Model:
                             f"{stem}.q4_exponent": w.exponent})
             else:
                 out[stem] = w
-        for i, block in enumerate(self.blocks):
-            for site, lin in block.items():
-                out[f"layers.{i}.{site}.lora_a"] = lin.a.data
-                out[f"layers.{i}.{site}.lora_b"] = lin.b.data
+        out.update((name, t.data) for name, t in self.trainable_params().items())
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
@@ -391,11 +378,14 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     embed = frozen(config.vocab_size, config.d_model)
     pos = frozen(config.seq_len, config.d_model)
+    d, d_ff = config.d_model, config.d_ff
+    # site name -> (d_out, d_in), in init draw order
+    site_dims = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
+                 "gate": (d_ff, d), "up": (d_ff, d), "down": (d, d_ff)}
     blocks = []
     for _ in range(config.n_layers):
         linears = {}
-        for site, dims in _SITE_DIMS.items():
-            d_out, d_in = dims(config)
+        for site, (d_out, d_in) in site_dims.items():
             weight = frozen(d_out, d_in)
             a = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
             b = np.zeros((d_out, config.lora_rank), dtype=np.float32)

@@ -69,7 +69,7 @@ def test_lora_forward_matches_the_transposed_products_bit_for_bit():
     w = rng.standard_normal((32, 48)).astype(np.float32)
     a = rng.standard_normal((4, 32)).astype(np.float32)
     b = rng.standard_normal((48, 4)).astype(np.float32)
-    out, _ = ad._lora_forward(x, lambda: w, a, b, 0.5, "projection")
+    out, _ = ad._lora_forward(x, Linear(w, Tensor(a), Tensor(b), 0.5), "projection")
     xas = x @ a.T
     xas *= np.float32(0.5)
     want = x @ w
@@ -127,9 +127,9 @@ def _linears(rng, rank, dims, quantize=False):
     return tuple(linears)
 
 
-def _projections(rng, d, d_ff, rank):
+def _projections(rng, d, d_ff, rank, quantize=False):
     """Gate, up and down projections (d -> d_ff, d -> d_ff, d_ff -> d)."""
-    return _linears(rng, rank, ((d, d_ff), (d, d_ff), (d_ff, d)))
+    return _linears(rng, rank, ((d, d_ff), (d, d_ff), (d_ff, d)), quantize)
 
 
 def _attention_projections(rng, d, rank, quantize=False):
@@ -206,11 +206,10 @@ def test_swiglu_mlp_keeps_gate_and_up_only_while_its_gradients_cover_them():
 
 def _projection_node(x, lin):
     """``x @ w + s * (x @ a.T) @ b.T`` as one node that keeps ``x``: the unfused chain's projection."""
-    a, b = lin.a.data, lin.b.data
-    out, xas = ad._lora_forward(x.data, lin.base, a, b, lin.scale, "projection")
+    out, xas = ad._lora_forward(x.data, lin, "projection")
 
     def bw(g, needs):
-        gx, gxa, gb = ad._lora_grads(g, needs, lin.base, a, b, lin.scale, xas)
+        gx, gxa, gb = ad._lora_grads(g, needs, lin, xas)
         return (gx, gxa.T @ x.data if needs[1] else None, gb)
 
     return ad._finish(out, (x, lin.a, lin.b), bw)
@@ -219,7 +218,7 @@ def _projection_node(x, lin):
 def _norm_node(x):
     """``rms_norm(x)`` as one node that keeps ``x``: the unfused chain's norm."""
     inv = ad._rms_inv(x.data)
-    return ad._finish(ad._rms_normalized(x.data, inv), (x,),
+    return ad._finish(x.data * inv, (x,),
                       lambda g, needs: (ad._rms_norm_backward(g, x.data, inv),))
 
 
@@ -436,6 +435,37 @@ def test_a_tracked_b_beside_a_constant_a_gets_the_all_tracked_gradient(node, t):
 
     constant_a = Linear(last.weight, Tensor(last.a.data), last.b, last.scale)
     assert grad_b((*projections[:-1], constant_a)).tobytes() == grad_b(projections).tobytes()
+
+
+@pytest.mark.parametrize("t", [7, 128])
+@pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])
+@pytest.mark.parametrize("node", ["self_attention", "swiglu_mlp"])
+def test_constant_adapters_get_no_gradient_and_leave_dx_bit_identical(node, quantize, t):
+    # With every adapter a constant, the backward forms dx alone and skips
+    # re-forming the heads or the SwiGLU output, which only o's or down's dA
+    # and dB read.  At T=7 the MLP keeps gate and up, and at T=128 it re-forms them
+    rng = np.random.default_rng(t)
+    if node == "self_attention":
+        fused, heads = ad.self_attention, (4,)
+        projections = _attention_projections(rng, 128, 16, quantize)
+    else:
+        fused, heads = ad.swiglu_mlp, ()
+        projections = _projections(rng, 128, 256, 16, quantize)
+    x = Tensor(rng.standard_normal((t, 128)), requires_grad=True)
+    g = rng.standard_normal((t, 128)).astype(np.float32)
+
+    def node_grads(ps):
+        """The node's backward, given g and the needs the sweep would pass it."""
+        with Tape() as tape:
+            fused(x, *ps, *heads)
+        handles, bw = tape.nodes[-1]
+        return bw(g, tuple(h is not None for h in handles))
+
+    constant = [Linear(lin.weight, Tensor(lin.a.data), Tensor(lin.b.data), lin.scale)
+                for lin in projections]
+    dx, *adapters = node_grads(constant)
+    assert len(adapters) == 2 * len(projections) and all(grad is None for grad in adapters)
+    assert dx.tobytes() == node_grads(projections)[0].tobytes()
 
 
 @pytest.mark.parametrize("quantize", [False, True], ids=["float", "q4"])

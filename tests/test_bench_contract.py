@@ -57,7 +57,8 @@ def test_all_attached_tape_size_and_retained_bytes():
     trainer.model.forward(tokens)  # fills numpy's caches of small blocks, which later steps share
     # 4 per attached layer (its LoRA matrices are leaves, not nodes), the head and the loss
     assert harness.tape_nodes(trainer.model, plan, tokens, targets) == 4 * workload.attached + 2
-    # 1.28 MiB; 1.41 while each layer kept o's and down's (T, rank)
+    # 1.27 MiB; 1.28 while each fused node held its projections as
+    # (base, a, b, scale) tuples, 1.41 while each layer kept o's and down's (T, rank)
     # products, 3.64 while the attention was six nodes that kept q, k, v and
     # the heads, 5.78 while the MLP was five nodes that kept gate and up, and
     # 7.71 while the projections kept the norm and SwiGLU outputs
@@ -65,7 +66,8 @@ def test_all_attached_tape_size_and_retained_bytes():
 
 
 def test_all_attached_peak_memory():
-    # 8.15 MiB; 8.26 while each attached layer kept o's and down's (T, rank)
+    # 8.13 MiB; 8.14 while each fused node held its projections as (base,
+    # a, b, scale) tuples, 8.26 while each attached layer kept o's and down's (T, rank)
     # products, 8.32 while a cached (T, T) causal mask outlived every
     # attention pass, 8.66 while the fused nodes formed every head's scores at once
     # and the SwiGLU derivative on whole (T, d_ff) arrays, 10.80 while the
@@ -75,7 +77,7 @@ def test_all_attached_peak_memory():
 
 
 def test_paper_regime_peak_memory():
-    # 2.84 MiB, of which init is 1.85: the embedding and the positions are
+    # 2.83 MiB, of which init is 1.83: the embedding and the positions are
     # 4-bit too, decompressed on each use; 3.00 while the embedding and
     # positions were float32, and a 4-bit group scale was already an 8-bit
     # mantissa under one exponent per matrix; 3.04 while the scales were
@@ -91,7 +93,7 @@ def test_paper_regime_peak_memory():
 
 
 def test_short_sequence_peak_memory():
-    # 7.61 MiB, as when every attached MLP re-formed gate and up in its
+    # 7.57 MiB, and 7.56 when every attached MLP re-forms gate and up in its
     # backward: at T=32 an MLP keeps them (68 KiB), fewer bytes than the
     # gradients it returns (88 KiB)
     assert harness.peak_and_init_mib(harness.WORKLOADS["attach_all_t32"], 0)[0] < 7.65

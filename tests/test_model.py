@@ -132,9 +132,9 @@ def test_self_attention_single_position_matches_reference():
         x.data.astype(np.float64), *(operands(lin) for lin in (q, k, v, o)), CFG.n_heads)
     np.testing.assert_allclose(out.data, reference, rtol=1e-5, atol=1e-7)
     # one position attends only to itself: the heads are v, and q and k get no gradient
-    n = ad._rms_normalized(x.data, ad._rms_inv(x.data))
-    heads, _ = ad._lora_forward(n, v.base, v.a.data, v.b.data, v.scale, "v")
-    assert np.array_equal(out.data, ad._lora_forward(heads, o.base, o.a.data, o.b.data, o.scale, "o")[0])
+    n = x.data * ad._rms_inv(x.data)
+    heads, _ = ad._lora_forward(n, v, "v")
+    assert np.array_equal(out.data, ad._lora_forward(heads, o, "o")[0])
     grads = ad.backward(loss, tape)
     assert all(grads[lin.a].any() and grads[lin.b].any() for lin in (v, o))
     assert not any(grads[m].any() for m in (q.a, q.b, k.a, k.b))
@@ -164,8 +164,7 @@ def test_quantized_lora_forward_frees_its_base_before_the_delta():
                     b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True), scale=2.0)
     x = ad.Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     with ad.Tape():
-        (out, _), _, peak = traced(ad._lora_forward, x.data, linear.base, linear.a.data,
-                                   linear.b.data, linear.scale, "q")
+        (out, _), _, peak = traced(ad._lora_forward, x.data, linear, "q")
     # the output and the (T, d_out) delta, plus the adapters' small copies;
     # the 128 KiB decompressed base alongside them made it 3.2 outputs
     assert peak < 2.5 * out.data.nbytes
