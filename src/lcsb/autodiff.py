@@ -729,33 +729,41 @@ def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
     return _finish(out, inputs, bw)
 
 
+def _class_ids(values, n_classes: int, what: str) -> Array:
+    """``values`` as 1-d integer ids in ``[0, n_classes)``, or unchecked if empty; else DimensionError."""
+    try:
+        ids = np.asarray(values)
+    except ValueError:  # a ragged nesting of sequences
+        raise DimensionError(f"{what} must be integers in a 1-d sequence, "
+                             f"got a ragged nesting") from None
+    if ids.ndim != 1:
+        raise DimensionError(f"{what} must be a 1-d sequence, got shape {ids.shape}")
+    if ids.shape[0] == 0:  # each caller has its own rule for the length
+        return ids
+    if not np.issubdtype(ids.dtype, np.integer):  # floats and bools too
+        raise DimensionError(f"{what} must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= n_classes:  # -1 would index the last class
+        raise DimensionError(f"{what} out of range [0, {n_classes}): "
+                             f"{int(ids.min())}..{int(ids.max())}")
+    return ids
+
+
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     """Mean cross entropy of raw (n, n_classes) logits against integer class targets.
 
-    ``targets`` holds n >= 1 integers in ``[0, n_classes)``; anything else
-    raises :class:`DimensionError`.  The node keeps the softmax probabilities and
+    ``logits`` needs n >= 1 rows and ``targets`` one id in ``[0, n_classes)`` per
+    row, by the id rule :meth:`~lcsb.model.Model.forward` applies to tokens; anything
+    else raises :class:`DimensionError`.  The node keeps the softmax probabilities and
     turns them into the gradient in place.
     """
-    try:
-        targets = np.asarray(targets)
-    except ValueError:  # a ragged nesting of sequences
-        raise DimensionError("cross_entropy targets must be integers in an (n,) sequence, "
-                             "got a ragged nesting") from None
-    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise DimensionError(
-            f"cross_entropy expects (n, vocab) logits and (n,) targets, "
-            f"got {logits.shape} and {targets.shape}"
-        )
+    if logits.data.ndim != 2:
+        raise DimensionError(f"cross_entropy expects (n, n_classes) logits, got {logits.shape}")
     n, n_classes = logits.shape
     if n == 0:
         raise DimensionError("cross_entropy needs at least one row of logits, got 0")
-    if not np.issubdtype(targets.dtype, np.integer):
-        raise DimensionError(f"cross_entropy targets must be integers, got dtype {targets.dtype}")
-    if targets.min() < 0 or targets.max() >= n_classes:
-        raise DimensionError(
-            f"cross_entropy target out of range [0, {n_classes}): "
-            f"{int(targets.min())}..{int(targets.max())}"
-        )
+    targets = _class_ids(targets, n_classes, "cross_entropy targets")
+    if targets.shape != (n,):
+        raise DimensionError(f"cross_entropy got {targets.shape[0]} targets for {n} rows of logits")
     z = logits.data
     # one (n, n_classes) buffer: the shifted logits, then their exponentials,
     # then the probabilities; only the targets' log-probabilities are formed

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -78,18 +79,16 @@ from .quant import MAX_EXPONENT, MIN_EXPONENT, QuantizedLinear, dequantize, quan
 
 
 class BlockMode(str, Enum):
+    """A block's forward mode; ``BlockMode(x)`` of an unknown mode raises :class:`PlanError`."""
+
     ATTACHED = "attached"
     DETACHED = "detached"
     DROPPED = "dropped"
 
-
-def _block_mode(mode) -> BlockMode:
-    try:
-        return BlockMode(mode)
-    except ValueError:
-        raise PlanError(
-            f"unknown block mode {mode!r}; expected one of {[m.value for m in BlockMode]}"
-        ) from None
+    @classmethod
+    def _missing_(cls, value):
+        raise PlanError(f"unknown block mode {value!r}; "
+                        f"expected one of {[m.value for m in cls]}") from None
 
 
 @dataclass
@@ -220,14 +219,15 @@ class Model:
         out.update((name, t.data) for name, t in self.trainable_params().items())
         return out
 
-    def load_state_arrays(self, arrays: dict) -> None:
+    def load_state_arrays(self, arrays: Mapping) -> None:
         """Copy all parameters from a checkpoint's array map into the model's own buffers.
 
-        The map must have exactly the keys of :meth:`state_arrays`, with the
+        The map, a :class:`~collections.abc.Mapping` such as ``np.load``'s
+        file, must have exactly the keys of :meth:`state_arrays`, with the
         same shapes, float arrays whose values are finite in float32, and for
         each 4-bit matrix (a base, the embedding or the positions) what
-        :func:`~lcsb.quant.quantize_weights` writes: its
-        codes as packed uint8 bytes, its group scale mantissas as uint8
+        :func:`~lcsb.quant.quantize_weights` writes: its codes as packed uint8
+        bytes, its group scale mantissas as uint8
         values with no zero, and its exponent as a 0-d integer in
         [``MIN_EXPONENT``, ``MAX_EXPONENT``] of :mod:`lcsb.quant`, the range
         in which every code times its scale is finite in float32.  Otherwise
@@ -238,8 +238,10 @@ class Model:
         model keeps no reference to the caller's arrays, and its float
         arrays, scales, exponents and LoRA tensors stay the same objects.
         """
+        if not isinstance(arrays, Mapping):
+            raise CorruptionError(f"checkpoint maps names to arrays, got a {type(arrays).__name__}")
         expected = self.state_arrays()
-        unknown = sorted(set(arrays) - set(expected))
+        unknown = sorted(set(arrays) - set(expected), key=str)
         if unknown:
             raise CorruptionError(f"checkpoint has unexpected key {unknown[0]!r}")
         checked = {}  # name -> the array to copy in, as float32 unless a 4-bit matrix's
@@ -294,7 +296,7 @@ class Model:
         if (not isinstance(layer_index, numbers.Integral) or isinstance(layer_index, bool)
                 or not 0 <= layer_index < n_layers):
             raise PlanError(f"layer index {layer_index!r} is not an int in [0, {n_layers})")
-        mode = _block_mode(mode)
+        mode = BlockMode(mode)
         if mode is BlockMode.DROPPED:
             return h
         lin = self.blocks[layer_index]
@@ -309,9 +311,9 @@ class Model:
     def forward(self, tokens, plan=None) -> Tensor:
         """Logits of shape (len(tokens), vocab_size).
 
-        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` integer token ids in
-        ``[0, vocab_size)``; other shapes, ragged nestings, non-integer ids
-        and ids out of range raise :class:`DimensionError`.
+        ``tokens`` is a 1-d sequence of 1 to ``seq_len`` integer ids in ``[0, vocab_size)``,
+        by the id rule :func:`~lcsb.autodiff.cross_entropy_logits` applies to its targets;
+        anything else raises :class:`DimensionError`.
         ``plan`` is anything with a ``modes`` sequence, one block mode per
         layer; ``None`` runs every block attached.  A plan without such a
         sequence raises :class:`PlanError`.
@@ -321,29 +323,15 @@ class Model:
         if plan is None:
             modes = [BlockMode.ATTACHED] * cfg.n_layers
         try:
-            modes = [_block_mode(m) for m in modes]
+            modes = [BlockMode(m) for m in modes]
         except TypeError:  # no .modes, or one that cannot be iterated
             raise PlanError(f"a plan needs a sequence of block modes in .modes, "
                             f"got {plan!r}") from None
         if len(modes) != cfg.n_layers:
             raise PlanError(f"plan covers {len(modes)} layers, model has {cfg.n_layers}")
-        try:
-            tokens = np.asarray(tokens)
-        except ValueError:  # a ragged nesting of sequences
-            raise DimensionError("token ids must be integers in a 1-d sequence, "
-                                 "got a ragged nesting") from None
-        if tokens.ndim != 1 or not 1 <= tokens.shape[0] <= cfg.seq_len:
-            raise DimensionError(
-                f"tokens must be a 1-d sequence of 1 to seq_len={cfg.seq_len} ids, "
-                f"got shape {tokens.shape}"
-            )
-        if not np.issubdtype(tokens.dtype, np.integer):
-            raise DimensionError(f"token ids must be integers, got dtype {tokens.dtype}")
-        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:  # -1 would index the last row
-            raise DimensionError(
-                f"token id out of range [0, {cfg.vocab_size}): "
-                f"{int(tokens.min())}..{int(tokens.max())}"
-            )
+        tokens = ad._class_ids(tokens, cfg.vocab_size, "token ids")
+        if not 1 <= tokens.shape[0] <= cfg.seq_len:
+            raise DimensionError(f"tokens must be 1 to seq_len={cfg.seq_len} ids, got {len(tokens)}")
         # the embedding and positions are frozen, so the first activation is a
         # constant: their columns, gathered (4-bit tables decompressed and dropped)
         h = Tensor((_decoded(self.embed)[:, tokens] + _decoded(self.pos)[:, :tokens.shape[0]]).T)
@@ -355,7 +343,7 @@ class Model:
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
-    """Deterministically initialize a model from a seed.
+    """Deterministically initialize a model from a seed, a non-negative int.
 
     Base weights, the embedding and the positions are N(0, 0.02), LoRA A
     is N(0, 1/rank), LoRA B is zero.  When
@@ -364,6 +352,8 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     power-of-two exponent per matrix; the float draws are not kept.
     """
     config.validate()
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     def gauss(shape, std):

@@ -183,6 +183,17 @@ def test_unknown_block_mode_raises():
 H = ad.Tensor(np.ones((3, CFG.d_model)))
 
 
+@pytest.mark.parametrize("mode", ["bogus", None, 3, ["attached"]],
+                         ids=["string", "none", "int", "unhashable"])
+def test_block_mode_refuses_an_unknown_mode_itself(mode):
+    # the enum's own ValueError stays out of the report: no "During handling"
+    with pytest.raises(PlanError, match="unknown block mode") as raised:
+        BlockMode(mode)
+    assert raised.value.__suppress_context__ and raised.value.__cause__ is None
+    with pytest.raises(PlanError, match="unknown block mode"):
+        MODEL.block_forward(H, 0, mode)
+
+
 @pytest.mark.parametrize("call", [
     lambda: MODEL.forward([1, 2], [ATTACHED, ATTACHED]),  # a bare AttributeError
     lambda: MODEL.forward([1, 2], _plan(None)),  # a bare TypeError
@@ -226,6 +237,51 @@ def test_out_of_range_tokens_raise(token):
     # plain indexing would have read the embedding's last row for -1, silently
     with pytest.raises(DimensionError, match=rf"out of range \[0, {CFG.vocab_size}\)"):
         MODEL.forward([1, token])
+
+
+# one id rule for token ids and loss targets: each case's message, after the
+# name of what was checked, at both entry points
+BAD_IDS = {
+    "ragged": ([[1, 2], [3]], "must be integers in a 1-d sequence, got a ragged nesting"),
+    "two_dimensional": (np.zeros((2, 3), dtype=np.int64), "must be a 1-d sequence, got shape (2, 3)"),
+    "fractional": ([1.5, 2.2, 3.9], "must be integers, got dtype float64"),
+    "integral_floats": ([1.0, 2.0], "must be integers, got dtype float64"),
+    "bool": (np.array([True, False]), "must be integers, got dtype bool"),
+    "object": (np.array([1, 2], dtype=object), "must be integers, got dtype object"),
+    "minus_one": ([1, -1], f"out of range [0, {CFG.vocab_size}): -1..1"),
+    "n_classes": ([1, CFG.vocab_size], f"out of range [0, {CFG.vocab_size}): 1..{CFG.vocab_size}"),
+}
+ID_ENTRY_POINTS = {
+    "forward": ("token ids", MODEL.forward),
+    "cross_entropy": ("cross_entropy targets", lambda ids: ad.cross_entropy_logits(
+        ad.Tensor(np.zeros((2, CFG.vocab_size), np.float32)), ids)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+def test_token_ids_and_targets_are_refused_by_one_id_rule(entry, case):
+    what, call = ID_ENTRY_POINTS[entry]
+    ids, reason = BAD_IDS[case]
+    with pytest.raises(DimensionError) as raised:
+        call(ids)
+    assert str(raised.value) == f"{what} {reason}"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"],
+                         ids=["minus_one", "float", "bool", "none", "string"])
+def test_a_seed_that_is_not_a_non_negative_int_raises(seed):
+    # -1 and 1.5 were bare numpy errors, True seeded 1, and None drew OS
+    # entropy, so each call built a different model
+    with pytest.raises(ConfigError, match="seed"):
+        init_model(CFG, seed)
+
+
+def test_a_numpy_int_seed_builds_the_model_of_its_value():
+    numpy_seeded = init_model(CFG, np.int64(3)).state_arrays()
+    int_seeded = init_model(CFG, 3).state_arrays()
+    assert numpy_seeded.keys() == int_seeded.keys()
+    assert all(np.array_equal(numpy_seeded[k], int_seeded[k]) for k in int_seeded)
 
 
 def _tensors_held(obj, seen):
@@ -461,7 +517,7 @@ def test_attached_layer_keeps_no_norm_or_swiglu_output(default_model):
                                 _plan([DETACHED] * (n - k) + [ATTACHED] * k))
         return kept
 
-    # 156 KiB; 0.43 MiB while q, k, v and the heads were kept, 0.70 while the
+    # 137 KiB; 0.43 MiB while q, k, v and the heads were kept, 0.70 while the
     # MLP was five nodes that kept gate and up, and 0.95 while the
     # projections kept the normalized inputs and the SwiGLU output for dA
     assert retained(2) - retained(1) < 0.2 * 2 ** 20
@@ -538,6 +594,18 @@ def test_quantized_state_round_trip_gives_identical_logits(config):
     fresh.load_state_arrays(arrays)
     tokens = np.arange(config.seq_len) % config.vocab_size
     assert np.array_equal(fresh.forward(tokens).data, source.forward(tokens).data)
+
+
+@pytest.mark.parametrize("config", [CFG, QCFG], ids=["float", "q4"])
+def test_a_checkpoint_file_round_trips(config, tmp_path):
+    source, target = _model(config, 0), _model(config, 1)
+    tokens = np.arange(config.seq_len) % config.vocab_size
+    assert not np.array_equal(target.forward(tokens).data, source.forward(tokens).data)
+    path = tmp_path / "checkpoint.npz"
+    np.savez(path, **source.state_arrays())
+    with np.load(path) as saved:  # an NpzFile, read lazily key by key
+        target.load_state_arrays(saved)
+    assert np.array_equal(target.forward(tokens).data, source.forward(tokens).data)
 
 
 def test_a_float_checkpoint_of_the_older_layout_is_refused_before_overwriting():
@@ -636,6 +704,10 @@ CORRUPTIONS = {
     "ragged": (lambda a: {**a, "layers.1.v.lora_a": [[1.0, 2.0], [3.0]]}, "layers.1.v.lora_a",
                "is ragged"),
     "ragged_codes": (lambda a: {**a, "layers.0.up.q4": [[1], [2, 3]]}, "layers.0.up.q4", "is ragged"),
+    # a checkpoint of the wrong kind: a list of pairs was a bare TypeError
+    # (unhashable), and unexpected keys of two types one from sorting them
+    "list_of_pairs": (lambda a: list(a.items()), "list", "maps names to arrays"),
+    "int_and_bytes_keys": (lambda a: {**a, 0: a[LAST], b"x": a[LAST]}, "0", "unexpected key 0"),
     # finite in float64 but inf in float32, so the cast is checked before any
     # key is written; a float64 array of scale mantissas is refused on its dtype
     **{f"float32_overflow_{key}": (lambda a, key=key: _beyond_float32(a, key), key, reason)
