@@ -13,8 +13,8 @@ the full suite).
 Only the LoRA matrices train.  They and the activations are ``Tensor``
 objects; every frozen value (base weights, embedding, positions) is a
 plain float32 array, except that a 4-bit model holds them as packed codes.
-Each projection is one ``model.Linear``: its frozen ``weight`` and its
-LoRA matrices ``a`` and ``b`` with their ``scale``.
+Each projection is one ``model.Linear``, ``x @ weight + (scale * x @ a)
+@ b`` with LoRA matrices ``a`` (d_in, rank) and ``b`` (rank, d_out).
 
 A 4-bit matrix is held at 4.25 bits per weight, its codes, an 8-bit scale
 mantissa per group and one power-of-two exponent per matrix

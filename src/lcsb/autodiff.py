@@ -22,7 +22,7 @@ The first two are fused, each with a hand-written backward, so that a
 layer records few nodes and its tape keeps little.  Each backward
 re-forms what its node did not keep once, with the forward's own
 operations, bit for bit: the normalized input, each projection's output
-(LoRA delta included) and (n, rank) product ``s * x @ a.T``, and the
+(LoRA delta included) and (n, rank) product ``s * x @ a``, and the
 attention's softmax probabilities, rebuilt from q, k and each query's max
 and sum as FlashAttention's backward does, or the SwiGLU output.  The
 last projection's (n, rank) product, which only its dB reads, is formed
@@ -148,10 +148,7 @@ class Tensor:
     """
 
     def __init__(self, data, requires_grad: bool = False):
-        data = np.asarray(data, dtype=np.float32)
-        if not data.flags["C_CONTIGUOUS"]:  # ascontiguousarray would up-rank 0-d
-            data = np.ascontiguousarray(data)
-        self.data = data
+        self.data = np.asarray(data, dtype=np.float32, order="C")
         self.requires_grad = requires_grad
         self._tape: Tape | None = None
         self._node: int | None = None
@@ -163,7 +160,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -366,19 +363,19 @@ def _sigmoid(x: Array) -> Array:
 
 
 def _lora_forward(x_data: Array, p, op: str) -> tuple:
-    """``x @ w + s * (x @ a.T) @ b.T`` and the (n, rank) product ``s * x @ a.T`` that dB reads.
+    """``x @ w + (s * x @ a) @ b`` and the (n, rank) product ``s * x @ a`` that dB reads.
 
     ``p`` is a projection such as :class:`lcsb.model.Linear`: a ``base()``
-    that returns ``w``, LoRA tensors ``a`` and ``b`` and a ``scale`` ``s``.
-    ``base()`` is called once, and a decompressed base is freed before the
-    delta's arrays are formed.  Shapes and the base's dtype are checked
-    first; ``op`` names the projection in the error.
+    that returns ``w``, LoRA tensors ``a`` (d_in, rank) and ``b`` (rank, d_out)
+    and a ``scale`` ``s``.  ``base()`` is called once, and a decompressed base
+    is freed before the delta's arrays are formed.  Shapes and the base's
+    dtype are checked first; ``op`` names the projection in the error.
     """
     w = p.base()
     a_data, b_data = p.a.data, p.b.data
     if (x_data.ndim != 2 or w.ndim != 2 or a_data.ndim != 2
-            or w.shape[0] != x_data.shape[1] or a_data.shape[1] != x_data.shape[1]
-            or b_data.shape != (w.shape[1], a_data.shape[0])):
+            or w.shape[0] != x_data.shape[1] or a_data.shape[0] != x_data.shape[1]
+            or b_data.shape != (a_data.shape[1], w.shape[1])):
         raise DimensionError(
             f"{op} shapes incompatible: x {x_data.shape}, base {w.shape}, "
             f"a {a_data.shape}, b {b_data.shape}"
@@ -387,23 +384,19 @@ def _lora_forward(x_data: Array, p, op: str) -> tuple:
         raise DimensionError(f"{op} base must be float32, got {w.dtype}")
     out = x_data @ w
     del w
-    # The adapters' transposes are copied to C order (rank * d each) for the
-    # two forward products: OpenBLAS runs a product whose right operand is a
-    # transposed view well below the plain layout's speed, and the values are
-    # the same bit for bit.
     xas = _rank_product(x_data, p)
-    out += xas @ np.ascontiguousarray(b_data.T)
+    out += xas @ b_data
     return out, xas
 
 
 def _rank_product(x_data: Array, p) -> Array:
-    """Projection ``p``'s (n, rank) product ``s * x @ a.T``, by the same operations wherever it is formed.
+    """Projection ``p``'s (n, rank) product ``s * x @ a``, by the same operations wherever it is formed.
 
     s scales the (n, rank) intermediate, not an (n, d_out) array.  A
     backward that forms it again from a re-formed ``x`` gets the forward's
     bits.
     """
-    xas = x_data @ np.ascontiguousarray(p.a.data.T)
+    xas = x_data @ p.a.data
     xas *= np.float32(p.scale)
     return xas
 
@@ -411,18 +404,20 @@ def _rank_product(x_data: Array, p) -> Array:
 def _lora_grads(g: Array, needs: tuple, p, xas: Array) -> tuple:
     """``(dx, gxa, dB)`` of projection ``p``, each only where ``needs`` (x, a, b) asks.
 
-    ``dA`` is ``gxa.T @ x``, formed by the caller, which re-forms ``x``.
+    ``dA`` is ``x.T @ gxa``, formed by the caller, which re-forms ``x``.
     ``p.base()`` is called only for dx.
     """
     gxa = None
     if needs[0] or needs[1]:
-        gxa = g @ p.b.data
+        # b.T copied to C order: OpenBLAS rounds the product with the view differently
+        # at T=7 and 32 (not 128), and the copy keeps the bits of a B held (d_out, rank)
+        gxa = g @ np.ascontiguousarray(p.b.data.T)
         gxa *= np.float32(p.scale)
     gx = None
     if needs[0]:
         gx = g @ p.base().T
-        gx += gxa @ p.a.data
-    return gx, gxa, (g.T @ xas if needs[2] else None)
+        gx += gxa @ p.a.data.T
+    return gx, gxa, (xas.T @ g if needs[2] else None)
 
 
 def _project(norm: tuple, projections: Sequence, op: str, names: Sequence[str]) -> tuple:
@@ -474,7 +469,7 @@ def _prenorm_grads(grads: list, needs: tuple, projections: Sequence, xas: Sequen
     n = x_data * inv  # re-formed where dA reads it
     for i in range(len(grads)):
         if needs[1 + 2 * i]:
-            out[1 + 2 * i] = gxa[i].T @ n
+            out[1 + 2 * i] = n.T @ gxa[i]
     del n
     if needs[0]:
         out[0] = _rms_norm_backward(gx, x_data, inv)
@@ -493,17 +488,17 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
     ``silu(z) = z * sigmoid(z)``.  ``gate``, ``up`` and ``down`` are
     projections such as :class:`lcsb.model.Linear`: each has LoRA tensors
     ``a`` and ``b``, a ``scale`` and a ``base()`` that returns its float32
-    (d_in, d_out) base ``w``, and is applied as ``x @ w + scale * (x @ a.T)
-    @ b.T``, through the (n, rank) product and never the dense
-    ``w + scale * (b @ a).T``.  ``x`` is (n, d).  The node's inputs are
-    ``x`` and the six LoRA matrices, in the order gate's ``a``, ``b``, up's,
-    down's.
+    (d_in, d_out) base ``w``, and is applied as ``x @ w + (scale * x @ a)
+    @ b``, with ``a`` (d_in, rank) and ``b`` (rank, d_out) read in place,
+    through the (n, rank) product and never the dense ``w + scale * a @
+    b``.  ``x`` is (n, d).  The node's inputs are ``x`` and the six LoRA
+    matrices, in the order gate's ``a``, ``b``, up's, down's.
 
     The node keeps ``x`` and each row's inverse norm.  When a tape records
     it, it keeps gate's and up's outputs and their (n, rank) products too
     if they take no more bytes than the gradients its backward returns,
-    those of ``x`` and the six LoRA matrices: ``4 * n * sum(a.rows +
-    b.rows)`` over gate and up against ``x.nbytes`` plus the six matrices'
+    those of ``x`` and the six LoRA matrices: ``4 * n * sum(a.cols +
+    b.cols)`` over gate and up against ``x.nbytes`` plus the six matrices'
     bytes.  So keeping never holds more
     before the backward than the backward's results hold after it.  At
     d=128, d_ff=256 and rank 16 that is up to n=44.  The choice reads no
@@ -528,7 +523,7 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
     inputs = (x, gate.a, gate.b, up.a, up.b, down.a, down.b)
     # if recorded: float32 gate, up and their (n, rank) products, against the gradients returned
     keep = _recorder(inputs) is not None and (
-        4 * x_data.shape[0] * sum(p.a.shape[0] + p.b.shape[0] for p in (gate, up))
+        4 * x_data.shape[0] * sum(p.a.shape[1] + p.b.shape[1] for p in (gate, up))
         <= x_data.nbytes + sum(p.a.data.nbytes + p.b.data.nbytes for p in (gate, up, down)))
 
     def gate_and_up():
@@ -573,8 +568,8 @@ def swiglu_mlp(x: Tensor, gate, up, down) -> Tensor:
             if swiglu:
                 gate_b[...] = hidden  # over gate, for down's dA and dB
             del gate_b, up_b, g_b, sig, silu, hidden
-        ga_down = gxa_down.T @ gate_out if needs[5] else None
-        gb_down = g.T @ _rank_product(gate_out, down) if needs[6] else None
+        ga_down = gate_out.T @ gxa_down if needs[5] else None
+        gb_down = _rank_product(gate_out, down).T @ g if needs[6] else None
         del gate_out
         grads = [up_out, g_hidden]  # of gate's and up's outputs
         del up_out, g_hidden
@@ -628,14 +623,14 @@ def _attention_probs(qh: Array, kh: Array, probs: Array, row_max: Array, row_sum
 def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
     """``o(attention(q(n), k(n), v(n)))`` with ``n = rms_norm(x)``, pre-norm causal attention, as one node.
 
-    ``q``, ``k``, ``v`` and ``o`` are projections as in :func:`swiglu_mlp`.
-    ``x`` is (T, d) with T >= 1.  q, k and v must have one width, which
-    ``n_heads`` splits into heads of width ``d_h``: head ``i`` is the column
-    block ``i * d_h : (i + 1) * d_h``.  q is scaled by ``1 / sqrt(d_h)``,
-    and position ``i`` attends to positions ``<= i``: the scores of later
-    positions are set to -1e9 before the softmax.  The node's inputs are
-    ``x`` and the eight LoRA matrices, in the order q's ``a``, ``b``, k's,
-    v's, o's.
+    ``q``, ``k``, ``v`` and ``o`` are projections ``x @ w + (scale * x @ a)
+    @ b`` as in :func:`swiglu_mlp`.  ``x`` is (T, d) with T >= 1.  q, k and v
+    must have one width, which ``n_heads`` splits into heads of width ``d_h``:
+    head ``i`` is the column block ``i * d_h : (i + 1) * d_h``.  q is scaled
+    by ``1 / sqrt(d_h)``, and position ``i`` attends to positions ``<= i``:
+    the scores of later positions are set to -1e9 before the softmax.  The
+    node's inputs are ``x`` and the eight LoRA matrices, in the order q's
+    ``a``, ``b``, k's, v's, o's.
 
     The heads run as batched matmuls in blocks of ``max(1, d // T)``, so no
     block's scores are larger than ``x``.  Each block writes its outputs
@@ -720,8 +715,8 @@ def self_attention(x: Tensor, q, k, v, o, n_heads: int) -> Tensor:
             np.matmul(gs, qh[hs], out=kh[hs])  # dk, over k
             np.multiply(out_block[:m], c, out=qh[hs])  # dq, over q
         del qh, kh, vh, gh, scores, grad_scores, out_block, future, probs, gs
-        ga_o = gxa_o.T @ g_heads if needs[7] else None
-        gb_o = g.T @ _rank_product(g_heads, o) if needs[8] else None
+        ga_o = g_heads.T @ gxa_o if needs[7] else None
+        gb_o = _rank_product(g_heads, o).T @ g if needs[8] else None
         del g_heads
         return (*_prenorm_grads(g_qkv, needs, (q, k, v), xas, norm), ga_o, gb_o)
 

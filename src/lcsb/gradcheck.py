@@ -77,7 +77,7 @@ def _ref_silu(x):
 
 
 def _ref_lora_linear(x, w, a, b, s):
-    return x @ w + s * ((x @ a.T) @ b.T)
+    return x @ w + s * ((x @ a) @ b)
 
 
 def _ref_swiglu_mlp(x, gate, up, down):
@@ -205,8 +205,9 @@ def _fused_case(rng: np.random.Generator, t: Callable, fused: Callable, quantize
     if quantize:
         bases = [quantize_weights(w, 2) for w in bases]
     ref_bases = [_ref_dequantize(w) if quantize else w.astype(np.float64) for w in bases]
-    inputs = [t((n, d), requires_grad=x_tracked)] + [
-        t(shape) for d_in, d_out in dims for shape in ((rank, d_in), (d_out, rank))]
+    inputs = [t((n, d), requires_grad=x_tracked)] + [  # adapters drawn as a checkpoint keeps them
+        Tensor(t(shape).data.T, requires_grad=True)
+        for d_in, d_out in dims for shape in ((rank, d_in), (d_out, rank))]
 
     def node(x, *adapters):
         projections = (Linear(w, a, b, float(s)) for w, a, b, s
@@ -329,7 +330,7 @@ def _micro_case(seed: int, config: ModelConfig | None) -> tuple:
     model = init_model(cfg, seed)
     rng = np.random.default_rng(seed + 1)
     for tensor in model.trainable_params().values():
-        tensor.data[...] = (rng.standard_normal(tensor.shape) * 0.1).astype(np.float32)
+        tensor.data.T[...] = (rng.standard_normal(tensor.shape[::-1]) * 0.1).astype(np.float32)
     tokens = rng.integers(0, cfg.vocab_size, size=cfg.seq_len)
     targets = rng.integers(0, cfg.vocab_size, size=cfg.seq_len)
     return model, tokens, targets

@@ -12,11 +12,13 @@ OLMo (Groeneveld et al. 2024).  Nothing but the LoRA matrices trains, so a
 frozen gain could only hold its init of ones, and multiplying by ones
 changes no bit.
 
-Every frozen matrix, float or 4-bit, is held in the (d_in, d_out) layout
-that its product ``x @ w`` reads: a base as (d_in, d_out), the embedding
+Every matrix, frozen or trained, float or 4-bit, is held in the layout its
+product reads: a base as (d_in, d_out) for ``x @ w``, LoRA A as (d_in,
+rank) for ``x @ a`` and B as (rank, d_out) for ``xas @ b``, the embedding
 as (d_model, vocab_size), which the head multiplies by and whose columns
 the token lookup gathers, and the positions as (d_model, seq_len).  A
-float and a 4-bit model thus read one layout through one code path.
+float and a 4-bit model thus read one layout through one code path.  A
+checkpoint keeps A as (rank, d_in) and B as (d_out, rank), as in the paper.
 
 With ``quantize_base`` set, every frozen matrix is 4-bit quantized at init:
 the seven base projections of each layer, the embedding and the positions.
@@ -137,17 +139,17 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class Linear:
-    """One projection: a frozen base plus its trainable LoRA delta ``scale * B @ A``.
+    """One projection: a frozen base plus its trainable LoRA delta ``scale * a @ b``.
 
     ``weight`` is the base in the (d_in, d_out) layout that ``x @ w`` reads,
     a float32 array or, for a 4-bit base, only a :class:`QuantizedLinear`;
     :meth:`base` returns it in float, decompressing on every call.  ``a``
-    (rank, d_in) and ``b`` (d_out, rank; zero at init) are used in place, and
+    (d_in, rank) and ``b`` (rank, d_out; zero at init) are used in place, and
     ``scale`` is the config's ``lora_alpha / lora_rank``.  A block hands
     its q, k, v and o to ``self_attention`` and its gate, up and down to
     ``swiglu_mlp`` whole, and the engine hands each projection on whole,
     down to its innermost helper, which reads the parts it uses.
-    Neither node forms the dense ``W + BA``; each calls :meth:`base` again
+    Neither node forms the dense ``w + scale * a @ b``; each calls :meth:`base` again
     in the backward, for dx and to re-form the outputs of q, k and v, and
     of gate and up unless the MLP kept them.
     """
@@ -206,7 +208,7 @@ class Model:
 
         A frozen matrix is saved under its stem if float, and as its codes,
         scales and exponent under ``{stem}.q4``, ``{stem}.q4_scales`` and
-        ``{stem}.q4_exponent`` if 4-bit.
+        ``{stem}.q4_exponent`` if 4-bit, and an adapter as a view of its transpose.
         """
         out = {}
         for stem, owner, attr in self._frozen_matrices():
@@ -216,7 +218,7 @@ class Model:
                             f"{stem}.q4_exponent": w.exponent})
             else:
                 out[stem] = w
-        out.update((name, t.data) for name, t in self.trainable_params().items())
+        out.update((name, t.data.T) for name, t in self.trainable_params().items())
         return out
 
     def load_state_arrays(self, arrays: Mapping) -> None:
@@ -346,7 +348,7 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     """Deterministically initialize a model from a seed, a non-negative int.
 
     Base weights, the embedding and the positions are N(0, 0.02), LoRA A
-    is N(0, 1/rank), LoRA B is zero.  When
+    is N(0, 1/rank), drawn (rank, d_in) and held transposed; LoRA B is zero.  When
     ``quantize_base`` is set, every frozen matrix is quantized once here and
     kept only as packed 4-bit codes, 8-bit group scale mantissas and one
     power-of-two exponent per matrix; the float draws are not kept.
@@ -377,8 +379,8 @@ def init_model(config: ModelConfig, seed: int) -> Model:
         linears = {}
         for site, (d_out, d_in) in site_dims.items():
             weight = frozen(d_out, d_in)
-            a = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank)
-            b = np.zeros((d_out, config.lora_rank), dtype=np.float32)
+            a = gauss((config.lora_rank, d_in), 1.0 / config.lora_rank).T
+            b = np.zeros((config.lora_rank, d_out), dtype=np.float32)
             linears[site] = Linear(weight, Tensor(a, requires_grad=True),
                                    Tensor(b, requires_grad=True),
                                    scale=config.lora_alpha / config.lora_rank)

@@ -17,6 +17,18 @@ from scalar_loss import weighted_sum
 from traced import traced
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,)], ids=["0d", "1", "1x1", "2"])
+def test_item_reads_any_one_element_tensor(shape):
+    # (1,) and (1, 1) raised numpy's bare TypeError from float() on numpy 2.x
+    t = Tensor(np.full(shape, 2.5))
+    if t.data.size != 1:
+        with pytest.raises(DimensionError, match=r"item\(\) on tensor of shape \(2,\)"):
+            t.item()
+    else:
+        value = t.item()
+        assert type(value) is float and value == 2.5
+
+
 def test_cross_entropy_uniform_logits_is_log_vocab():
     logits = Tensor(np.zeros((3, 32)))
     loss = ad.cross_entropy_logits(logits, np.array([0, 5, 31]))
@@ -62,19 +74,28 @@ def test_rms_norm_gradients_are_float32_with_unchanged_bits():
     assert grads[x].tobytes() == want_x.tobytes()
 
 
-def test_lora_forward_matches_the_transposed_products_bit_for_bit():
-    # the projection inside the fused nodes copies the adapters' transposes to C order
+def test_lora_forward_reads_its_adapters_in_place():
+    # a (d_in, rank) and b (rank, d_out) are the right operands of the two
+    # products as held, so the projection copies neither
     rng = np.random.default_rng(6)
     x = rng.standard_normal((12, 32)).astype(np.float32)
     w = rng.standard_normal((32, 48)).astype(np.float32)
-    a = rng.standard_normal((4, 32)).astype(np.float32)
-    b = rng.standard_normal((48, 4)).astype(np.float32)
+    a = rng.standard_normal((32, 4)).astype(np.float32)
+    b = rng.standard_normal((4, 48)).astype(np.float32)
     out, _ = ad._lora_forward(x, Linear(w, Tensor(a), Tensor(b), 0.5), "projection")
-    xas = x @ a.T
+    xas = x @ a
     xas *= np.float32(0.5)
     want = x @ w
-    want += xas @ b.T
+    want += xas @ b
     assert out.tobytes() == want.tobytes()
+    # at T=128, 128 -> 256 and rank 16: the output, the (T, rank) product,
+    # one (T, d_out) delta and 4 KiB of small objects; 280.8 KiB while it
+    # also held a 16 KiB copy of b's transpose
+    x = rng.standard_normal((128, 128)).astype(np.float32)
+    lin = Linear(rng.standard_normal((128, 256)).astype(np.float32),
+                 Tensor(rng.standard_normal((128, 16))), Tensor(rng.standard_normal((16, 256))), 0.5)
+    (out, xas), _, peak = traced(ad._lora_forward, x, lin, "projection")
+    assert peak < 2 * out.nbytes + xas.nbytes + 4096
 
 
 def test_norm_head_hand_value():
@@ -87,8 +108,8 @@ def test_norm_head_shape_mismatch_reports_shapes():
     x, w = Tensor(np.ones((2, 3))), np.ones((2, 3), dtype=np.float32)
     with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\)"):
         ad.norm_head(x, lambda: w)
-    q = Linear(w, Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), 0.5)
-    with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\), a \(1, 3\), b \(3, 1\)"):
+    q = Linear(w, Tensor(np.ones((3, 1))), Tensor(np.ones((1, 3))), 0.5)
+    with pytest.raises(DimensionError, match=r"x \(2, 3\), base \(2, 3\), a \(3, 1\), b \(1, 3\)"):
         ad.self_attention(x, q, q, q, q, 1)
 
 
@@ -115,14 +136,16 @@ def test_norm_head_fetches_its_weight_on_each_use_and_keeps_none():
 def _linears(rng, rank, dims, quantize=False):
     """Projections of the given (d_in, d_out), scale 0.5, with nonzero adapters.
 
-    A 4-bit base is quantized in groups of 2.
+    A 4-bit base is quantized in groups of 2.  Each adapter is drawn as a
+    checkpoint keeps it, A (rank, d_in) and B (d_out, rank), and held as
+    its transpose.
     """
     linears = []
     for d_in, d_out in dims:
         w = rng.standard_normal((d_in, d_out)).astype(np.float32)
         linears.append(Linear(quantize_weights(w, 2) if quantize else w,
-                              Tensor(rng.standard_normal((rank, d_in)) * 0.5, requires_grad=True),
-                              Tensor(rng.standard_normal((d_out, rank)) * 0.5, requires_grad=True),
+                              Tensor(rng.standard_normal((rank, d_in)).T * 0.5, requires_grad=True),
+                              Tensor(rng.standard_normal((d_out, rank)).T * 0.5, requires_grad=True),
                               0.5))
     return tuple(linears)
 
@@ -148,8 +171,8 @@ def test_swiglu_saturates_exactly_without_warnings():
     # B zero the deltas add exact zeros, and rank-1 A = (1, 0) makes dB of
     # gate and up equal to the gradients of the gate and up values.
     eye = np.eye(2, dtype=np.float32)
-    gate, up, down = (Linear(w * eye, Tensor([[1.0, 0.0]], requires_grad=True),
-                             Tensor(np.zeros((2, 1)), requires_grad=True), 1.0)
+    gate, up, down = (Linear(w * eye, Tensor([[1.0], [0.0]], requires_grad=True),
+                             Tensor(np.zeros((1, 2)), requires_grad=True), 1.0)
                       for w in (100.0, 3.0, 1.0))
     x = Tensor([[2048.0, -2048.0]], requires_grad=True)
     with warnings.catch_warnings():
@@ -160,9 +183,9 @@ def test_swiglu_saturates_exactly_without_warnings():
         grads = backward(loss, tape)
     assert out.data.tolist() == [[300.0, 0.0]]
     # d/dgate = 2 * up * silu'(gate), with silu'(100) = 1 and silu'(-100) = 0
-    assert grads[gate.b].tolist() == [[6.0], [0.0]]
+    assert grads[gate.b].tolist() == [[6.0, 0.0]]
     # d/dup = 2 * silu(gate)
-    assert grads[up.b].tolist() == [[200.0], [0.0]]
+    assert grads[up.b].tolist() == [[200.0, 0.0]]
 
 
 def test_swiglu_tape_keeps_nothing_beyond_its_output():
@@ -205,12 +228,12 @@ def test_swiglu_mlp_keeps_gate_and_up_only_while_its_gradients_cover_them():
 
 
 def _projection_node(x, lin):
-    """``x @ w + s * (x @ a.T) @ b.T`` as one node that keeps ``x``: the unfused chain's projection."""
+    """``x @ w + (s * x @ a) @ b`` as one node that keeps ``x``: the unfused chain's projection."""
     out, xas = ad._lora_forward(x.data, lin, "projection")
 
     def bw(g, needs):
         gx, gxa, gb = ad._lora_grads(g, needs, lin, xas)
-        return (gx, gxa.T @ x.data if needs[1] else None, gb)
+        return (gx, x.data.T @ gxa if needs[1] else None, gb)
 
     return ad._finish(out, (x, lin.a, lin.b), bw)
 
@@ -529,8 +552,8 @@ def test_linears_reject_a_base_that_is_not_float32(op):
     w = np.ones((4, 4))
     with Tape(), pytest.raises(DimensionError, match="float64"):
         if op == "self_attention":
-            q = Linear(w, Tensor(np.ones((2, 4)), requires_grad=True),
-                       Tensor(np.zeros((4, 2)), requires_grad=True), 1.0)
+            q = Linear(w, Tensor(np.ones((4, 2)), requires_grad=True),
+                       Tensor(np.zeros((2, 4)), requires_grad=True), 1.0)
             ad.self_attention(x, q, q, q, q, 1)
         else:
             ad.norm_head(x, lambda: w)
@@ -761,7 +784,7 @@ def test_two_layer_mlp_matches_finite_differences():
     x = rng.standard_normal((5, 4)).astype(np.float32)
     targets = rng.integers(0, 6, size=5)
     w1 = (rng.standard_normal((4, 6)) * 0.5).astype(np.float32)
-    a1, b1 = (Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True) for shape in ((2, 4), (6, 2)))
+    a1, b1 = (Tensor(rng.standard_normal(shape).T * 0.5, requires_grad=True) for shape in ((2, 4), (6, 2)))
     projections = _projections(rng, 6, 8, 2)
 
     with Tape() as tape:
@@ -772,7 +795,7 @@ def test_two_layer_mlp_matches_finite_differences():
 
     def oracle(_):
         def linear(h, w, a, b):
-            return h @ w.astype(np.float64) + 0.5 * (h @ a.data.T.astype(np.float64)) @ b.data.T
+            return h @ w.astype(np.float64) + 0.5 * (h @ a.data.astype(np.float64)) @ b.data
         h = linear(x.astype(np.float64), w1, a1, b1)
         n = h / np.sqrt(np.mean(h * h, axis=-1, keepdims=True) + 1e-5)
         gate, up, down = ((p.weight, p.a, p.b) for p in projections)
@@ -815,7 +838,7 @@ class TestTapeOwnership:
         model = init_model(micro_config(), 0)
         rng = np.random.default_rng(1)
         for p in model.trainable_params().values():
-            p.data[...] = (rng.standard_normal(p.shape) * 0.1).astype(np.float32)
+            p.data.T[...] = (rng.standard_normal(p.shape[::-1]) * 0.1).astype(np.float32)
         cfg = model.config
         batches = [(rng.integers(0, cfg.vocab_size, cfg.seq_len),
                     rng.integers(0, cfg.vocab_size, cfg.seq_len)) for _ in range(4)]

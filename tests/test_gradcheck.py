@@ -80,7 +80,7 @@ def test_a_row_of_small_norm_is_judged_right(monkeypatch):
     scales = rng.uniform(0.5, 2.0, size=3)
     bases = [rng.uniform(-1.0, 1.0, size=(2, 2)).astype(np.float32) for _ in range(3)]
     x = ad.Tensor([[0.0895, -0.0626]], requires_grad=True)
-    adapters = [ad.Tensor(rng.uniform(-1.0, 1.0, size=(2, 2)), requires_grad=True) for _ in range(6)]
+    adapters = [ad.Tensor(rng.uniform(-1.0, 1.0, size=(2, 2)).T, requires_grad=True) for _ in range(6)]
 
     def node(x, *adapters):
         return ad.swiglu_mlp(x, *(Linear(w, a, b, float(s)) for w, a, b, s

@@ -31,7 +31,7 @@ def _model(config=CFG, seed=0):
     model = init_model(config, seed)
     rng = np.random.default_rng(seed + 1)
     for p in model.trainable_params().values():
-        p.data[...] = (rng.standard_normal(p.shape) * 0.1).astype(np.float32)
+        p.data.T[...] = (rng.standard_normal(p.shape[::-1]) * 0.1).astype(np.float32)
     return model
 
 
@@ -160,13 +160,13 @@ def test_bad_config_values_raise_config_error(field, value):
 def test_quantized_lora_forward_frees_its_base_before_the_delta():
     rng = np.random.default_rng(3)
     base = quantize_weights((rng.standard_normal((128, 256)) * 0.02).astype(np.float32), 32)
-    linear = Linear(base, a=ad.Tensor(rng.standard_normal((16, 128)), requires_grad=True),
-                    b=ad.Tensor(rng.standard_normal((256, 16)), requires_grad=True), scale=2.0)
+    linear = Linear(base, a=ad.Tensor(rng.standard_normal((16, 128)).T, requires_grad=True),
+                    b=ad.Tensor(rng.standard_normal((256, 16)).T, requires_grad=True), scale=2.0)
     x = ad.Tensor(rng.standard_normal((128, 128)), requires_grad=True)
     with ad.Tape():
         (out, _), _, peak = traced(ad._lora_forward, x.data, linear, "q")
-    # the output and the (T, d_out) delta, plus the adapters' small copies;
-    # the 128 KiB decompressed base alongside them made it 3.2 outputs
+    # the output and the (T, d_out) delta; the 128 KiB decompressed base
+    # alongside them made it 3.2 outputs
     assert peak < 2.5 * out.data.nbytes
 
 
@@ -602,7 +602,11 @@ def test_a_checkpoint_file_round_trips(config, tmp_path):
     tokens = np.arange(config.seq_len) % config.vocab_size
     assert not np.array_equal(target.forward(tokens).data, source.forward(tokens).data)
     path = tmp_path / "checkpoint.npz"
-    np.savez(path, **source.state_arrays())
+    arrays = source.state_arrays()
+    # the adapters in the paper's orientation, A (rank, d_in) and B (d_out, rank)
+    assert arrays["layers.0.down.lora_a"].shape == (config.lora_rank, config.d_ff)
+    assert arrays["layers.0.down.lora_b"].shape == (config.d_model, config.lora_rank)
+    np.savez(path, **arrays)
     with np.load(path) as saved:  # an NpzFile, read lazily key by key
         target.load_state_arrays(saved)
     assert np.array_equal(target.forward(tokens).data, source.forward(tokens).data)
@@ -725,9 +729,12 @@ def test_corrupt_state_raises_before_overwriting(case):
     target = _quantized_model(1)
     before = target.state_arrays()
     values = {k: a.copy() for k, a in before.items()}
+    buffers = {k: t.data for k, t in target.trainable_params().items()}
     with pytest.raises(CorruptionError, match=re.escape(key)) as raised:
         target.load_state_arrays(arrays)
     assert reason in str(raised.value)
     after = target.state_arrays()
-    assert after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+    # an adapter's array is a new view of its tensor's buffer on each call
+    assert after.keys() == before.keys() and all(
+        after[k].base is buffers[k] if k in buffers else after[k] is before[k] for k in before)
     assert all(np.array_equal(after[k], values[k]) for k in before)
